@@ -40,7 +40,6 @@ from .errors import (
 from .fields import (
     CoordinateChange,
     VectorField,
-    apply_field,
     bracket,
     compose_changes,
     invert_change,

@@ -63,9 +63,6 @@ class Distribution:
         self.generators = tuple(generators)
         self._norm_cache: Optional[_Normalized] = None
 
-    def __len__(self) -> int:
-        return len(self.generators)
-
     def normalized(self) -> "_Normalized":
         if self._norm_cache is None:
             self._norm_cache = _normalize(self)

@@ -168,10 +168,6 @@ class VectorField:
         return f"VectorField({self})"
 
 
-def apply_field(X: VectorField, f: GradedSeries) -> GradedSeries:
-    return X.apply(f)
-
-
 def bracket(X: VectorField, Y: VectorField) -> VectorField:
     """Graded Lie bracket ``X o Y - (-1)^{<deg X, deg Y>} Y o X``, computed
     coefficient-wise; the second-order terms cancel identically."""

@@ -8,9 +8,10 @@ The solver composes four mechanisms:
   degree-zero field,
 * a matrix ODE in the pivot variable that conjugates away the J-linear
   layer of a degree-zero field,
-* correction loops that integrate the current error along the pivot,
-  each pass pushing it one J-layer (or base layer) deeper until it
-  leaves the truncation window.
+* one integration loop that shifts the coordinates by the antiderivative
+  of the current error along the pivot, each pass pushing the error one
+  base layer (flow box) or J-layer (corrections) deeper until it leaves
+  the truncation window.
 
 Corrections whose antiderivative is not representable are dropped with a
 loss flag.  Verification is decisive on the certified window (J-degree
@@ -43,7 +44,7 @@ from .fields import (
     pushforward,
 )
 from .grading import DegreeVector
-from .linalg import rational_inverse
+from .linalg import GradedMatrix, rational_inverse
 from .series import (
     ChartSpec,
     GradedSeries,
@@ -80,6 +81,18 @@ def _untolerated(series: GradedSeries, chart: ChartSpec) -> list[Monomial]:
     at this order."""
     return [mon for mon in series.terms
             if not is_boundary_monomial(mon, chart)]
+
+
+def _noncommuting_pair(fields: Sequence[VectorField], diagonal: bool
+                       ) -> Optional[tuple[int, int]]:
+    """First pair (i, j) with i < j (i <= j with ``diagonal``) whose bracket
+    keeps a residual inside the certified window; None when all vanish."""
+    for i in range(len(fields)):
+        for j in range(i if diagonal else i + 1, len(fields)):
+            b = bracket(fields[i], fields[j])
+            if any(_untolerated(s, b.chart) for s in b.coefficients.values()):
+                return i, j
+    return None
 
 
 def _field_flags(X: VectorField) -> tuple[bool, bool]:
@@ -151,64 +164,43 @@ def _j_linear_step(X: VectorField, pivot: str) -> Optional[CoordinateChange]:
     nz = chart.nonzero_names()
     if not nz:
         return None
-    b: dict[str, dict[str, GradedSeries]] = {}
-    for rho in nz:
-        coeff = X.coefficient(rho)
-        for mon, c in coeff.terms.items():
+    # b[rho][tau]: coefficient of tau in the J-linear part of X's rho entry
+    b = [[chart.zero()] * len(nz) for _ in nz]
+    for row, rho in zip(b, nz):
+        for mon, c in X.coefficient(rho).terms.items():
             if mon.j_degree(chart) != 1:
                 continue
             tau_pos = next(i for i in chart.nonzero_indices if mon.exps[i])
-            tau = chart.names[tau_pos]
             base_exps = list(mon.exps)
             base_exps[tau_pos] = 0
-            base_mon = GradedSeries(chart, {Monomial(tuple(base_exps)): c},
-                                    _trusted=True)
-            row = b.setdefault(rho, {})
-            row[tau] = row.get(tau, chart.zero()) + base_mon
-    b = {rho: {tau: s for tau, s in row.items() if not s.is_zero}
-         for rho, row in b.items()}
-    b = {rho: row for rho, row in b.items() if row}
-    if not b:
+            col = chart.nonzero_indices.index(tau_pos)
+            row[col] = row[col] + GradedSeries(
+                chart, {Monomial(tuple(base_exps)): c}, _trusted=True)
+    degrees = tuple(chart.degree_of(rho) for rho in nz)
+    B = GradedMatrix(chart, degrees, degrees, b)
+    if B.is_zero:
         return None
 
-    def entry(g, rho, tau):
-        got = g.get(rho, {}).get(tau)
-        return got if got is not None else chart.zero()
-
-    g: dict[str, dict[str, GradedSeries]] = {
-        rho: {rho: chart.one()} for rho in nz
-    }
+    identity = GradedMatrix.identity(chart, degrees)
+    g = identity
     for _ in range(chart.base_order + 2):
-        new_g: dict[str, dict[str, GradedSeries]] = {}
-        for rho in nz:
-            for tau in nz:
-                prod = chart.zero()
-                for mid, bent in b.items():
-                    if tau not in bent:
-                        continue
-                    left = entry(g, rho, mid)
-                    if left.is_zero:
-                        continue
-                    prod = prod + multiply(left, bent[tau])
-                val = -antiderivative(prod, pivot) if not prod.is_zero else chart.zero()
-                if rho == tau:
-                    val = val + chart.one()
-                if not val.is_zero:
-                    new_g.setdefault(rho, {})[tau] = val
-        stable = all(
-            entry(new_g, rho, tau).terms == entry(g, rho, tau).terms
-            for rho in nz for tau in nz
-        )
+        integral = [
+            [antiderivative(s, pivot) if not s.is_zero else chart.zero()
+             for s in row]
+            for row in (g @ B).entries
+        ]
+        new_g = identity - GradedMatrix(chart, degrees, degrees, integral)
+        # keep the last pass: equal terms can still carry new loss flags
+        stable = new_g == g
         g = new_g
         if stable:
             break
 
+    zeta = GradedMatrix(chart, degrees, (chart.zero_degree,),
+                        [[chart.coordinate(tau)] for tau in nz])
     images = _identity_images(chart)
-    for rho in nz:
-        acc = chart.zero()
-        for tau, series in g.get(rho, {}).items():
-            acc = acc + multiply(series, chart.coordinate(tau))
-        images[rho] = acc
+    for rho, (eta,) in zip(nz, (g @ zeta).entries):
+        images[rho] = eta
     change = CoordinateChange.make(chart, chart, images)
     return None if change.is_identity else change
 
@@ -229,6 +221,26 @@ def _shift_step(chart: ChartSpec, err: dict[str, GradedSeries],
     if not moved:
         return None
     return CoordinateChange.make(chart, chart, images)
+
+
+def _integrate(X: VectorField, pivot: str, labels: Sequence[str],
+               mod_j: bool = False) -> tuple[list[Step], VectorField]:
+    """One shift step per label while the straightness error (reduced mod J
+    when ``mod_j``) is nonzero and has a representable antiderivative."""
+    steps: list[Step] = []
+    for label in labels:
+        err = _straightness_error(X, pivot)
+        if mod_j:
+            err = {n: reduce_mod_j(e) for n, e in err.items()}
+            err = {n: e for n, e in err.items() if not e.is_zero}
+        if not err:
+            break
+        step = _shift_step(X.chart, err, pivot)
+        if step is None:
+            break
+        X = pushforward(step, X)
+        steps.append((label, step))
+    return steps, X
 
 
 def _straighten_deg0_steps(X: VectorField) -> tuple[list[Step], VectorField, str]:
@@ -252,20 +264,9 @@ def _straighten_deg0_steps(X: VectorField) -> tuple[list[Step], VectorField, str
         steps.append(("linear_frame", frame))
 
     # flow-box of the reduced field, one base layer per pass
-    for _ in range(chart.base_order + 1):
-        err = {
-            name: series for name, series in (
-                (n, reduce_mod_j(e))
-                for n, e in _straightness_error(cur, pivot).items()
-            ) if not series.is_zero
-        }
-        if not err:
-            break
-        step = _shift_step(chart, err, pivot)
-        if step is None:
-            break
-        cur = pushforward(step, cur)
-        steps.append(("flow_box", step))
+    flow, cur = _integrate(cur, pivot, ["flow_box"] * (chart.base_order + 1),
+                           mod_j=True)
+    steps += flow
 
     ode = _j_linear_step(cur, pivot)
     if ode is not None:
@@ -273,15 +274,9 @@ def _straighten_deg0_steps(X: VectorField) -> tuple[list[Step], VectorField, str
         steps.append(("j_linear", ode))
 
     # deeper J-layers: plain integration along the pivot
-    for k in range(2, chart.j_order + 1):
-        err = _straightness_error(cur, pivot)
-        if not err:
-            break
-        step = _shift_step(chart, err, pivot)
-        if step is None:
-            break
-        cur = pushforward(step, cur)
-        steps.append((f"j_correction_{k}", step))
+    corrections, cur = _integrate(
+        cur, pivot, [f"j_correction_{k}" for k in range(2, chart.j_order + 1)])
+    steps += corrections
 
     _check_straight(cur, pivot)
     return steps, cur, pivot
@@ -315,15 +310,9 @@ def _straighten_nonzero_steps(X: VectorField) -> tuple[list[Step], VectorField, 
     if pivot is None:
         raise DegenerateAtPoint("field vanishes at the base point")
     odd = degree.is_odd
-    if odd:
-        self_bracket = bracket(X, X)
-        bad = [
-            mon for series in self_bracket.coefficients.values()
-            for mon in _untolerated(series, chart)
-        ]
-        if bad:
-            raise OddSquareNonzero(
-                "odd field with nonzero self-bracket cannot be straightened")
+    if odd and _noncommuting_pair([X], diagonal=True) is not None:
+        raise OddSquareNonzero(
+            "odd field with nonzero self-bracket cannot be straightened")
 
     # pivot frame, built from the inverse direction: each old coordinate is
     # its new value plus (pivot) times the pivot-free part of its coefficient
@@ -350,21 +339,11 @@ def _straighten_nonzero_steps(X: VectorField) -> tuple[list[Step], VectorField, 
         cur = pushforward(frame, cur)
         steps.append(("pivot_frame", frame))
 
-    if odd:
-        # self-bracket zero forces exactness after the pivot frame
-        _check_straight(cur, pivot)
-        return steps, cur, pivot
-
-    for k in range(1, chart.j_order + 1):
-        err = _straightness_error(cur, pivot)
-        if not err:
-            break
-        step = _shift_step(chart, err, pivot)
-        if step is None:
-            break
-        cur = pushforward(step, cur)
-        steps.append((f"j_correction_{k}", step))
-
+    # an odd field with zero self-bracket is exact after the pivot frame
+    if not odd:
+        corrections, cur = _integrate(cur, pivot, [
+            f"j_correction_{k}" for k in range(1, chart.j_order + 1)])
+        steps += corrections
     _check_straight(cur, pivot)
     return steps, cur, pivot
 
@@ -391,44 +370,47 @@ def _subtract_adapted(X: VectorField, adapted: Sequence[str]) -> VectorField:
     return out
 
 
-def commuting_triangular(fields: Sequence[VectorField]) -> CoordinateChange:
-    """Change after which a supercommuting degree-zero family is unit upper
-    triangular over its pivots; the family then spans exactly the pivot
-    derivations."""
-    change, _, _ = _commuting_triangular_steps(fields)
-    return change
-
-
-def _commuting_triangular_steps(fields: Sequence[VectorField]
-                                ) -> tuple[CoordinateChange, list[Step], list[str]]:
-    if not fields:
-        raise DegenerateAtPoint("empty family")
-    chart = fields[0].chart
-    for X in fields:
-        if not X.degree.is_zero:
-            raise NonzeroDegree("triangularization needs degree-zero fields")
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            b = bracket(fields[i], fields[j])
-            bad = [
-                mon for series in b.coefficients.values()
-                for mon in _untolerated(series, chart)
-            ]
-            if bad:
-                raise NotCommuting(
-                    f"fields {i} and {j} do not commute", pair=(i, j))
-
+def _straighten_family(fields: Sequence[VectorField], order: Sequence[int]
+                       ) -> tuple[list[Step], list[str]]:
+    """Straighten ``fields[i]`` for each i in ``order``, minus the pivot
+    derivations adapted before it, pushing the whole family through every
+    step; returns the steps and the adapted pivots."""
     steps: list[Step] = []
     adapted: list[str] = []
     cur = list(fields)
-    for idx in range(len(cur)):
-        stripped = _subtract_adapted(cur[idx], adapted)
-        sub_steps, _, pivot = _straighten_deg0_steps(stripped)
+    for i in order:
+        stripped = _subtract_adapted(cur[i], adapted)
+        if stripped.degree.is_zero:
+            sub_steps, _, pivot = _straighten_deg0_steps(stripped)
+        else:
+            try:
+                sub_steps, _, pivot = _straighten_nonzero_steps(stripped)
+            except (OddSquareNonzero, DegenerateAtPoint) as exc:
+                raise InternalInconsistency(
+                    f"straightening generator {i} failed on involutive "
+                    f"input: {exc}") from exc
         for label, step in sub_steps:
             cur = [pushforward(step, Y) for Y in cur]
             steps.append((label, step))
         adapted.append(pivot)
-    return _compose_steps(chart, steps), steps, adapted
+    return steps, adapted
+
+
+def commuting_triangular(fields: Sequence[VectorField]) -> CoordinateChange:
+    """Change after which a supercommuting degree-zero family is unit upper
+    triangular over its pivots; the family then spans exactly the pivot
+    derivations."""
+    if not fields:
+        raise DegenerateAtPoint("empty family")
+    for X in fields:
+        if not X.degree.is_zero:
+            raise NonzeroDegree("triangularization needs degree-zero fields")
+    pair = _noncommuting_pair(fields, diagonal=False)
+    if pair is not None:
+        raise NotCommuting(
+            f"fields {pair[0]} and {pair[1]} do not commute", pair=pair)
+    steps, _ = _straighten_family(fields, range(len(fields)))
+    return _compose_steps(fields[0].chart, steps)
 
 
 @dataclass(frozen=True)
@@ -441,9 +423,6 @@ class FrobeniusCertificate:
     adapted: tuple[str, ...]
     residuals: tuple[tuple[int, int], ...]
     steps: tuple[Step, ...]
-
-    def residual_map(self) -> dict[int, int]:
-        return dict(self.residuals)
 
     def to_json_dict(self) -> dict:
         body = self.change.to_json_dict()
@@ -489,11 +468,7 @@ class AdaptedReport:
             "ok": self.ok,
             "rank_ok": self.rank_ok,
             "reverse_ok": self.reverse_ok,
-            "residuals": {
-                str(i): order
-                for i, order in enumerate(self.generator_residuals)
-                if order is not None
-            },
+            "residuals": {str(i): order for i, order in self.residual_entries()},
             "truncation_loss": {"base": self.base_loss, "j": self.j_loss},
         }
 
@@ -590,48 +565,14 @@ def adapted_coordinates(D: Distribution) -> FrobeniusCertificate:
     pivots = list(norm.pivots)
 
     # a normalized involutive family supercommutes inside the window
-    for i in range(len(gens)):
-        for j in range(i, len(gens)):
-            b = bracket(gens[i], gens[j])
-            bad = [
-                mon for series in b.coefficients.values()
-                for mon in _untolerated(series, chart)
-            ]
-            if bad:
-                raise InternalInconsistency(
-                    "normalized involutive generators fail to supercommute")
+    if _noncommuting_pair(gens, diagonal=True) is not None:
+        raise InternalInconsistency(
+            "normalized involutive generators fail to supercommute")
 
-    order = sorted(range(len(gens)), key=lambda i: chart.index(pivots[i]))
-    deg0 = [i for i in order if gens[i].degree.is_zero]
-    nonzero = [i for i in order if not gens[i].degree.is_zero]
-
-    steps: list[Step] = []
-    adapted: list[str] = []
-    cur = gens[:]
-
-    def run_steps(sub_steps: Sequence[Step]) -> None:
-        nonlocal cur
-        for label, step in sub_steps:
-            cur = [pushforward(step, Y) for Y in cur]
-            steps.append((label, step))
-
-    for i in deg0:
-        stripped = _subtract_adapted(cur[i], adapted)
-        sub_steps, _, pivot = _straighten_deg0_steps(stripped)
-        run_steps(sub_steps)
-        adapted.append(pivot)
-
-    for i in nonzero:
-        stripped = _subtract_adapted(cur[i], adapted)
-        try:
-            sub_steps, _, pivot = _straighten_nonzero_steps(stripped)
-        except (OddSquareNonzero, DegenerateAtPoint) as exc:
-            raise InternalInconsistency(
-                f"straightening generator {i} failed on involutive input: {exc}"
-            ) from exc
-        run_steps(sub_steps)
-        adapted.append(pivot)
-
+    # degree-zero generators first, each group in pivot order
+    order = sorted(range(len(gens)), key=lambda i: (
+        not gens[i].degree.is_zero, chart.index(pivots[i])))
+    steps, adapted = _straighten_family(gens, order)
     change = _compose_steps(chart, steps)
     cert = FrobeniusCertificate(
         change=change, adapted=tuple(adapted), residuals=(),

@@ -235,11 +235,16 @@ class ProblemSpec:
     warnings: list[str] = field(default_factory=list)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(data: dict, key: str, kind, where: str):
     if key not in data:
         raise ProblemFormatError(f"missing {key!r} in {where}")
     value = data[key]
-    if kind is not None and not isinstance(value, kind):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise ProblemFormatError(f"{where}.{key} has the wrong type")
     return value
 
@@ -264,7 +269,7 @@ def load_problem(data: dict,
         raise ProblemFormatError("problem.truncation must be an object")
     j = j_order if j_order is not None else trunc.get("j_order", 4)
     b = base_order if base_order is not None else trunc.get("base_order", 6)
-    if not isinstance(j, int) or not isinstance(b, int) or j < 1 or b < 1:
+    if not _is_int(j) or not _is_int(b) or j < 1 or b < 1:
         raise ProblemFormatError("truncation orders must be positive integers")
 
     coords_data = _require(data, "coordinates", list, "problem")
@@ -462,10 +467,13 @@ def _load_certificate(spec: ProblemSpec, path: str
             if any(not is_boundary_monomial(m, chart) for m in diff.terms):
                 inverse_ok = False
                 break
-    residuals = tuple(
-        (int(k), int(v))
-        for k, v in data.get("residuals", {}).items()
-    )
+    residuals = data.get("residuals", {})
+    if not (isinstance(residuals, dict) and all(
+            k.isascii() and k.isdecimal() and _is_int(v)
+            for k, v in residuals.items())):
+        raise ProblemFormatError(
+            "certificate.residuals must map generator indices to integers")
+    residuals = tuple((int(k), v) for k, v in residuals.items())
     cert = FrobeniusCertificate(change=change, adapted=tuple(adapted),
                                 residuals=residuals, steps=())
     return cert, inverse_ok

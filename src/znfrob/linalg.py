@@ -90,12 +90,6 @@ class RowSpan:
         self.pivots.append(p)
         return True
 
-    def contains(self, vec: Sequence[Fraction]) -> bool:
-        return all(not x for x in self.residual(vec))
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 # ---------------------------------------------------------------------------
 # tangent vectors
@@ -116,9 +110,6 @@ class TangentVector:
             (name, Fraction(c)) for name, c in components.items() if c
         ))
         return cls(degree, items)
-
-    def component_map(self) -> dict[str, Fraction]:
-        return dict(self.components)
 
     @property
     def is_zero(self) -> bool:
@@ -200,10 +191,6 @@ class GradedMatrix:
             for row in values
         ])
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.row_degrees), len(self.col_degrees))
-
     def entry(self, i: int, j: int) -> GradedSeries:
         return self.entries[i][j]
 
@@ -239,11 +226,6 @@ class GradedMatrix:
         return GradedMatrix(self.chart, self.row_degrees, self.col_degrees, [
             [a - b for a, b in zip(ra, rb)]
             for ra, rb in zip(self.entries, other.entries)
-        ])
-
-    def __neg__(self) -> "GradedMatrix":
-        return GradedMatrix(self.chart, self.row_degrees, self.col_degrees, [
-            [-a for a in row] for row in self.entries
         ])
 
     def _check_same_shape(self, other: "GradedMatrix") -> None:

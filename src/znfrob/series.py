@@ -135,9 +135,6 @@ class ChartSpec:
     def degree_of(self, name: str) -> DegreeVector:
         return self.degrees[self.index(name)]
 
-    def is_base(self, name: str) -> bool:
-        return self.base_flags[self.index(name)]
-
     def base_names(self) -> tuple[str, ...]:
         return tuple(self.names[i] for i in self.base_indices)
 
@@ -209,9 +206,6 @@ class Monomial:
                 for k, b in enumerate(chart.degrees[i].bits):
                     bits[k] = (bits[k] + b) % 2
         return DegreeVector(tuple(bits))
-
-    def exponents(self, chart: ChartSpec) -> dict[str, int]:
-        return {chart.names[i]: e for i, e in enumerate(self.exps) if e}
 
     def label(self, chart: ChartSpec) -> str:
         if not any(self.exps):
@@ -287,17 +281,19 @@ class GradedSeries:
                 clean[mon] = clean.get(mon, Fraction(0)) + coeff
             clean = {m: c for m, c in clean.items() if c}
         self.terms: dict[Monomial, Fraction] = clean
-        if declared_degree is not None:
+        if declared_degree is None:
+            degs = {mon.degree(chart) for mon in clean}
+            declared_degree = degs.pop() if len(degs) == 1 else None
+        elif not _trusted:
+            # kernel operations work the degree out from their operands;
+            # only a degree declared from outside the kernel is checked
             for mon in clean:
                 if mon.degree(chart) != declared_degree:
                     raise HomogeneityError(
                         f"monomial {mon.label(chart)} has degree "
                         f"{mon.degree(chart)}, declared {declared_degree}"
                     )
-            self.declared_degree = declared_degree
-        else:
-            degs = {mon.degree(chart) for mon in clean}
-            self.declared_degree = degs.pop() if len(degs) == 1 else None
+        self.declared_degree = declared_degree
 
     # -- basic structure ----------------------------------------------------
 
@@ -318,17 +314,6 @@ class GradedSeries:
 
     def coefficient(self, mon: Monomial) -> Fraction:
         return self.terms.get(mon, Fraction(0))
-
-    def j_valuation(self) -> Optional[int]:
-        """Least J-degree among monomials; None for the zero series."""
-        if not self.terms:
-            return None
-        return min(m.j_degree(self.chart) for m in self.terms)
-
-    def min_total_degree(self) -> Optional[int]:
-        if not self.terms:
-            return None
-        return min(m.total_degree for m in self.terms)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(),
@@ -404,6 +389,8 @@ class GradedSeries:
         result = self.chart.one()
         for _ in range(exponent):
             result = multiply(result, self)
+            if result.is_zero:
+                break
         return result
 
     def __eq__(self, other):
@@ -414,17 +401,7 @@ class GradedSeries:
     def __hash__(self):
         return hash((self.chart, frozenset(self.terms.items())))
 
-    # -- calculus -------------------------------------------------------------
-
-    def derive(self, name: str) -> "GradedSeries":
-        return derive(self, name)
-
-    def antiderivative(self, name: str,
-                       boundary: str = "vanish_at_zero") -> "GradedSeries":
-        return antiderivative(self, name, boundary)
-
-    def reduce(self, mode: str):
-        return reduce_series(self, mode)
+    # -- truncation -----------------------------------------------------------
 
     def truncated_to(self, chart: ChartSpec) -> "GradedSeries":
         """Re-truncate onto a chart with the same frame but lower orders."""
@@ -538,13 +515,10 @@ def multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
                     del out[mon]
 
     declared = None
-    if f.declared_degree is not None and g.declared_degree is not None:
+    if out and f.declared_degree is not None and g.declared_degree is not None:
         declared = f.declared_degree + g.declared_degree
-    result = GradedSeries(chart, out, _trusted=True, **f._flags_with(g))
-    if declared is not None and result.terms:
-        # trusted path skips the homogeneity scan; record the known degree
-        result.declared_degree = declared
-    return result
+    return GradedSeries(chart, out, declared, _trusted=True,
+                        **f._flags_with(g))
 
 
 def derive(f: GradedSeries, name: str) -> GradedSeries:
@@ -568,25 +542,19 @@ def derive(f: GradedSeries, name: str) -> GradedSeries:
         out[key] = c if acc is None else acc + c
     out = {m: c for m, c in out.items() if c}
     declared = None
-    if f.declared_degree is not None:
+    if out and f.declared_degree is not None:
         declared = f.declared_degree + chart.degrees[k]
-    result = GradedSeries(chart, out, _trusted=True,
-                          base_loss=f.base_loss, j_loss=f.j_loss)
-    if declared is not None and result.terms:
-        result.declared_degree = declared
-    return result
+    return GradedSeries(chart, out, declared, _trusted=True,
+                        base_loss=f.base_loss, j_loss=f.j_loss)
 
 
-def antiderivative(f: GradedSeries, name: str,
-                   boundary: str = "vanish_at_zero") -> GradedSeries:
+def antiderivative(f: GradedSeries, name: str) -> GradedSeries:
     """Inverse of `derive` along an even coordinate, vanishing at zero.
 
     Terms whose integral leaves the truncation window are dropped and the
     matching loss flag is set on the result; everything representable
     satisfies ``derive(name, result) == f`` exactly.
     """
-    if boundary != "vanish_at_zero":
-        raise ValueError(f"unsupported boundary condition {boundary!r}")
     chart = f.chart
     k = chart.index(name)
     if chart.odd_flags[k]:
@@ -617,11 +585,11 @@ def antiderivative(f: GradedSeries, name: str,
         if sign_exp % 2:
             c = -c
         out[key] = c
-    result = GradedSeries(chart, out, _trusted=True,
-                          base_loss=base_loss, j_loss=j_loss)
-    if f.declared_degree is not None and result.terms:
-        result.declared_degree = f.declared_degree + chart.degrees[k]
-    return result
+    declared = None
+    if out and f.declared_degree is not None:
+        declared = f.declared_degree + chart.degrees[k]
+    return GradedSeries(chart, out, declared, _trusted=True,
+                        base_loss=base_loss, j_loss=j_loss)
 
 
 def is_boundary_monomial(mon: Monomial, chart: ChartSpec) -> bool:
@@ -720,7 +688,6 @@ def compose(f: GradedSeries, images: Mapping[str, GradedSeries],
         "base_loss": f.base_loss or any(img.base_loss for img in images.values()),
         "j_loss": f.j_loss or any(img.j_loss for img in images.values()),
     }
-    out = GradedSeries(into_chart, result.terms, _trusted=True, **flags)
-    if f.declared_degree is not None and out.terms:
-        out.declared_degree = f.declared_degree
-    return out
+    declared = f.declared_degree if result.terms else None
+    return GradedSeries(into_chart, result.terms, declared, _trusted=True,
+                        **flags)

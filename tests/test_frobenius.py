@@ -13,6 +13,8 @@ from znfrob import (
     ChartSpec,
     DegenerateAtPoint,
     Distribution,
+    InternalInconsistency,
+    InvolutivityResult,
     NonzeroDegree,
     NotCommuting,
     NotInvolutive,
@@ -221,6 +223,19 @@ def test_adapted_rejects_noninvolutive():
     assert witness.witness_pair == (0, 1)
 
 
+def test_adapted_rechecks_supercommuting(monkeypatch):
+    # the normalized generators are bracketed again even when the
+    # involutivity test has (wrongly) passed
+    import znfrob.frobenius
+    monkeypatch.setattr(znfrob.frobenius, "is_involutive",
+                        lambda D: InvolutivityResult(True, None, None, None))
+    chart = base_chart()
+    X = field_of(chart, (0,), {"x": "1", "z": "y"})
+    Y = field_of(chart, (0,), {"y": "1"})
+    with pytest.raises(InternalInconsistency, match="supercommute"):
+        adapted_coordinates(Distribution(chart, [X, Y]))
+
+
 def test_adapted_rank_zero():
     chart = standard_chart()
     cert = adapted_coordinates(Distribution(chart, []))
@@ -285,6 +300,18 @@ def test_monotone_corrections():
             diff = step.images[name] - chart.coordinate(name)
             for m in diff.terms:
                 assert m.j_degree(chart) >= k
+
+
+def test_adapted_step_order_mixed_family():
+    # degree-zero generators are straightened first, then the odd one
+    chart = standard_chart()
+    sigma = random_centered_change(random.Random(7), chart)
+    D = Distribution(chart, [pushforward(sigma, dgen(chart, u))
+                             for u in ("x", "t1")])
+    cert = adapted_coordinates(D)
+    assert [label for label, _ in cert.steps] == [
+        "j_linear", "j_correction_2", "j_correction_3", "pivot_frame"]
+    assert cert.adapted == ("x", "t1")
 
 
 def test_odd_straightening_with_same_degree_mixing():

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -196,6 +197,18 @@ def test_schema_errors():
         load_problem(dup)
 
 
+@pytest.mark.parametrize("key", ["n", "j_order", "base_order"])
+def test_bool_is_not_an_integer(key):
+    # JSON true would otherwise load as the valid integer 1
+    data = {"n": 1, "truncation": {"j_order": 1, "base_order": 1},
+            "coordinates": [{"name": "x", "degree": [0]}], "task": "rank"}
+    load_problem(data)
+    target = data if key == "n" else data["truncation"]
+    target[key] = True
+    with pytest.raises(ProblemFormatError):
+        load_problem(data)
+
+
 def test_truncation_override():
     spec = load_problem(problem_dict(), j_order=2, base_order=3)
     assert spec.chart.j_order == 2 and spec.chart.base_order == 3
@@ -281,3 +294,44 @@ def test_main_parse_error_in_field(tmp_path, capsys):
     code = main(["--input", path])
     out = json.loads(capsys.readouterr().out)
     assert code == 2 and out["error_kind"] == "ExpressionSyntaxError"
+
+
+def test_main_zero_times_huge_power_is_fast(tmp_path, capsys):
+    # e is even, so e^N only vanishes by truncation; powering must stop there
+    data = problem_dict(task="frobenius", fields=[
+        {"name": "X", "coefficients": {"x": "1 + 0*e^1000000", "e": "t1*t2"}},
+    ])
+    data["coordinates"].append({"name": "t2", "degree": [1, 0]})
+    path = write_problem(tmp_path, data)
+    start = time.perf_counter()
+    code = main(["--input", path])
+    elapsed = time.perf_counter() - start
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["verified"] is True
+    assert report["warnings"] == [
+        "dropped 1*e^5: beyond truncation (j_order=4, base_order=6)"]
+    assert elapsed < 2.0
+
+
+def _verify_with_residuals(tmp_path, capsys, residuals):
+    data = problem_dict(task="frobenius", fields=[
+        {"name": "X", "coefficients": {"x": "1", "t1": "x*t1"}},
+    ])
+    path = write_problem(tmp_path, data)
+    main(["--input", path])
+    report = json.loads(capsys.readouterr().out)
+    cert = {k: report[k] for k in ("adapted", "change", "inverse")}
+    cert["residuals"] = residuals
+    cert_path = write_problem(tmp_path, cert, name="cert.json")
+    code = main(["--input", path, "--verify", cert_path])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_main_certificate_residuals_non_index_key(tmp_path, capsys):
+    code, out = _verify_with_residuals(tmp_path, capsys, {"a": 1})
+    assert code == 2 and out["error_kind"] == "ProblemFormatError"
+
+
+def test_main_certificate_residuals_not_an_object(tmp_path, capsys):
+    code, out = _verify_with_residuals(tmp_path, capsys, [1])
+    assert code == 2 and out["error_kind"] == "ProblemFormatError"
