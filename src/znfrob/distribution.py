@@ -90,14 +90,10 @@ def _normalize(D: Distribution) -> _Normalized:
     span = RowSpan(width)
     pivots: list[str] = []
     for gen in gens:
-        row = gen.tangent_at_origin().as_row(chart)
-        residual = span.residual(row)
-        pivot_idx = next((i for i, x in enumerate(residual) if x), None)
-        if pivot_idx is None:
+        if not span.try_add(gen.tangent_at_origin().as_row(chart)):
             raise DependentAtPoint(
                 "generators are linearly dependent at the base point")
-        span.try_add(row)
-        pivots.append(chart.names[pivot_idx])
+        pivots.append(chart.names[span.pivots[-1]])
 
     degrees = tuple(g.degree for g in gens)
     block = GradedMatrix(chart, degrees, degrees, [

@@ -6,7 +6,10 @@ A coordinate change stores both directions eagerly:
   series in the *source* coordinates (the new coordinates as functions of
   the old);
 * ``inverse_images``: each source coordinate written in target
-  coordinates, solved order-by-order in total degree from the linear part.
+  coordinates, found by a Picard loop that starts from zero and adds
+  ``A^{-1}(k - images(u))`` to the current inverse ``u``, where ``A`` is
+  the Jacobian at the origin; each pass settles one more total-degree
+  layer, so the loop stops within the truncation window.
 
 ``substitute(f, change)`` takes a series on the target chart into the
 source chart; ``pushforward(change, X)`` rewrites a field on the source
@@ -15,20 +18,18 @@ chart in the target coordinates.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
 from .errors import (
-    CenteringError,
     ChartError,
     HomogeneityError,
     InternalInconsistency,
     JacobianSingular,
-    UnknownCoordinateError,
 )
 from .grading import DegreeVector, scalar_product
 from .linalg import TangentVector, rational_inverse
-from .series import ChartSpec, GradedSeries, compose, derive, multiply, value_at_origin
+from .series import (ChartSpec, GradedSeries, check_images, compose, derive,
+                     multiply, value_at_origin)
 
 
 # ---------------------------------------------------------------------------
@@ -200,92 +201,30 @@ def _check_frames(source: ChartSpec, target: ChartSpec) -> None:
         raise ChartError("charts have different degree profiles")
 
 
-def _linear_matrix(images: Mapping[str, GradedSeries],
-                   keyed: ChartSpec, values_on: ChartSpec) -> list[list[Fraction]]:
-    """Rows indexed by ``keyed`` coordinates, columns by ``values_on``
-    coordinates; entry = coefficient of the linear monomial."""
-    width = len(values_on.names)
-    rows = []
-    for name in keyed.names:
-        img = images[name]
-        row = [Fraction(0)] * width
-        for mon, c in img.terms.items():
-            if mon.total_degree == 1:
-                col = next(i for i, e in enumerate(mon.exps) if e)
-                row[col] = c
-        rows.append(row)
-    return rows
-
-
-def _validate_images(images: Mapping[str, GradedSeries],
-                     keyed: ChartSpec, values_on: ChartSpec) -> None:
-    if set(images) != set(keyed.names):
-        missing = set(keyed.names) - set(images)
-        extra = set(images) - set(keyed.names)
-        raise UnknownCoordinateError(
-            f"images must cover the chart exactly (missing {sorted(missing)},"
-            f" extra {sorted(extra)})")
-    for name in keyed.names:
-        img = images[name]
-        if img.chart != values_on:
-            raise ChartError(f"image of {name!r} lives on the wrong chart")
-        if not img.is_homogeneous_of(keyed.degree_of(name)):
-            raise HomogeneityError(
-                f"image of {name!r} must be homogeneous of degree "
-                f"{keyed.degree_of(name)}")
-        if img.constant_term:
-            raise CenteringError(
-                f"image of {name!r} does not vanish at the base point")
-
-
 def _invert_map(images: Mapping[str, GradedSeries],
                 keyed: ChartSpec, values_on: ChartSpec) -> dict[str, GradedSeries]:
     """Inverse substitution of ``images`` (keyed chart written on the value
-    chart), solved layer-by-layer in total degree."""
-    jmat = _linear_matrix(images, keyed, values_on)
-    ainv = rational_inverse(jmat)
+    chart): from ``u = 0``, repeat ``u <- u + A^{-1}(k - images(u))`` until a
+    pass changes nothing.  Pass p fixes total degree p, so the window needs
+    at most ``j_order + base_order + 1`` passes."""
+    linear = [next(iter(values_on.coordinate(v).terms)) for v in values_on.names]
+    ainv = rational_inverse([[images[k].coefficient(m) for m in linear]
+                             for k in keyed.names])
     if ainv is None:
         raise JacobianSingular("coordinate change has singular Jacobian at the base point")
-    # linear parts and higher-order remainders of the forward images
-    linear: dict[str, GradedSeries] = {}
-    higher: dict[str, GradedSeries] = {}
-    for r, name in enumerate(keyed.names):
-        lin = values_on.zero()
-        for c, vname in enumerate(values_on.names):
-            if jmat[r][c]:
-                lin = lin + values_on.coordinate(vname) * jmat[r][c]
-        linear[name] = lin
-        higher[name] = images[name] - lin
-
-    def solve_once(current: dict[str, GradedSeries]) -> dict[str, GradedSeries]:
-        out: dict[str, GradedSeries] = {}
-        correction: dict[str, GradedSeries] = {}
-        for k, name in enumerate(keyed.names):
-            h = higher[name]
-            correction[name] = (
-                keyed.zero() if h.is_zero else compose(h, current, keyed)
-            )
+    current = {uname: keyed.zero() for uname in values_on.names}
+    for _ in range(keyed.j_order + keyed.base_order + 2):
+        error = {
+            kname: keyed.coordinate(kname) - compose(images[kname], current, keyed)
+            for kname in keyed.names
+        }
+        new = {}
         for u, uname in enumerate(values_on.names):
-            acc = keyed.zero()
+            acc = current[uname]
             for k, kname in enumerate(keyed.names):
-                coeff = ainv[u][k]
-                if not coeff:
-                    continue
-                acc = acc + (keyed.coordinate(kname) - correction[kname]) * coeff
-            out[uname] = acc
-        return out
-
-    current = {
-        uname: sum(
-            (keyed.coordinate(kname) * ainv[u][k]
-             for k, kname in enumerate(keyed.names) if ainv[u][k]),
-            keyed.zero(),
-        )
-        for u, uname in enumerate(values_on.names)
-    }
-    bound = keyed.j_order + keyed.base_order + 2
-    for _ in range(bound):
-        new = solve_once(current)
+                if ainv[u][k]:
+                    acc = acc + error[kname] * ainv[u][k]
+            new[uname] = acc
         if all(new[n].terms == current[n].terms for n in new):
             return new
         current = new
@@ -314,11 +253,13 @@ class CoordinateChange:
              images: Mapping[str, GradedSeries]) -> "CoordinateChange":
         """Build from forward images (target coordinates in source variables)."""
         _check_frames(source, target)
-        _validate_images(images, target, source)
+        check_images(images, target, source)
         images = {name: images[name] for name in target.names}
         inverse = _invert_map(images, target, source)
-        flags = _loss_flags(images, inverse)
-        return cls(source, target, images, inverse, *flags, _token=_PRIVATE)
+        series = [*images.values(), *inverse.values()]
+        return cls(source, target, images, inverse,
+                   any(s.base_loss for s in series),
+                   any(s.j_loss for s in series), _token=_PRIVATE)
 
     @classmethod
     def from_inverse_images(cls, source: ChartSpec, target: ChartSpec,
@@ -326,12 +267,7 @@ class CoordinateChange:
                             ) -> "CoordinateChange":
         """Build from the other direction (source coordinates in target
         variables), as straightening steps naturally produce them."""
-        _check_frames(source, target)
-        _validate_images(inverse_images, source, target)
-        inverse_images = {name: inverse_images[name] for name in source.names}
-        images = _invert_map(inverse_images, source, target)
-        flags = _loss_flags(images, inverse_images)
-        return cls(source, target, images, inverse_images, *flags, _token=_PRIVATE)
+        return cls.make(target, source, inverse_images).inverted()
 
     @classmethod
     def identity(cls, chart: ChartSpec) -> "CoordinateChange":
@@ -404,12 +340,6 @@ class CoordinateChange:
 
 
 _PRIVATE = object()
-
-
-def _loss_flags(images: Mapping[str, GradedSeries],
-                inverse: Mapping[str, GradedSeries]) -> tuple[bool, bool]:
-    series = list(images.values()) + list(inverse.values())
-    return (any(s.base_loss for s in series), any(s.j_loss for s in series))
 
 
 def substitute(f: GradedSeries, change: CoordinateChange) -> GradedSeries:

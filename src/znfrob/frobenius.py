@@ -44,7 +44,7 @@ from .fields import (
     pushforward,
 )
 from .grading import DegreeVector
-from .linalg import GradedMatrix, rational_inverse
+from .linalg import GradedMatrix
 from .series import (
     ChartSpec,
     GradedSeries,
@@ -131,29 +131,17 @@ def _linear_base_frame(chart: ChartSpec, tangent: dict[str, Fraction],
     """Linear change of the base coordinates taking the given tangent vector
     to the pivot derivation; nonzero-degree coordinates are untouched.
 
-    Columns of the frame matrix are the tangent vector followed by the unit
-    vectors of every base coordinate except the pivot, so the matrix is
-    invertible exactly because the pivot component is nonzero.
+    Built from the inverse direction: each old base coordinate is its new
+    value (none for the pivot) plus the new pivot times its tangent
+    component, which is invertible exactly because the pivot component is
+    nonzero.
     """
-    base = list(chart.base_names())
-    slots = [pivot] + [q for q in base if q != pivot]
-    frame = []
-    for name in base:
-        row = [tangent.get(name, Fraction(0))]
-        row.extend(Fraction(1) if name == q else Fraction(0)
-                   for q in slots[1:])
-        frame.append(row)
-    inv = rational_inverse(frame)
-    if inv is None:
-        raise InternalInconsistency("degenerate linear frame")
-    images = _identity_images(chart)
-    for s, new_name in enumerate(slots):
-        acc = chart.zero()
-        for j, old_name in enumerate(base):
-            if inv[s][j]:
-                acc = acc + chart.coordinate(old_name) * inv[s][j]
-        images[new_name] = acc
-    return CoordinateChange.make(chart, chart, images)
+    inverse_images = _identity_images(chart)
+    pivot_series = chart.coordinate(pivot)
+    for name in chart.base_names():
+        old = chart.zero() if name == pivot else inverse_images[name]
+        inverse_images[name] = old + pivot_series * tangent[name]
+    return CoordinateChange.from_inverse_images(chart, chart, inverse_images)
 
 
 def _j_linear_step(X: VectorField, pivot: str) -> Optional[CoordinateChange]:

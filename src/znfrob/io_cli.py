@@ -103,12 +103,18 @@ def _tokenize(src: str) -> list[_Token]:
 # recursive-descent parser, evaluating straight into the chart ring
 # ---------------------------------------------------------------------------
 
+# each '(' or unary '-' costs up to four Python frames; this bound keeps the
+# deepest accepted input far below the default recursion limit of 1000
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, src: str, chart: ChartSpec):
         self.src = src
         self.chart = chart
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -165,9 +171,23 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             raise self.error("unexpected end of expression")
-        if tok.kind == "-":
+        if tok.kind in ("-", "("):
+            # a failed parse discards the parser, so no unwinding on errors
+            if self.depth == _MAX_NESTING:
+                raise self.error(
+                    f"expression nested deeper than {_MAX_NESTING} levels")
+            self.depth += 1
             self.next()
-            return -self.atom()
+            if tok.kind == "-":
+                value = -self.atom()
+            else:
+                value = self.expr()
+                closing = self.peek()
+                if closing is None or closing.kind != ")":
+                    raise self.error("expected ')'")
+                self.next()
+            self.depth -= 1
+            return value
         if tok.kind == "int":
             self.next()
             numerator = int(tok.text)
@@ -190,14 +210,6 @@ class _Parser:
                 raise _syntax_error(
                     self.src, tok.offset,
                     f"unknown identifier {tok.text!r}") from None
-        if tok.kind == "(":
-            self.next()
-            value = self.expr()
-            closing = self.peek()
-            if closing is None or closing.kind != ")":
-                raise self.error("expected ')'")
-            self.next()
-            return value
         raise self.error(f"unexpected token {tok.text!r}")
 
 
@@ -447,19 +459,20 @@ def _load_certificate(spec: ProblemSpec, path: str
             data = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ProblemFormatError(f"cannot read certificate {path!r}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ProblemFormatError("certificate must be a JSON object")
     chart = spec.chart
     adapted = _require(data, "adapted", list, "certificate")
     if not all(isinstance(n, str) and n in chart.names for n in adapted):
         raise ProblemFormatError("certificate lists unknown adapted coordinates")
-    images = {
-        name: parse_expression(expr, chart)
-        for name, expr in _require(data, "change", dict, "certificate").items()
-    }
-    inverse_stored = {
-        name: parse_expression(expr, chart)
-        for name, expr in _require(data, "inverse", dict, "certificate").items()
-    }
-    change = CoordinateChange.make(chart, chart, images)
+    series = {}
+    for key in ("change", "inverse"):
+        exprs = _require(data, key, dict, "certificate")
+        if not all(isinstance(expr, str) for expr in exprs.values()):
+            raise ProblemFormatError(f"certificate.{key} must map to strings")
+        series[key] = {n: parse_expression(e, chart) for n, e in exprs.items()}
+    inverse_stored = series["inverse"]
+    change = CoordinateChange.make(chart, chart, series["change"])
     inverse_ok = set(inverse_stored) == set(chart.names)
     if inverse_ok:
         for name in chart.names:

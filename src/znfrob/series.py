@@ -20,6 +20,7 @@ and the result is marked with a truncation-loss flag (``base_loss`` /
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -227,33 +228,39 @@ class Monomial:
 # truncation-drop reporting (used by the parser to warn about dropped terms)
 # ---------------------------------------------------------------------------
 
-_DROP_SINKS: list[list[tuple[Monomial, Fraction]]] = []
+# a context variable, not a process-wide stack: each thread (and each
+# asyncio task) sees only the sink of its own innermost collector
+_DROP_SINK = contextvars.ContextVar("znfrob_drop_sink", default=None)
 
 
 @contextlib.contextmanager
 def collect_truncation_drops():
     """Collect monomials dropped by the truncation window inside the block."""
     sink: list[tuple[Monomial, Fraction]] = []
-    _DROP_SINKS.append(sink)
+    token = _DROP_SINK.set(sink)
     try:
         yield sink
     finally:
-        _DROP_SINKS.pop()
+        _DROP_SINK.reset(token)
 
 
 def _note_drop(mon: Monomial, coeff: Fraction) -> None:
-    if _DROP_SINKS:
-        _DROP_SINKS[-1].append((mon, coeff))
+    sink = _DROP_SINK.get()
+    if sink is not None:
+        sink.append((mon, coeff))
 
 
 # ---------------------------------------------------------------------------
 # series
 # ---------------------------------------------------------------------------
 
+_UNSET = object()
+
+
 class GradedSeries:
     """Element of the truncated chart ring with exact rational coefficients."""
 
-    __slots__ = ("chart", "terms", "declared_degree", "base_loss", "j_loss")
+    __slots__ = ("chart", "terms", "_degree", "base_loss", "j_loss")
 
     def __init__(self, chart: ChartSpec,
                  terms: Mapping[Monomial, Rational],
@@ -281,19 +288,14 @@ class GradedSeries:
                 clean[mon] = clean.get(mon, Fraction(0)) + coeff
             clean = {m: c for m, c in clean.items() if c}
         self.terms: dict[Monomial, Fraction] = clean
-        if declared_degree is None:
-            degs = {mon.degree(chart) for mon in clean}
-            declared_degree = degs.pop() if len(degs) == 1 else None
-        elif not _trusted:
-            # kernel operations work the degree out from their operands;
-            # only a degree declared from outside the kernel is checked
+        self._degree = _UNSET
+        if declared_degree is not None:
             for mon in clean:
                 if mon.degree(chart) != declared_degree:
                     raise HomogeneityError(
                         f"monomial {mon.label(chart)} has degree "
                         f"{mon.degree(chart)}, declared {declared_degree}"
                     )
-        self.declared_degree = declared_degree
 
     # -- basic structure ----------------------------------------------------
 
@@ -303,10 +305,15 @@ class GradedSeries:
 
     @property
     def degree(self) -> Optional[DegreeVector]:
-        return self.declared_degree
+        """Common degree of the terms, or None when the series is zero or
+        inhomogeneous; worked out from the terms on first read."""
+        if self._degree is _UNSET:
+            degs = {mon.degree(self.chart) for mon in self.terms}
+            self._degree = degs.pop() if len(degs) == 1 else None
+        return self._degree
 
     def is_homogeneous_of(self, degree: DegreeVector) -> bool:
-        return all(mon.degree(self.chart) == degree for mon in self.terms)
+        return not self.terms or self.degree == degree
 
     @property
     def constant_term(self) -> Fraction:
@@ -351,8 +358,7 @@ class GradedSeries:
 
     def __neg__(self):
         return GradedSeries(self.chart, {m: -c for m, c in self.terms.items()},
-                            self.declared_degree, _trusted=True,
-                            base_loss=self.base_loss, j_loss=self.j_loss)
+                            _trusted=True, base_loss=self.base_loss, j_loss=self.j_loss)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -372,8 +378,7 @@ class GradedSeries:
                 return self.chart.zero()
             return GradedSeries(
                 self.chart, {m: c * other for m, c in self.terms.items()},
-                self.declared_degree, _trusted=True,
-                base_loss=self.base_loss, j_loss=self.j_loss)
+                _trusted=True, base_loss=self.base_loss, j_loss=self.j_loss)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -514,11 +519,7 @@ def multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
                 else:
                     del out[mon]
 
-    declared = None
-    if out and f.declared_degree is not None and g.declared_degree is not None:
-        declared = f.declared_degree + g.declared_degree
-    return GradedSeries(chart, out, declared, _trusted=True,
-                        **f._flags_with(g))
+    return GradedSeries(chart, out, _trusted=True, **f._flags_with(g))
 
 
 def derive(f: GradedSeries, name: str) -> GradedSeries:
@@ -540,11 +541,7 @@ def derive(f: GradedSeries, name: str) -> GradedSeries:
         key = Monomial(tuple(new))
         acc = out.get(key)
         out[key] = c if acc is None else acc + c
-    out = {m: c for m, c in out.items() if c}
-    declared = None
-    if out and f.declared_degree is not None:
-        declared = f.declared_degree + chart.degrees[k]
-    return GradedSeries(chart, out, declared, _trusted=True,
+    return GradedSeries(chart, out, _trusted=True,
                         base_loss=f.base_loss, j_loss=f.j_loss)
 
 
@@ -585,10 +582,7 @@ def antiderivative(f: GradedSeries, name: str) -> GradedSeries:
         if sign_exp % 2:
             c = -c
         out[key] = c
-    declared = None
-    if out and f.declared_degree is not None:
-        declared = f.declared_degree + chart.degrees[k]
-    return GradedSeries(chart, out, declared, _trusted=True,
+    return GradedSeries(chart, out, _trusted=True,
                         base_loss=base_loss, j_loss=j_loss)
 
 
@@ -636,42 +630,52 @@ def value_at_origin(f: GradedSeries) -> Fraction:
     return reduce_series(f, "at_point")
 
 
+def check_images(images: Mapping[str, GradedSeries], keyed: ChartSpec,
+                 values_on: ChartSpec) -> None:
+    """Require exactly one image per ``keyed`` coordinate, each a centered
+    series on ``values_on`` that is homogeneous of its coordinate's degree
+    (or zero)."""
+    if images.keys() != set(keyed.names):
+        missing = set(keyed.names) - set(images)
+        extra = set(images) - set(keyed.names)
+        raise UnknownCoordinateError(
+            f"images must cover the chart exactly (missing {sorted(missing)},"
+            f" extra {sorted(extra)})")
+    for name in keyed.names:
+        img = images[name]
+        if img.chart != values_on:
+            raise ChartError(f"image of {name!r} lives on the wrong chart")
+        if not img.is_homogeneous_of(keyed.degree_of(name)):
+            raise HomogeneityError(
+                f"image of {name!r} must be homogeneous of degree "
+                f"{keyed.degree_of(name)}")
+        if img.constant_term:
+            raise CenteringError(
+                f"image of {name!r} does not vanish at the base point")
+
+
 def compose(f: GradedSeries, images: Mapping[str, GradedSeries],
             into_chart: ChartSpec) -> GradedSeries:
     """Substitute an image series for every coordinate of ``f``.
 
-    ``images`` maps each coordinate name of ``f.chart`` to a series on
-    ``into_chart``.  Images must be homogeneous of the coordinate's degree
-    (or zero) and centered; identical degrees make the substitution a
-    morphism of graded rings, so the canonical word can be expanded in
-    coordinate order without extra signs.
+    ``images`` maps each coordinate name of ``f.chart``, and no other key,
+    to a centered series on ``into_chart`` that is homogeneous of the
+    coordinate's degree (or zero); `check_images` enforces this.  Identical
+    degrees make the substitution a morphism of graded rings, so the
+    canonical word can be expanded in coordinate order without extra signs.
     """
     chart = f.chart
-    for name in chart.names:
-        if name not in images:
-            raise UnknownCoordinateError(f"no image for coordinate {name!r}")
-        img = images[name]
-        if img.chart != into_chart:
-            raise ChartError(f"image of {name!r} lives on the wrong chart")
-        if not img.is_homogeneous_of(chart.degree_of(name)):
-            raise HomogeneityError(
-                f"image of {name!r} is not homogeneous of degree "
-                f"{chart.degree_of(name)}")
-        if img.constant_term:
-            raise CenteringError(f"image of {name!r} does not vanish at the origin")
+    check_images(images, chart, into_chart)
 
     result = into_chart.zero()
     pow_cache: dict[tuple[int, int], GradedSeries] = {}
 
     def power(i: int, e: int) -> GradedSeries:
-        key = (i, e)
-        got = pow_cache.get(key)
+        got = pow_cache.get((i, e))
         if got is None:
             img = images[chart.names[i]]
-            got = img
-            for _ in range(e - 1):
-                got = multiply(got, img)
-            pow_cache[key] = got
+            got = img if e == 1 else multiply(power(i, e - 1), img)
+            pow_cache[(i, e)] = got
         return got
 
     for mon, coeff in f.terms.items():
@@ -683,11 +687,5 @@ def compose(f: GradedSeries, images: Mapping[str, GradedSeries],
             if acc.is_zero:
                 break
         result = result + acc
-
-    flags = {
-        "base_loss": f.base_loss or any(img.base_loss for img in images.values()),
-        "j_loss": f.j_loss or any(img.j_loss for img in images.values()),
-    }
-    declared = f.declared_degree if result.terms else None
-    return GradedSeries(into_chart, result.terms, declared, _trusted=True,
-                        **flags)
+    return GradedSeries(into_chart, result.terms, _trusted=True,
+                        **f._flags_with(*images.values()))

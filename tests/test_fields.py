@@ -16,6 +16,7 @@ from znfrob import (
     CoordinateChange,
     HomogeneityError,
     JacobianSingular,
+    UnknownCoordinateError,
     VectorField,
     bracket,
     compose_changes,
@@ -279,3 +280,26 @@ def test_change_round_trip_random(chart):
             # base order only
             diff = substitute(substitute(f, inv), sigma) - f
             assert all(m.total_degree > chart.base_order for m in diff.terms)
+
+
+def test_change_requires_exact_homogeneous_images(chart):
+    identity = {name: chart.coordinate(name) for name in chart.names}
+    missing = {n: s for n, s in identity.items() if n != "e"}
+    with pytest.raises(UnknownCoordinateError):
+        CoordinateChange.make(chart, chart, missing)
+    extra = dict(identity, w=chart.coordinate("x"))
+    with pytest.raises(UnknownCoordinateError):
+        CoordinateChange.make(chart, chart, extra)
+    mixed = dict(identity, t1=chart.coordinate("t1") + chart.coordinate("x") ** 2)
+    with pytest.raises(HomogeneityError):
+        CoordinateChange.make(chart, chart, mixed)
+
+
+def test_from_inverse_images_matches_inverted(chart):
+    rng = random.Random(61)
+    for _ in range(4):
+        sigma = random_centered_change(rng, chart, extra_terms=2, max_total=3)
+        built = CoordinateChange.from_inverse_images(chart, chart, sigma.images)
+        flipped = sigma.inverted()
+        assert built.images == flipped.images
+        assert built.inverse_images == flipped.inverse_images

@@ -381,3 +381,17 @@ def test_adapted_random_soundness_small():
         cert = adapted_coordinates(D)
         assert verify_adapted(D, cert).ok
         assert len(cert.adapted) == len(names)
+
+
+def test_linear_frame_images_pinned():
+    # recorded before the frame was built from its inverse images
+    from znfrob.frobenius import _straighten_deg0_steps
+    chart = standard_chart(extra_base=True)
+    X = field_of(chart, (0, 0), {"x": "2 + y", "y": "3 + x^2", "t1": "x*t1"})
+    steps, _, pivot = _straighten_deg0_steps(X)
+    frame = dict(steps)["linear_frame"]
+    assert pivot == "x"
+    assert {n: str(s) for n, s in frame.images.items()} == {
+        "x": "1/2*x", "y": "y - 3/2*x", "t1": "t1", "t2": "t2", "e": "e"}
+    assert {n: str(s) for n, s in frame.inverse_images.items()} == {
+        "x": "2*x", "y": "y + 3*x", "t1": "t1", "t2": "t2", "e": "e"}

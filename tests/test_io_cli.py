@@ -335,3 +335,28 @@ def test_main_certificate_residuals_non_index_key(tmp_path, capsys):
 def test_main_certificate_residuals_not_an_object(tmp_path, capsys):
     code, out = _verify_with_residuals(tmp_path, capsys, [1])
     assert code == 2 and out["error_kind"] == "ProblemFormatError"
+
+
+@pytest.mark.parametrize("expr", ["(" * 5000 + "x" + ")" * 5000,
+                                  "-" * 5000 + "x"],
+                         ids=["parentheses", "unary_minus"])
+def test_main_deep_nesting_is_a_syntax_error(tmp_path, capsys, expr):
+    data = problem_dict()
+    data["fields"][0]["coefficients"]["x"] = expr
+    code = main(["--input", write_problem(tmp_path, data)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["error_kind"] == "ExpressionSyntaxError"
+
+
+@pytest.mark.parametrize("cert", [
+    5,
+    "adapted change inverse",
+    {"adapted": [], "change": {"x": 1}, "inverse": {}},
+    {"adapted": [], "change": {}, "inverse": {"x": None}},
+], ids=["number", "string", "change_value", "inverse_value"])
+def test_main_malformed_certificate(tmp_path, capsys, cert):
+    path = write_problem(tmp_path, problem_dict())
+    cert_path = write_problem(tmp_path, cert, name="cert.json")
+    code = main(["--input", path, "--verify", cert_path])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["error_kind"] == "ProblemFormatError"

@@ -1,4 +1,5 @@
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from znfrob import (
     OddIntegrationError,
     UnknownCoordinateError,
     antiderivative,
+    collect_truncation_drops,
+    compose,
     derive,
     multiply,
     reduce_mod_j,
@@ -226,3 +229,47 @@ def test_even_nonzero_generator_not_nilpotent(chart):
 def test_canonical_printing_sorted(chart):
     f = series_of(chart, "e^2 + x + 1 + t1*t2")
     assert str(f) == "1 + x + e^2 + t1*t2"
+
+
+def test_degree_is_derived_from_terms(chart):
+    assert series_of(chart, "(x + t1)*t1").degree == DegreeVector.of(0, 1)
+    assert series_of(chart, "x + t1").degree is None
+    assert chart.zero().degree is None
+
+
+def test_compose_requires_exact_cover(chart):
+    images = {name: chart.coordinate(name) for name in chart.names}
+    x = chart.coordinate("x")
+    assert compose(x * x, images, chart) == x * x
+    with pytest.raises(UnknownCoordinateError):
+        compose(x, dict(images, w=x), chart)
+
+
+def test_truncation_drops_stay_in_their_thread(chart):
+    # A opens a collector, B opens one, A closes its own, then B drops x^7
+    a_in, b_in, a_out = (threading.Event() for _ in range(3))
+    sinks = {}
+
+    def thread_a():
+        with collect_truncation_drops() as sink:
+            a_in.set()
+            b_in.wait(10)
+        sinks["a"] = sink
+        a_out.set()
+
+    def thread_b():
+        a_in.wait(10)
+        with collect_truncation_drops() as sink:
+            b_in.set()
+            a_out.wait(10)
+            assert chart.monomial({"x": 7}).is_zero
+        sinks["b"] = sink
+
+    threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10)
+        assert not t.is_alive()
+    assert sinks["a"] == []
+    assert [mon.label(chart) for mon, _ in sinks["b"]] == ["x^7"]
