@@ -14,6 +14,12 @@ A coordinate change stores both directions eagerly:
 ``substitute(f, change)`` takes a series on the target chart into the
 source chart; ``pushforward(change, X)`` rewrites a field on the source
 chart in the target coordinates.
+
+Where one image map substitutes several series, the map is checked once
+and its powers are built once (``series._substitution``): each Picard pass
+of the inversion pushes every image through the current inverse, ``then``
+pushes each direction through one map, and ``pushforward`` pushes every
+coefficient through the inverse images.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from .errors import (
 )
 from .grading import DegreeVector, scalar_product
 from .linalg import TangentVector, rational_inverse
-from .series import (ChartSpec, GradedSeries, check_images, compose, derive,
-                     multiply, value_at_origin)
+from .series import (ChartSpec, GradedSeries, _substitution, check_images,
+                     compose, derive, multiply, value_at_origin)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +218,12 @@ def _invert_map(images: Mapping[str, GradedSeries],
                              for k in keyed.names])
     if ainv is None:
         raise JacobianSingular("coordinate change has singular Jacobian at the base point")
+    coords = {kname: keyed.coordinate(kname) for kname in keyed.names}
     current = {uname: keyed.zero() for uname in values_on.names}
     for _ in range(keyed.j_order + keyed.base_order + 2):
-        error = {
-            kname: keyed.coordinate(kname) - compose(images[kname], current, keyed)
-            for kname in keyed.names
-        }
+        through = _substitution(current, values_on, keyed)
+        error = {kname: coords[kname] - through(images[kname])
+                 for kname in keyed.names}
         new = {}
         for u, uname in enumerate(values_on.names):
             acc = current[uname]
@@ -285,14 +291,11 @@ class CoordinateChange:
         """Composite change: apply ``self`` first, then ``nxt``."""
         if self.target != nxt.source:
             raise ChartError("changes do not compose: chart mismatch")
-        images = {
-            w: compose(nxt.images[w], self.images, self.source)
-            for w in nxt.target.names
-        }
-        inverse = {
-            u: compose(self.inverse_images[u], nxt.inverse_images, nxt.target)
-            for u in self.source.names
-        }
+        forward = _substitution(self.images, self.target, self.source)
+        backward = _substitution(nxt.inverse_images, nxt.source, nxt.target)
+        images = {w: forward(nxt.images[w]) for w in nxt.target.names}
+        inverse = {u: backward(self.inverse_images[u])
+                   for u in self.source.names}
         return CoordinateChange(
             self.source, nxt.target, images, inverse,
             self.base_loss or nxt.base_loss,
@@ -362,10 +365,11 @@ def pushforward(change: CoordinateChange, X: VectorField) -> VectorField:
     variables."""
     if X.chart != change.source:
         raise ChartError("field does not live on the source chart")
+    push = _substitution(change.inverse_images, change.source, change.target)
     out: dict[str, GradedSeries] = {}
     for v in change.target.names:
         w = X.apply(change.images[v])
         if w.is_zero:
             continue
-        out[v] = compose(w, change.inverse_images, change.target)
+        out[v] = push(w)
     return VectorField(change.target, X.degree, out)

@@ -49,8 +49,8 @@ from .series import (
     ChartSpec,
     GradedSeries,
     Monomial,
+    _substitution,
     antiderivative,
-    compose,
     is_boundary_monomial,
     multiply,
     reduce_mod_j,
@@ -309,10 +309,10 @@ def _straighten_nonzero_steps(X: VectorField) -> tuple[list[Step], VectorField, 
         name: (chart.zero() if name == pivot else chart.coordinate(name))
         for name in chart.names
     }
+    project = _substitution(projection, chart, chart)
     inverse_images: dict[str, GradedSeries] = {}
     for name in chart.names:
-        a = X.coefficient(name)
-        sliced = compose(a, projection, chart) if not a.is_zero else chart.zero()
+        sliced = project(X.coefficient(name))
         contribution = (multiply(pivot_series, sliced)
                         if not sliced.is_zero else chart.zero())
         if name == pivot:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,7 +29,9 @@ from typing import Optional
 
 from .distribution import Distribution, is_involutive, rank_of
 from .errors import (
+    CenteringError,
     ExpressionSyntaxError,
+    HomogeneityError,
     ProblemFormatError,
     UnknownCoordinateError,
     ZnError,
@@ -108,6 +111,18 @@ def _tokenize(src: str) -> list[_Token]:
 _MAX_NESTING = 100
 
 
+def _max_digits() -> float:
+    """Python's limit on the digits of an int it prints (0 means none)."""
+    return sys.get_int_max_str_digits() or math.inf
+
+
+def _printable(value: Fraction) -> bool:
+    big = max(abs(value.numerator), value.denominator)
+    limit = _max_digits()
+    # up to 3 bits per allowed digit needs no exact comparison
+    return big.bit_length() <= 3 * limit or big < 10 ** limit
+
+
 class _Parser:
     def __init__(self, src: str, chart: ChartSpec):
         self.src = src
@@ -134,7 +149,17 @@ class _Parser:
         value = self.expr()
         if self.peek() is not None:
             raise self.error(f"unexpected token {self.peek().text!r}")
+        if not all(map(_printable, value.terms.values())):
+            raise self.error("coefficient too large to print")
         return value
+
+    def integer(self) -> int:
+        tok = self.next()
+        try:
+            return int(tok.text)
+        except ValueError:  # a digit int() refuses, or too many digits
+            raise _syntax_error(self.src, tok.offset,
+                                f"unreadable integer {tok.text[:20]!r}") from None
 
     def expr(self) -> GradedSeries:
         value = self.term()
@@ -163,8 +188,15 @@ class _Parser:
             exp = self.peek()
             if exp is None or exp.kind != "int":
                 raise self.error("expected a natural number after '^'")
-            self.next()
-            value = value ** int(exp.text)
+            exponent = self.integer()
+            # the constant term of a power is the power of the constant
+            # term, so a huge one is refused before it is computed
+            c = value.constant_term
+            if abs(c) not in (0, 1) and exponent * math.log10(
+                    max(abs(c.numerator), c.denominator)) >= _max_digits():
+                raise _syntax_error(self.src, exp.offset,
+                                    "coefficient too large to print")
+            value = value ** exponent
         return value
 
     def atom(self) -> GradedSeries:
@@ -189,18 +221,18 @@ class _Parser:
             self.depth -= 1
             return value
         if tok.kind == "int":
-            self.next()
-            numerator = int(tok.text)
+            numerator = self.integer()
             nxt = self.peek()
             if nxt is not None and nxt.kind == "/":
                 self.next()
                 den = self.peek()
                 if den is None or den.kind != "int":
                     raise self.error("expected a positive integer denominator")
-                if int(den.text) == 0:
-                    raise self.error("denominator must be positive")
-                self.next()
-                return self.chart.constant(Fraction(numerator, int(den.text)))
+                denominator = self.integer()
+                if denominator == 0:
+                    raise _syntax_error(self.src, den.offset,
+                                        "denominator must be positive")
+                return self.chart.constant(Fraction(numerator, denominator))
             return self.chart.constant(numerator)
         if tok.kind == "ident":
             self.next()
@@ -457,7 +489,7 @@ def _load_certificate(spec: ProblemSpec, path: str
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ProblemFormatError(f"cannot read certificate {path!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise ProblemFormatError("certificate must be a JSON object")
@@ -472,7 +504,12 @@ def _load_certificate(spec: ProblemSpec, path: str
             raise ProblemFormatError(f"certificate.{key} must map to strings")
         series[key] = {n: parse_expression(e, chart) for n, e in exprs.items()}
     inverse_stored = series["inverse"]
-    change = CoordinateChange.make(chart, chart, series["change"])
+    try:
+        change = CoordinateChange.make(chart, chart, series["change"])
+    except (UnknownCoordinateError, CenteringError, HomogeneityError) as exc:
+        # a map that is not a graded coordinate change is malformed input;
+        # a singular Jacobian still fails the verification
+        raise ProblemFormatError(f"certificate.change: {exc}") from exc
     inverse_ok = set(inverse_stored) == set(chart.names)
     if inverse_ok:
         for name in chart.names:
@@ -568,7 +605,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         print(json.dumps({"error_kind": "JSONError", "error": str(exc)}))
         return 2
 

@@ -7,8 +7,9 @@ commutative algebra on the chart coordinates by two relations:
 * monomials whose J-degree (total exponent of nonzero-degree coordinates)
   exceeds ``j_order`` or whose base degree exceeds ``base_order`` are zero.
 
-Monomials are kept canonical: factors sorted by chart coordinate order,
-all reordering signs folded into the exact ``Fraction`` coefficient.
+Monomials are exponent tuples, canonical by construction: factors sorted
+by chart coordinate order, all reordering signs folded into the exact
+``Fraction`` coefficient.
 Dropping a monomial during multiplication or substitution is therefore
 *exact* quotient-ring arithmetic and carries no flag.  Antiderivatives are
 the one lifted operation that can genuinely lose information: when the
@@ -24,6 +25,8 @@ import contextvars
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import comb
+from operator import add
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import (
@@ -161,7 +164,8 @@ class ChartSpec:
         return GradedSeries(self, {})
 
     def constant(self, value: Rational) -> "GradedSeries":
-        return GradedSeries(self, {self.unit_monomial: Fraction(value)})
+        return GradedSeries(self, {self.unit_monomial: Fraction(value)},
+                            _trusted=True)
 
     def one(self) -> "GradedSeries":
         return self.constant(1)
@@ -170,7 +174,8 @@ class ChartSpec:
         i = self.index(name)
         exps = [0] * len(self.coordinates)
         exps[i] = 1
-        return GradedSeries(self, {Monomial(tuple(exps)): Fraction(1)})
+        # both orders are at least 1, so a coordinate is inside the window
+        return GradedSeries(self, {Monomial(exps): Fraction(1)}, _trusted=True)
 
     def monomial(self, exponents: Mapping[str, int],
                  coefficient: Rational = 1) -> "GradedSeries":
@@ -184,35 +189,39 @@ class ChartSpec:
 # monomials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Monomial:
-    """Canonical monomial: exponents aligned with the chart coordinate order."""
+class Monomial(tuple):
+    """Canonical monomial: a tuple of exponents aligned with the chart
+    coordinate order, so hashing and equality are the tuple's own."""
 
-    exps: tuple[int, ...]
+    __slots__ = ()
+
+    @property
+    def exps(self) -> tuple[int, ...]:
+        return self
 
     def j_degree(self, chart: ChartSpec) -> int:
-        return sum(self.exps[i] for i in chart.nonzero_indices)
+        return sum(self[i] for i in chart.nonzero_indices)
 
     def base_degree(self, chart: ChartSpec) -> int:
-        return sum(self.exps[i] for i in chart.base_indices)
+        return sum(self[i] for i in chart.base_indices)
 
     @property
     def total_degree(self) -> int:
-        return sum(self.exps)
+        return sum(self)
 
     def degree(self, chart: ChartSpec) -> DegreeVector:
         bits = [0] * chart.n
-        for i, e in enumerate(self.exps):
+        for i, e in enumerate(self):
             if e % 2:
                 for k, b in enumerate(chart.degrees[i].bits):
                     bits[k] = (bits[k] + b) % 2
         return DegreeVector(tuple(bits))
 
     def label(self, chart: ChartSpec) -> str:
-        if not any(self.exps):
+        if not any(self):
             return "1"
         parts = []
-        for i, e in enumerate(self.exps):
+        for i, e in enumerate(self):
             if not e:
                 continue
             name = chart.names[i]
@@ -221,7 +230,7 @@ class Monomial:
 
     @property
     def is_unit(self) -> bool:
-        return not any(self.exps)
+        return not any(self)
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +400,21 @@ class GradedSeries:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series powers take a nonnegative integer")
-        result = self.chart.one()
-        for _ in range(exponent):
-            result = multiply(result, self)
-            if result.is_zero:
+        # binomial sum over self = c + n: the constant c is a central scalar
+        # and n is centered, so n^k vanishes past the window's total degree
+        # and the loop stops there whatever the exponent
+        chart = self.chart
+        c = self.constant_term
+        n = self - c
+        result = chart.constant(c ** exponent)
+        n_k = chart.one()
+        for k in range(1, exponent + 1):
+            n_k = multiply(n_k, n)
+            if n_k.is_zero:
                 break
-        return result
+            result = result + n_k * (comb(exponent, k) * c ** (exponent - k))
+        flags = self._flags_with() if exponent else {}
+        return GradedSeries(chart, result.terms, _trusted=True, **flags)
 
     def __eq__(self, other):
         if not isinstance(other, GradedSeries):
@@ -481,11 +499,9 @@ def multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     jmax, bmax = chart.j_order, chart.base_order
 
     out: dict[Monomial, Fraction] = {}
-    for m1, c1 in f.terms.items():
-        e1 = m1.exps
+    for e1, c1 in f.terms.items():
         nz1 = [i for i, v in enumerate(e1) if v]
-        for m2, c2 in g.terms.items():
-            e2 = m2.exps
+        for e2, c2 in g.terms.items():
             sign_exp = 0
             dead = False
             for j, vj in enumerate(e2):
@@ -500,15 +516,12 @@ def multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
                         sign_exp += e1[i] * vj * pj[i]
             if dead:
                 continue
-            merged = tuple(a + b for a, b in zip(e1, e2))
-            if sum(merged[i] for i in nz_idx) > jmax:
-                _note_drop(Monomial(merged), c1 * c2)
-                continue
-            if sum(merged[i] for i in b_idx) > bmax:
-                _note_drop(Monomial(merged), c1 * c2)
+            mon = Monomial(map(add, e1, e2))
+            if (sum(mon[i] for i in nz_idx) > jmax
+                    or sum(mon[i] for i in b_idx) > bmax):
+                _note_drop(mon, c1 * c2)
                 continue
             coeff = c1 * c2 if sign_exp % 2 == 0 else -c1 * c2
-            mon = Monomial(merged)
             acc = out.get(mon)
             if acc is None:
                 out[mon] = coeff
@@ -538,7 +551,7 @@ def derive(f: GradedSeries, name: str) -> GradedSeries:
             c = -c
         new = list(e)
         new[k] -= 1
-        key = Monomial(tuple(new))
+        key = Monomial(new)
         acc = out.get(key)
         out[key] = c if acc is None else acc + c
     return GradedSeries(chart, out, _trusted=True,
@@ -566,7 +579,7 @@ def antiderivative(f: GradedSeries, name: str) -> GradedSeries:
         e = mon.exps
         new = list(e)
         new[k] += 1
-        key = Monomial(tuple(new))
+        key = Monomial(new)
         if is_base:
             if key.base_degree(chart) > chart.base_order:
                 _note_drop(key, coeff)
@@ -663,29 +676,55 @@ def compose(f: GradedSeries, images: Mapping[str, GradedSeries],
     coordinate's degree (or zero); `check_images` enforces this.  Identical
     degrees make the substitution a morphism of graded rings, so the
     canonical word can be expanded in coordinate order without extra signs.
-    """
-    chart = f.chart
-    check_images(images, chart, into_chart)
 
-    result = into_chart.zero()
+    Every term goes into one accumulator: its first power scaled by its
+    coefficient, times the remaining powers in coordinate order.  Callers
+    that push several series through one map use `_substitution`, which
+    checks the map once and shares its powers.
+    """
+    return _substitution(images, f.chart, into_chart)(f)
+
+
+def _substitution(images: Mapping[str, GradedSeries], keyed: ChartSpec,
+                  into_chart: ChartSpec):
+    """`compose` through one image map, checked once: the returned function
+    takes series on ``keyed`` and shares one power cache across them."""
+    check_images(images, keyed, into_chart)
+    unit = into_chart.unit_monomial
     pow_cache: dict[tuple[int, int], GradedSeries] = {}
 
     def power(i: int, e: int) -> GradedSeries:
         got = pow_cache.get((i, e))
         if got is None:
-            img = images[chart.names[i]]
+            img = images[keyed.names[i]]
             got = img if e == 1 else multiply(power(i, e - 1), img)
             pow_cache[(i, e)] = got
         return got
 
-    for mon, coeff in f.terms.items():
-        acc = into_chart.constant(coeff)
-        for i, e in enumerate(mon.exps):
-            if not e:
-                continue
-            acc = multiply(acc, power(i, e))
-            if acc.is_zero:
-                break
-        result = result + acc
-    return GradedSeries(into_chart, result.terms, _trusted=True,
-                        **f._flags_with(*images.values()))
+    def substitute(f: GradedSeries) -> GradedSeries:
+        if f.chart != keyed:
+            raise ChartError("series does not live on the chart the images key")
+        out: dict[Monomial, Fraction] = {}
+        for mon, coeff in f.terms.items():
+            acc = None
+            for i, e in enumerate(mon):
+                if not e:
+                    continue
+                acc = (power(i, e) * coeff if acc is None
+                       else multiply(acc, power(i, e)))
+                if acc.is_zero:
+                    break
+            for m, c in (acc.terms if acc is not None else {unit: coeff}).items():
+                got = out.get(m)
+                if got is None:
+                    out[m] = c
+                else:
+                    got += c
+                    if got:
+                        out[m] = got
+                    else:
+                        del out[m]
+        return GradedSeries(into_chart, out, _trusted=True,
+                            **f._flags_with(*images.values()))
+
+    return substitute

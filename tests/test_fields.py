@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import znfrob.series
+
 from helpers import (
     boundary_only,
     random_series,
@@ -19,6 +21,7 @@ from znfrob import (
     UnknownCoordinateError,
     VectorField,
     bracket,
+    compose,
     compose_changes,
     invert_change,
     pushforward,
@@ -303,3 +306,48 @@ def test_from_inverse_images_matches_inverted(chart):
         flipped = sigma.inverted()
         assert built.images == flipped.images
         assert built.inverse_images == flipped.inverse_images
+
+
+def test_then_and_pushforward_match_one_compose_per_series(chart):
+    rng = random.Random(67)
+    for _ in range(4):
+        a = random_centered_change(rng, chart, extra_terms=2, max_total=3)
+        b = random_centered_change(rng, chart, extra_terms=2, max_total=3)
+        both = a.then(b)
+        assert both.images == {
+            w: compose(b.images[w], a.images, chart) for w in chart.names}
+        assert both.inverse_images == {
+            u: compose(a.inverse_images[u], b.inverse_images, chart)
+            for u in chart.names}
+        X = random_field(rng, chart, terms=2)
+        pushed = pushforward(a, X).coefficients
+        expected = {}
+        for v in chart.names:
+            w = X.apply(a.images[v])
+            if not w.is_zero:
+                expected[v] = compose(w, a.inverse_images, chart)
+        assert pushed == {v: s for v, s in expected.items() if not s.is_zero}
+
+
+def test_substitution_multiply_counts(monkeypatch):
+    # work counts, not timings: powers are built once per image map and a
+    # term starts from its scaled first power (200 and 172 calls when each
+    # compose rebuilt its powers from a constant series)
+    chart = standard_chart()
+    rng = random.Random(3)
+    a = random_centered_change(rng, chart, extra_terms=2)
+    b = random_centered_change(rng, chart, extra_terms=2)
+    calls = 0
+    real = znfrob.series.multiply
+
+    def counted(f, g):
+        nonlocal calls
+        calls += 1
+        return real(f, g)
+
+    monkeypatch.setattr(znfrob.series, "multiply", counted)
+    a.then(b)
+    assert calls == 112
+    calls = 0
+    CoordinateChange.make(chart, chart, b.images)
+    assert calls == 62

@@ -360,3 +360,65 @@ def test_main_malformed_certificate(tmp_path, capsys, cert):
     code = main(["--input", path, "--verify", cert_path])
     out = json.loads(capsys.readouterr().out)
     assert code == 2 and out["error_kind"] == "ProblemFormatError"
+
+
+def test_main_huge_power_with_constant_term_is_fast(tmp_path, capsys):
+    data = problem_dict(task="frobenius", fields=[
+        {"name": "X", "coefficients": {"x": "(1+x)^1000000"}},
+    ])
+    path = write_problem(tmp_path, data)
+    start = time.perf_counter()
+    code = main(["--input", path])
+    elapsed = time.perf_counter() - start
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["verified"] is True
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("expr", ["(2+x)^20000", "2^10000*2^10000",
+                                  "1" + "0" * 5000, "x^²"],
+                         ids=["power", "product", "literal", "superscript"])
+def test_main_unprintable_coefficient_is_a_syntax_error(tmp_path, capsys, expr):
+    data = problem_dict(task="frobenius", fields=[
+        {"name": "X", "coefficients": {"x": expr}},
+    ])
+    code = main(["--input", write_problem(tmp_path, data)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["error_kind"] == "ExpressionSyntaxError"
+
+
+def test_main_deeply_nested_problem_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code = main(["--input", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["error_kind"] == "JSONError"
+
+
+def test_main_deeply_nested_certificate_json(tmp_path, capsys):
+    path = write_problem(tmp_path, problem_dict())
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text("[" * 100000)
+    code = main(["--input", path, "--verify", str(cert_path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["error_kind"] == "ProblemFormatError"
+
+
+@pytest.mark.parametrize("edit, code, kind", [
+    ({"w": "x"}, 2, "ProblemFormatError"),
+    ({"e": None}, 2, "ProblemFormatError"),
+    ({"x": "1 + x"}, 2, "ProblemFormatError"),
+    ({"x": "x + t1"}, 2, "ProblemFormatError"),
+    ({"x": "x^2"}, 1, "JacobianSingular"),
+], ids=["extra_key", "missing_coordinate", "uncentered", "inhomogeneous",
+        "singular"])
+def test_main_verify_rejects_bad_change_map(tmp_path, capsys, edit, code, kind):
+    path = write_problem(tmp_path, problem_dict())
+    change = {name: name for name in ("x", "y", "z", "t1", "e")}
+    change.update(edit)
+    change = {k: v for k, v in change.items() if v is not None}
+    cert = {"adapted": ["x", "t1"], "change": change, "inverse": dict(change)}
+    cert_path = write_problem(tmp_path, cert, name="cert.json")
+    assert main(["--input", path, "--verify", cert_path]) == code
+    out = json.loads(capsys.readouterr().out)
+    assert out["error_kind"] == kind

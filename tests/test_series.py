@@ -15,6 +15,7 @@ from znfrob import (
     DegreeVector,
     GradedSeries,
     HomogeneityError,
+    Monomial,
     OddIntegrationError,
     UnknownCoordinateError,
     antiderivative,
@@ -273,3 +274,53 @@ def test_truncation_drops_stay_in_their_thread(chart):
         assert not t.is_alive()
     assert sinks["a"] == []
     assert [mon.label(chart) for mon, _ in sinks["b"]] == ["x^7"]
+
+
+def test_monomial_contract():
+    chart = standard_chart()  # x, t1, t2, e
+    a, b = Monomial(tuple([2, 1, 0, 3])), Monomial(tuple((2, 1, 0, 3)))
+    assert a.exps == (2, 1, 0, 3)
+    assert a == b and hash(a) == hash(b)
+    assert a != Monomial((2, 1, 0, 2))
+    assert (a.j_degree(chart), a.base_degree(chart), a.total_degree) == (4, 2, 6)
+    assert a.degree(chart) == DegreeVector.of(1, 0)
+    assert a.label(chart) == "x^2*t1*e^3" and not a.is_unit
+    unit = Monomial((0, 0, 0, 0))
+    assert unit.label(chart) == "1" and unit.is_unit
+    assert unit.degree(chart) == DegreeVector.of(0, 0)
+    assert (unit.j_degree(chart), unit.base_degree(chart), unit.total_degree) == (0, 0, 0)
+
+
+def test_compose_drop_notes_pinned():
+    # recorded before compose moved to one accumulator: the same products
+    # in the same order drop the same scaled terms
+    chart = standard_chart(j_order=3, base_order=4)
+    images = {
+        "x": series_of(chart, "2*x + x^2"),
+        "t1": series_of(chart, "t1 + x*t1"),
+        "t2": series_of(chart, "-t2 + 3*x*t2"),
+        "e": series_of(chart, "e + 1/2*t1*t2"),
+    }
+    f = series_of(chart, "3*x^3*e + 1/2*x^2*e^2 - t1*t2*e + 5*x^3*t1"
+                         " - 2/3*x^2*t2*e + 7")
+    with collect_truncation_drops() as sink:
+        out = compose(f, images, chart)
+    assert [(mon.label(chart), coeff) for mon, coeff in sink] == [
+        ("x^5", 4), ("x^5", 2), ("x^6", 1), ("x^5*t1", 60), ("x^5*t2", -2)]
+    assert out.constant_term == 7
+    assert out.coefficient(Monomial((4, 1, 0, 0))) == 100
+
+
+def test_power_with_constant_term_matches_chained_products(chart):
+    x = chart.coordinate("x")
+    base = 1 + x
+    chained = chart.one()
+    for _ in range(5):
+        chained = multiply(chained, base)
+    assert base ** 5 == chained
+    mixed = series_of(chart, "-1/2 + x - t1*t2 + 2*e^2")
+    chained = chart.one()
+    for _ in range(7):
+        chained = multiply(chained, mixed)
+    assert mixed ** 7 == chained
+    assert mixed ** 0 == chart.one()
