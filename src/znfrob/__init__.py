@@ -32,6 +32,7 @@ from .errors import (
     NotInvolutive,
     OddIntegrationError,
     OddSquareNonzero,
+    OutputTooLarge,
     ProblemFormatError,
     UnknownCoordinateError,
     ZeroDegree,

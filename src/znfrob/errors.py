@@ -85,6 +85,10 @@ class InternalInconsistency(ZnError):
     """A property guaranteed by construction failed; indicates a bug."""
 
 
+class OutputTooLarge(ZnError):
+    """An exact answer holds a number with more digits than Python prints."""
+
+
 class ExpressionSyntaxError(ZnError):
     """Malformed expression text; carries the 0-based offset and line/column."""
 

@@ -240,19 +240,28 @@ def _invert_map(images: Mapping[str, GradedSeries],
 class CoordinateChange:
     """Invertible, degree-preserving, centered change between two charts."""
 
-    __slots__ = ("source", "target", "images", "inverse_images",
-                 "base_loss", "j_loss")
+    __slots__ = ("source", "target", "images", "inverse_images")
 
-    def __init__(self, source, target, images, inverse_images,
-                 base_loss, j_loss, _token=None):
+    def __init__(self, source, target, images, inverse_images, _token=None):
         if _token is not _PRIVATE:
             raise TypeError("use CoordinateChange.make()/from_inverse_images()")
         self.source = source
         self.target = target
         self.images = images
         self.inverse_images = inverse_images
-        self.base_loss = base_loss
-        self.j_loss = j_loss
+
+    # a substitution carries the flags of every image into each result, so
+    # the flags of a composite are those of its parts
+    @property
+    def base_loss(self) -> bool:
+        return any(s.base_loss for s in self._all_series())
+
+    @property
+    def j_loss(self) -> bool:
+        return any(s.j_loss for s in self._all_series())
+
+    def _all_series(self):
+        return (*self.images.values(), *self.inverse_images.values())
 
     @classmethod
     def make(cls, source: ChartSpec, target: ChartSpec,
@@ -261,11 +270,8 @@ class CoordinateChange:
         _check_frames(source, target)
         check_images(images, target, source)
         images = {name: images[name] for name in target.names}
-        inverse = _invert_map(images, target, source)
-        series = [*images.values(), *inverse.values()]
-        return cls(source, target, images, inverse,
-                   any(s.base_loss for s in series),
-                   any(s.j_loss for s in series), _token=_PRIVATE)
+        return cls(source, target, images, _invert_map(images, target, source),
+                   _token=_PRIVATE)
 
     @classmethod
     def from_inverse_images(cls, source: ChartSpec, target: ChartSpec,
@@ -278,14 +284,12 @@ class CoordinateChange:
     @classmethod
     def identity(cls, chart: ChartSpec) -> "CoordinateChange":
         ims = {name: chart.coordinate(name) for name in chart.names}
-        return cls(chart, chart, dict(ims), dict(ims), False, False,
-                   _token=_PRIVATE)
-
+        return cls(chart, chart, dict(ims), dict(ims), _token=_PRIVATE)
 
     def inverted(self) -> "CoordinateChange":
         return CoordinateChange(self.target, self.source,
                                 dict(self.inverse_images), dict(self.images),
-                                self.base_loss, self.j_loss, _token=_PRIVATE)
+                                _token=_PRIVATE)
 
     def then(self, nxt: "CoordinateChange") -> "CoordinateChange":
         """Composite change: apply ``self`` first, then ``nxt``."""
@@ -296,12 +300,8 @@ class CoordinateChange:
         images = {w: forward(nxt.images[w]) for w in nxt.target.names}
         inverse = {u: backward(self.inverse_images[u])
                    for u in self.source.names}
-        return CoordinateChange(
-            self.source, nxt.target, images, inverse,
-            self.base_loss or nxt.base_loss,
-            self.j_loss or nxt.j_loss,
-            _token=_PRIVATE,
-        )
+        return CoordinateChange(self.source, nxt.target, images, inverse,
+                                _token=_PRIVATE)
 
     def pull_back(self, f: GradedSeries) -> GradedSeries:
         """Series on the target chart, rewritten in source coordinates."""
@@ -328,7 +328,7 @@ class CoordinateChange:
         images = {n: s.truncated_to(source) for n, s in self.images.items()}
         inverse = {n: s.truncated_to(target) for n, s in self.inverse_images.items()}
         return CoordinateChange(source, target, images, inverse,
-                                self.base_loss, self.j_loss, _token=_PRIVATE)
+                                _token=_PRIVATE)
 
     def to_json_dict(self) -> dict:
         return {

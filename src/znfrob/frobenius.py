@@ -1,17 +1,21 @@
 """Constructive straightening of fields and involutive distributions.
 
-The solver composes four mechanisms:
+One routine straightens a homogeneous field of any degree, as in the
+paper's proof, one field at a time:
 
-* a linear frame change sending a nondegenerate tangent vector to a
-  coordinate direction,
-* an order-by-order flow-box for the reduced (mod J) part of a
-  degree-zero field,
-* a matrix ODE in the pivot variable that conjugates away the J-linear
-  layer of a degree-zero field,
-* one integration loop that shifts the coordinates by the antiderivative
-  of the current error along the pivot, each pass pushing the error one
-  base layer (flow box) or J-layer (corrections) deeper until it leaves
-  the truncation window.
+* the pivot is the first coordinate of the field's degree whose
+  coefficient is nonzero at the origin;
+* a frame change, built from its inverse images, sends the field to the
+  pivot direction: each old coordinate is its new value (zero for the
+  pivot) plus the pivot times a slice of its coefficient, the value at
+  the origin for a degree-zero field and the pivot-free part otherwise;
+* corrections are then integrated along the pivot by one loop that
+  shifts the coordinates by the antiderivative of the current error, each
+  pass pushing the error one base layer (flow box, degree zero only) or
+  J-layer deeper until it leaves the truncation window; a degree-zero
+  field also has its J-linear layer conjugated away by a matrix ODE in
+  the pivot variable, and an odd field with zero self-bracket is exact
+  after the frame.
 
 Corrections whose antiderivative is not representable are dropped with a
 loss flag.  Verification is decisive on the certified window (J-degree
@@ -23,7 +27,7 @@ truncation boundary are reported but tolerated.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from functools import reduce
 from typing import Optional, Sequence
 
 from .distribution import Distribution, is_involutive, membership, rank_of
@@ -51,7 +55,7 @@ from .series import (
     Monomial,
     _substitution,
     antiderivative,
-    is_boundary_monomial,
+    certified_part,
     multiply,
     reduce_mod_j,
     value_at_origin,
@@ -69,18 +73,9 @@ def _identity_images(chart: ChartSpec) -> dict[str, GradedSeries]:
 
 
 def _compose_steps(chart: ChartSpec, steps: Sequence[Step]) -> CoordinateChange:
-    change = CoordinateChange.identity(chart)
-    for _, step in steps:
-        change = change.then(step)
-    return change
-
-
-def _untolerated(series: GradedSeries, chart: ChartSpec) -> list[Monomial]:
-    """Residual monomials inside the certified window; anything there is a
-    genuine failure, anything on the truncation boundary is not decidable
-    at this order."""
-    return [mon for mon in series.terms
-            if not is_boundary_monomial(mon, chart)]
+    """The steps composed in order, folded from the first one."""
+    changes = [step for _, step in steps] or [CoordinateChange.identity(chart)]
+    return reduce(CoordinateChange.then, changes)
 
 
 def _noncommuting_pair(fields: Sequence[VectorField], diagonal: bool
@@ -90,14 +85,9 @@ def _noncommuting_pair(fields: Sequence[VectorField], diagonal: bool
     for i in range(len(fields)):
         for j in range(i if diagonal else i + 1, len(fields)):
             b = bracket(fields[i], fields[j])
-            if any(_untolerated(s, b.chart) for s in b.coefficients.values()):
+            if any(certified_part(s).terms for s in b.coefficients.values()):
                 return i, j
     return None
-
-
-def _field_flags(X: VectorField) -> tuple[bool, bool]:
-    return (any(a.base_loss for a in X.coefficients.values()),
-            any(a.j_loss for a in X.coefficients.values()))
 
 
 def _straightness_error(X: VectorField, pivot: str) -> dict[str, GradedSeries]:
@@ -115,7 +105,7 @@ def _straightness_error(X: VectorField, pivot: str) -> dict[str, GradedSeries]:
 
 def _check_straight(X: VectorField, pivot: str) -> None:
     for name, e in _straightness_error(X, pivot).items():
-        bad = _untolerated(e, X.chart)
+        bad = list(certified_part(e).terms)
         if bad:
             raise InternalInconsistency(
                 f"straightening left residual {bad[0].label(X.chart)} on "
@@ -123,26 +113,8 @@ def _check_straight(X: VectorField, pivot: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# degree-zero straightening
+# straightening one field
 # ---------------------------------------------------------------------------
-
-def _linear_base_frame(chart: ChartSpec, tangent: dict[str, Fraction],
-                       pivot: str) -> CoordinateChange:
-    """Linear change of the base coordinates taking the given tangent vector
-    to the pivot derivation; nonzero-degree coordinates are untouched.
-
-    Built from the inverse direction: each old base coordinate is its new
-    value (none for the pivot) plus the new pivot times its tangent
-    component, which is invertible exactly because the pivot component is
-    nonzero.
-    """
-    inverse_images = _identity_images(chart)
-    pivot_series = chart.coordinate(pivot)
-    for name in chart.base_names():
-        old = chart.zero() if name == pivot else inverse_images[name]
-        inverse_images[name] = old + pivot_series * tangent[name]
-    return CoordinateChange.from_inverse_images(chart, chart, inverse_images)
-
 
 def _j_linear_step(X: VectorField, pivot: str) -> Optional[CoordinateChange]:
     """Conjugate away the J-linear layer of the nonzero-degree coefficients
@@ -193,81 +165,91 @@ def _j_linear_step(X: VectorField, pivot: str) -> Optional[CoordinateChange]:
     return None if change.is_identity else change
 
 
-def _shift_step(chart: ChartSpec, err: dict[str, GradedSeries],
-                pivot: str) -> Optional[CoordinateChange]:
-    """Change u -> u - (antiderivative of the error along the pivot); kills
-    the representable part of the error, returns None when nothing is
-    representable."""
-    images = _identity_images(chart)
-    moved = False
-    for name, e in err.items():
-        corr = antiderivative(e, pivot)
-        if corr.is_zero:
-            continue
-        moved = True
-        images[name] = images[name] - corr
-    if not moved:
-        return None
-    return CoordinateChange.make(chart, chart, images)
-
-
 def _integrate(X: VectorField, pivot: str, labels: Sequence[str],
                mod_j: bool = False) -> tuple[list[Step], VectorField]:
-    """One shift step per label while the straightness error (reduced mod J
-    when ``mod_j``) is nonzero and has a representable antiderivative."""
+    """One step per label, each shifting the coordinates by minus the
+    antiderivative along the pivot of the straightness error (reduced mod J
+    when ``mod_j``); stops once no error term has a representable
+    antiderivative."""
+    chart = X.chart
     steps: list[Step] = []
     for label in labels:
-        err = _straightness_error(X, pivot)
-        if mod_j:
-            err = {n: reduce_mod_j(e) for n, e in err.items()}
-            err = {n: e for n, e in err.items() if not e.is_zero}
-        if not err:
+        images = _identity_images(chart)
+        moved = False
+        for name, e in _straightness_error(X, pivot).items():
+            corr = antiderivative(reduce_mod_j(e) if mod_j else e, pivot)
+            if not corr.is_zero:
+                images[name] = images[name] - corr
+                moved = True
+        if not moved:
             break
-        step = _shift_step(X.chart, err, pivot)
-        if step is None:
-            break
+        step = CoordinateChange.make(chart, chart, images)
         X = pushforward(step, X)
         steps.append((label, step))
     return steps, X
 
 
-def _straighten_deg0_steps(X: VectorField) -> tuple[list[Step], VectorField, str]:
+def _straighten_steps(X: VectorField) -> tuple[list[Step], VectorField, str]:
+    """Steps taking a field of any degree to d/d(pivot), the straightened
+    field, and the pivot."""
     chart = X.chart
-    if not X.degree.is_zero:
-        raise NonzeroDegree("degree-zero straightening needs a degree-zero field")
-    tangent = {
-        name: value_at_origin(X.coefficient(name))
-        for name in chart.base_names()
-    }
-    pivot = next((n for n in chart.base_names() if tangent[n]), None)
+    degree = X.degree
+    pivot = next((name for name in chart.names
+                  if chart.degree_of(name) == degree
+                  and value_at_origin(X.coefficient(name))), None)
     if pivot is None:
         raise DegenerateAtPoint("field vanishes at the base point")
+    if degree.is_odd and _noncommuting_pair([X], diagonal=True) is not None:
+        raise OddSquareNonzero(
+            "odd field with nonzero self-bracket cannot be straightened")
 
+    # the frame, from the inverse direction: each old coordinate is its new
+    # value (none for the pivot) plus the pivot times a slice of its
+    # coefficient, invertible because the pivot's slice is nonzero
+    if degree.is_zero:
+        label = "linear_frame"
+
+        def slice_of(s: GradedSeries) -> GradedSeries:
+            return chart.constant(value_at_origin(s))
+    else:
+        label = "pivot_frame"
+        slice_of = _substitution({
+            name: chart.zero() if name == pivot else chart.coordinate(name)
+            for name in chart.names}, chart, chart)
+    pivot_series = chart.coordinate(pivot)
+    frame = CoordinateChange.from_inverse_images(chart, chart, {
+        name: (chart.zero() if name == pivot else chart.coordinate(name))
+        + multiply(pivot_series, slice_of(X.coefficient(name)))
+        for name in chart.names})
     steps: list[Step] = []
-    cur = X
-
-    frame = _linear_base_frame(chart, tangent, pivot)
     if not frame.is_identity:
-        cur = pushforward(frame, cur)
-        steps.append(("linear_frame", frame))
+        X = pushforward(frame, X)
+        steps.append((label, frame))
 
-    # flow-box of the reduced field, one base layer per pass
-    flow, cur = _integrate(cur, pivot, ["flow_box"] * (chart.base_order + 1),
-                           mod_j=True)
-    steps += flow
+    if degree.is_zero:
+        # flow-box of the reduced field, one base layer per pass
+        flow, X = _integrate(X, pivot, ["flow_box"] * (chart.base_order + 1),
+                             mod_j=True)
+        steps += flow
+        ode = _j_linear_step(X, pivot)
+        if ode is not None:
+            X = pushforward(ode, X)
+            steps.append(("j_linear", ode))
+    # an odd field with zero self-bracket is exact after the frame; the
+    # J-linear step has already cleared layer 1 of a degree-zero field
+    if not degree.is_odd:
+        first = 2 if degree.is_zero else 1
+        corrections, X = _integrate(X, pivot, [
+            f"j_correction_{k}" for k in range(first, chart.j_order + 1)])
+        steps += corrections
+    _check_straight(X, pivot)
+    return steps, X, pivot
 
-    ode = _j_linear_step(cur, pivot)
-    if ode is not None:
-        cur = pushforward(ode, cur)
-        steps.append(("j_linear", ode))
 
-    # deeper J-layers: plain integration along the pivot
-    corrections, cur = _integrate(
-        cur, pivot, [f"j_correction_{k}" for k in range(2, chart.j_order + 1)])
-    steps += corrections
-
-    _check_straight(cur, pivot)
-    return steps, cur, pivot
+def _straighten_deg0_steps(X: VectorField) -> tuple[list[Step], VectorField, str]:
+    if not X.degree.is_zero:
+        raise NonzeroDegree("degree-zero straightening needs a degree-zero field")
+    return _straighten_steps(X)
 
 
 def straighten_deg0(X: VectorField) -> CoordinateChange:
@@ -280,67 +262,13 @@ def straighten_deg0(X: VectorField) -> CoordinateChange:
     return _compose_steps(X.chart, steps)
 
 
-# ---------------------------------------------------------------------------
-# nonzero-degree straightening
-# ---------------------------------------------------------------------------
-
-def _straighten_nonzero_steps(X: VectorField) -> tuple[list[Step], VectorField, str]:
-    chart = X.chart
-    degree = X.degree
-    if degree.is_zero:
-        raise ZeroDegree("nonzero-degree straightening needs a nonzero-degree field")
-    pivot = next(
-        (name for name in chart.names
-         if chart.degree_of(name) == degree
-         and value_at_origin(X.coefficient(name))),
-        None,
-    )
-    if pivot is None:
-        raise DegenerateAtPoint("field vanishes at the base point")
-    odd = degree.is_odd
-    if odd and _noncommuting_pair([X], diagonal=True) is not None:
-        raise OddSquareNonzero(
-            "odd field with nonzero self-bracket cannot be straightened")
-
-    # pivot frame, built from the inverse direction: each old coordinate is
-    # its new value plus (pivot) times the pivot-free part of its coefficient
-    pivot_series = chart.coordinate(pivot)
-    projection = {
-        name: (chart.zero() if name == pivot else chart.coordinate(name))
-        for name in chart.names
-    }
-    project = _substitution(projection, chart, chart)
-    inverse_images: dict[str, GradedSeries] = {}
-    for name in chart.names:
-        sliced = project(X.coefficient(name))
-        contribution = (multiply(pivot_series, sliced)
-                        if not sliced.is_zero else chart.zero())
-        if name == pivot:
-            inverse_images[name] = contribution
-        else:
-            inverse_images[name] = chart.coordinate(name) + contribution
-
-    steps: list[Step] = []
-    cur = X
-    frame = CoordinateChange.from_inverse_images(chart, chart, inverse_images)
-    if not frame.is_identity:
-        cur = pushforward(frame, cur)
-        steps.append(("pivot_frame", frame))
-
-    # an odd field with zero self-bracket is exact after the pivot frame
-    if not odd:
-        corrections, cur = _integrate(cur, pivot, [
-            f"j_correction_{k}" for k in range(1, chart.j_order + 1)])
-        steps += corrections
-    _check_straight(cur, pivot)
-    return steps, cur, pivot
-
-
 def straighten_nonzero(X: VectorField) -> CoordinateChange:
     """Coordinate change after which the field is d/d(pivot), where the
     pivot is the first coordinate of matching degree with a nonzero
     constant coefficient; odd inputs must have vanishing self-bracket."""
-    steps, _, _ = _straighten_nonzero_steps(X)
+    if X.degree.is_zero:
+        raise ZeroDegree("nonzero-degree straightening needs a nonzero-degree field")
+    steps, _, _ = _straighten_steps(X)
     return _compose_steps(X.chart, steps)
 
 
@@ -361,25 +289,25 @@ def _subtract_adapted(X: VectorField, adapted: Sequence[str]) -> VectorField:
 def _straighten_family(fields: Sequence[VectorField], order: Sequence[int]
                        ) -> tuple[list[Step], list[str]]:
     """Straighten ``fields[i]`` for each i in ``order``, minus the pivot
-    derivations adapted before it, pushing the whole family through every
-    step; returns the steps and the adapted pivots."""
+    derivations adapted before it, pushing the fields still to come through
+    every step; returns the steps and the adapted pivots."""
     steps: list[Step] = []
     adapted: list[str] = []
     cur = list(fields)
-    for i in order:
+    for pos, i in enumerate(order):
         stripped = _subtract_adapted(cur[i], adapted)
-        if stripped.degree.is_zero:
-            sub_steps, _, pivot = _straighten_deg0_steps(stripped)
-        else:
-            try:
-                sub_steps, _, pivot = _straighten_nonzero_steps(stripped)
-            except (OddSquareNonzero, DegenerateAtPoint) as exc:
-                raise InternalInconsistency(
-                    f"straightening generator {i} failed on involutive "
-                    f"input: {exc}") from exc
-        for label, step in sub_steps:
-            cur = [pushforward(step, Y) for Y in cur]
-            steps.append((label, step))
+        try:
+            sub_steps, _, pivot = _straighten_steps(stripped)
+        except (OddSquareNonzero, DegenerateAtPoint) as exc:
+            if stripped.degree.is_zero:
+                raise
+            raise InternalInconsistency(
+                f"straightening generator {i} failed on involutive "
+                f"input: {exc}") from exc
+        for _, step in sub_steps:
+            for j in order[pos + 1:]:
+                cur[j] = pushforward(step, cur[j])
+        steps += sub_steps
         adapted.append(pivot)
     return steps, adapted
 
@@ -467,12 +395,9 @@ def verify_adapted(D: Distribution, cert: FrobeniusCertificate) -> AdaptedReport
     inside the certified window refute the certificate."""
     chart = cert.change.target
     pushed = [pushforward(cert.change, g) for g in D.generators]
-    base_loss = cert.change.base_loss
-    j_loss = cert.change.j_loss
-    for Y in pushed:
-        fb, fj = _field_flags(Y)
-        base_loss = base_loss or fb
-        j_loss = j_loss or fj
+    coefficients = [a for Y in pushed for a in Y.coefficients.values()]
+    base_loss = cert.change.base_loss or any(a.base_loss for a in coefficients)
+    j_loss = cert.change.j_loss or any(a.j_loss for a in coefficients)
 
     adapted = set(cert.adapted)
     residual_orders: list[Optional[int]] = []
@@ -487,7 +412,7 @@ def verify_adapted(D: Distribution, cert: FrobeniusCertificate) -> AdaptedReport
             if series.is_zero:
                 continue
             orders.extend(m.total_degree for m in series.terms)
-            if _untolerated(series, chart):
+            if certified_part(series).terms:
                 clean = False
         residual_orders.append(min(orders) if orders else None)
         tolerated.append(clean)

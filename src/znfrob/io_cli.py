@@ -32,6 +32,7 @@ from .errors import (
     CenteringError,
     ExpressionSyntaxError,
     HomogeneityError,
+    OutputTooLarge,
     ProblemFormatError,
     UnknownCoordinateError,
     ZnError,
@@ -45,8 +46,8 @@ from .frobenius import (
     verify_adapted,
 )
 from .grading import DegreeVector
-from .series import (ChartSpec, GradedSeries, collect_truncation_drops,
-                     is_boundary_monomial)
+from .series import (ChartSpec, GradedSeries, certified_part,
+                     collect_truncation_drops)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +255,8 @@ def parse_expression(src: str, chart: ChartSpec,
     """
     with collect_truncation_drops() as drops:
         value = _Parser(src, chart).parse()
+    if not all(_printable(coeff) for _, coeff in drops):
+        raise _syntax_error(src, len(src), "dropped coefficient too large to print")
     if warnings is not None:
         for mon, coeff in drops:
             warnings.append(
@@ -514,7 +517,7 @@ def _load_certificate(spec: ProblemSpec, path: str
     if inverse_ok:
         for name in chart.names:
             diff = inverse_stored[name] - change.inverse_images[name]
-            if any(not is_boundary_monomial(m, chart) for m in diff.terms):
+            if certified_part(diff).terms:
                 inverse_ok = False
                 break
     residuals = data.get("residuals", {})
@@ -543,6 +546,17 @@ def _run_verify(spec: ProblemSpec) -> tuple[dict, int]:
     return body, 0 if body["ok"] else 1
 
 
+def _error_report(spec: ProblemSpec, exc: ZnError) -> dict:
+    report = {"task": spec.task, "error_kind": exc.kind, "error": str(exc)}
+    witness = getattr(exc, "witness", None)
+    if witness is not None:
+        report["witness"] = _witness_json(witness)
+    pair = getattr(exc, "pair", None)
+    if pair is not None:
+        report["witness"] = {"pair": list(pair)}
+    return report
+
+
 def run(spec: ProblemSpec) -> tuple[dict, int]:
     """Execute the task; returns the JSON report and the exit code."""
     handlers = {
@@ -554,18 +568,19 @@ def run(spec: ProblemSpec) -> tuple[dict, int]:
         "verify": _run_verify,
     }
     try:
-        report, code = handlers[spec.task](spec)
-    except (ProblemFormatError, ExpressionSyntaxError):
-        raise
-    except ZnError as exc:
-        report = {"task": spec.task, "error_kind": exc.kind, "error": str(exc)}
-        witness = getattr(exc, "witness", None)
-        if witness is not None:
-            report["witness"] = _witness_json(witness)
-        pair = getattr(exc, "pair", None)
-        if pair is not None:
-            report["witness"] = {"pair": list(pair)}
-        code = 1
+        try:
+            report, code = handlers[spec.task](spec)
+        except (ProblemFormatError, ExpressionSyntaxError):
+            raise
+        except ZnError as exc:
+            report, code = _error_report(spec, exc), 1
+    except ValueError as exc:
+        # every input coefficient is printable, but an exact answer can
+        # outgrow Python's limit on the digits of a printed int
+        if "integer string conversion" not in str(exc):
+            raise
+        report, code = _error_report(spec, OutputTooLarge(
+            f"the answer has a number of more than {_max_digits()} digits")), 1
     if spec.warnings:
         report["warnings"] = list(spec.warnings)
     return report, code

@@ -343,16 +343,12 @@ class GradedSeries:
 
     # -- ring operations ------------------------------------------------------
 
-    def _check_chart(self, other: "GradedSeries") -> None:
-        if self.chart != other.chart:
-            raise ChartError("series live on different charts")
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.chart.constant(other)
         if not isinstance(other, GradedSeries):
             return NotImplemented
-        self._check_chart(other)
+        _same_chart(self, other)
         terms = dict(self.terms)
         for mon, c in other.terms.items():
             acc = terms.get(mon, Fraction(0)) + c

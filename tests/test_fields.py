@@ -351,3 +351,34 @@ def test_substitution_multiply_counts(monkeypatch):
     calls = 0
     CoordinateChange.make(chart, chart, b.images)
     assert calls == 62
+
+
+def test_change_loss_flags_pinned():
+    # recorded while the flags were stored next to the images
+    from znfrob import antiderivative
+    chart = ChartSpec.build(2, [("z", (0, 0)), ("e", (1, 1))],
+                            j_order=4, base_order=4)
+    z, e = chart.coordinate("z"), chart.coordinate("e")
+    base_lost = CoordinateChange.make(
+        chart, chart, {"z": z + antiderivative(z ** 4, "z"), "e": e})
+    j_lost = CoordinateChange.make(
+        chart, chart, {"z": z, "e": e + antiderivative(e ** 4, "e")})
+    clean = CoordinateChange.make(
+        chart, chart, {"z": z + z ** 2 + e ** 2, "e": e + z * e})
+    low = chart.with_truncation(j_order=3, base_order=3)
+    cases = {
+        "base_lost": (base_lost, (True, False)),
+        "j_lost": (j_lost, (False, True)),
+        "clean": (clean, (False, False)),
+        "base_then_j": (base_lost.then(j_lost), (True, True)),
+        "clean_then_base": (clean.then(base_lost), (True, False)),
+        "clean_then_clean": (clean.then(clean), (False, False)),
+        "base_inverted": (base_lost.inverted(), (True, False)),
+        "j_inverted": (j_lost.inverted(), (False, True)),
+        "base_truncated": (base_lost.truncated_to(low, low), (True, False)),
+        "j_truncated": (j_lost.truncated_to(low, low), (False, True)),
+    }
+    for name, (change, (base, j)) in cases.items():
+        assert (change.base_loss, change.j_loss) == (base, j), name
+        assert change.to_json_dict()["truncation_loss"] == {
+            "base": base, "j": j}, name

@@ -395,3 +395,81 @@ def test_linear_frame_images_pinned():
         "x": "1/2*x", "y": "y - 3/2*x", "t1": "t1", "t2": "t2", "e": "e"}
     assert {n: str(s) for n, s in frame.inverse_images.items()} == {
         "x": "2*x", "y": "y + 3*x", "t1": "t1", "t2": "t2", "e": "e"}
+
+
+def test_pivot_frame_images_pinned():
+    # recorded while each degree class had its own frame builder
+    from znfrob import bracket
+    from znfrob.frobenius import _straighten_steps
+    chart = standard_chart(j_order=4, base_order=4)
+    even = field_of(chart, (1, 1), {"e": "2 + x", "x": "e", "t1": "x*t2"})
+    steps, _, pivot = _straighten_steps(even)
+    assert pivot == "e"
+    assert [label for label, _ in steps] == [
+        "pivot_frame", "j_correction_1", "j_correction_2"]
+    frame = dict(steps)["pivot_frame"]
+    assert {n: str(s) for n, s in frame.images.items()} == {
+        "x": "x",
+        "t1": "t1 + 1/2*x*t2*e - 1/4*x^2*t2*e + 1/8*x^3*t2*e"
+              " - 1/16*x^4*t2*e",
+        "t2": "t2",
+        "e": "1/2*e - 1/4*x*e + 1/8*x^2*e - 1/16*x^3*e + 1/32*x^4*e"}
+    assert {n: str(s) for n, s in frame.inverse_images.items()} == {
+        "x": "x", "t1": "t1 - x*t2*e", "t2": "t2", "e": "2*e + x*e"}
+
+    odd = field_of(chart, (0, 1), {"t1": "2 + x", "t2": "e"})
+    assert bracket(odd, odd).is_zero
+    steps, _, pivot = _straighten_steps(odd)
+    assert pivot == "t1"
+    assert [label for label, _ in steps] == ["pivot_frame"]
+    frame = dict(steps)["pivot_frame"]
+    assert {n: str(s) for n, s in frame.images.items()} == {
+        "x": "x",
+        "t1": "1/2*t1 - 1/4*x*t1 + 1/8*x^2*t1 - 1/16*x^3*t1 + 1/32*x^4*t1",
+        "t2": "t2 - 1/2*t1*e + 1/4*x*t1*e - 1/8*x^2*t1*e + 1/16*x^3*t1*e"
+              " - 1/32*x^4*t1*e",
+        "e": "e"}
+    assert {n: str(s) for n, s in frame.inverse_images.items()} == {
+        "x": "x", "t1": "2*t1 + x*t1", "t2": "t2 + t1*e", "e": "e"}
+
+
+def test_composites_and_pushes_skip_redundant_work(monkeypatch):
+    # a composite folds from its first step instead of the identity, and a
+    # family pushes only the generators it has not straightened yet
+    import znfrob.frobenius
+    from znfrob import CoordinateChange
+    from znfrob.frobenius import _straighten_deg0_steps
+    chart = standard_chart(j_order=4, base_order=4)
+    X = pushforward(random_centered_change(random.Random(71), chart),
+                    dgen(chart, "x"))
+    steps, _, _ = _straighten_deg0_steps(X)
+    assert len(steps) >= 2
+    then_calls = 0
+    real_then = CoordinateChange.then
+
+    def counted_then(self, nxt):
+        nonlocal then_calls
+        then_calls += 1
+        return real_then(self, nxt)
+
+    monkeypatch.setattr(CoordinateChange, "then", counted_then)
+    straighten_deg0(X)
+    assert then_calls == len(steps) - 1
+
+    pushed = []
+    real_push = znfrob.frobenius.pushforward
+
+    def recorded_push(change, Y):
+        pushed.append(change)
+        return real_push(change, Y)
+
+    monkeypatch.setattr(znfrob.frobenius, "pushforward", recorded_push)
+    sigma = random_centered_change(random.Random(7), chart)
+    D = Distribution(chart, [pushforward(sigma, dgen(chart, u))
+                             for u in ("x", "t1")])
+    cert = adapted_coordinates(D)
+    labels = [label for label, _ in cert.steps]
+    assert labels[-1] == "pivot_frame" and "pivot_frame" not in labels[:-1]
+    # x's steps: x itself and t1; t1's frame: t1 alone
+    assert [sum(c is step for c in pushed) for _, step in cert.steps] == \
+        [2] * (len(labels) - 1) + [1]

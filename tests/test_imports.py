@@ -1,5 +1,6 @@
 """Every module-level import in the package is used (``__init__`` only
-re-exports, so it is exempt)."""
+re-exports, so it is exempt), and every private module-level function or
+class is referenced somewhere in the package."""
 
 import ast
 import pathlib
@@ -33,3 +34,40 @@ def test_no_unused_imports(module):
 def test_unused_import_is_caught():
     assert unused_imports("import os\nfrom a import b, c\nc()\n") == [
         "line 1: os", "line 2: b"]
+
+
+def dead_private_helpers(source: str, package_sources: list[str]) -> list[str]:
+    """Private module-level functions and classes of ``source`` that no name
+    or attribute in ``package_sources`` refers to, outside their own
+    definition."""
+    defined = [node.name for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")]
+    used = set()
+    for text in package_sources:
+        for top in ast.parse(text).body:
+            names = {node.id for node in ast.walk(top)
+                     if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(top)
+                      if isinstance(node, ast.Attribute)}
+            names.discard(getattr(top, "name", None))
+            used |= names
+    return sorted(name for name in defined if name not in used)
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py")))
+def test_no_dead_private_helpers(module):
+    package = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")]
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert dead_private_helpers(source, package) == []
+
+
+def test_dead_private_helper_is_caught():
+    source = ("def _recursive(n):\n    return _recursive(n - 1)\n"
+              "def _called(): pass\n"
+              "class _Gone: pass\n"
+              "def public(): return _called()\n")
+    assert dead_private_helpers(source, [source]) == ["_Gone", "_recursive"]
+    other = "import m\nm._recursive(3)\n"
+    assert dead_private_helpers(source, [source, other]) == ["_Gone"]

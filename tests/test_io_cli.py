@@ -422,3 +422,38 @@ def test_main_verify_rejects_bad_change_map(tmp_path, capsys, edit, code, kind):
     assert main(["--input", path, "--verify", cert_path]) == code
     out = json.loads(capsys.readouterr().out)
     assert out["error_kind"] == kind
+
+
+@pytest.mark.parametrize("task,fields", [
+    ("bracket", [{"name": "A", "coefficients": {"x": "2^14000*x"}},
+                 {"name": "B", "coefficients": {"x": "2^14000*x^2"}}]),
+    ("frobenius", [{"name": "A",
+                    "coefficients": {"x": "1", "t1": "2^14000*x*t1"}}]),
+], ids=["bracket", "frobenius"])
+def test_main_answer_too_large_to_print(tmp_path, capsys, task, fields):
+    # each input coefficient prints, but the answer's coefficients do not
+    data = problem_dict(task=task, fields=fields)
+    code = main(["--input", write_problem(tmp_path, data)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and out["error_kind"] == "OutputTooLarge"
+    assert out["task"] == task
+
+
+def test_main_dropped_coefficient_too_large_to_print(tmp_path, capsys):
+    # the drop warning would have to print 2^28000
+    data = problem_dict(task="rank", fields=[
+        {"name": "X", "coefficients": {"x": "1 + (2^4000*x)^7"}}])
+    code = main(["--input", write_problem(tmp_path, data)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["error_kind"] == "ExpressionSyntaxError"
+
+
+def test_run_lets_other_value_errors_through(monkeypatch):
+    import znfrob.io_cli
+
+    def broken(spec):
+        raise ValueError("not about printing")
+
+    monkeypatch.setattr(znfrob.io_cli, "_run_rank", broken)
+    with pytest.raises(ValueError, match="not about printing"):
+        run(load_problem(problem_dict(task="rank")))
