@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import Iterable, Optional, Sequence
 
 from .distribution import Distribution, is_involutive, membership, rank_of
 from .errors import (
@@ -165,12 +166,12 @@ def _j_linear_step(X: VectorField, pivot: str) -> Optional[CoordinateChange]:
     return None if change.is_identity else change
 
 
-def _integrate(X: VectorField, pivot: str, labels: Sequence[str],
+def _integrate(X: VectorField, pivot: str, labels: Iterable[str],
                mod_j: bool = False) -> tuple[list[Step], VectorField]:
     """One step per label, each shifting the coordinates by minus the
     antiderivative along the pivot of the straightness error (reduced mod J
     when ``mod_j``); stops once no error term has a representable
-    antiderivative."""
+    antiderivative, so the labels may run to a truncation order."""
     chart = X.chart
     steps: list[Step] = []
     for label in labels:
@@ -228,8 +229,8 @@ def _straighten_steps(X: VectorField) -> tuple[list[Step], VectorField, str]:
 
     if degree.is_zero:
         # flow-box of the reduced field, one base layer per pass
-        flow, X = _integrate(X, pivot, ["flow_box"] * (chart.base_order + 1),
-                             mod_j=True)
+        flow, X = _integrate(
+            X, pivot, repeat("flow_box", chart.base_order + 1), mod_j=True)
         steps += flow
         ode = _j_linear_step(X, pivot)
         if ode is not None:
@@ -239,8 +240,8 @@ def _straighten_steps(X: VectorField) -> tuple[list[Step], VectorField, str]:
     # J-linear step has already cleared layer 1 of a degree-zero field
     if not degree.is_odd:
         first = 2 if degree.is_zero else 1
-        corrections, X = _integrate(X, pivot, [
-            f"j_correction_{k}" for k in range(first, chart.j_order + 1)])
+        corrections, X = _integrate(X, pivot, map(
+            "j_correction_{}".format, range(first, chart.j_order + 1)))
         steps += corrections
     _check_straight(X, pivot)
     return steps, X, pivot

@@ -11,11 +11,13 @@ Monomials are exponent tuples, canonical by construction: factors sorted
 by chart coordinate order, all reordering signs folded into the exact
 ``Fraction`` coefficient.
 Dropping a monomial during multiplication or substitution is therefore
-*exact* quotient-ring arithmetic and carries no flag.  Antiderivatives are
-the one lifted operation that can genuinely lose information: when the
-integral of a representable term is not representable, the term is dropped
-and the result is marked with a truncation-loss flag (``base_loss`` /
-``j_loss``) that propagates through everything computed from it.
+*exact* quotient-ring arithmetic and carries no flag (`multiply` checks the
+window first and builds a dropped product only for a drop collector).
+Antiderivatives are the one lifted operation that can genuinely lose
+information: when the integral of a representable term is not
+representable, the term is dropped and the result is marked with a
+truncation-loss flag (``base_loss`` / ``j_loss``) that propagates through
+everything computed from it.
 """
 
 from __future__ import annotations
@@ -408,7 +410,8 @@ class GradedSeries:
             n_k = multiply(n_k, n)
             if n_k.is_zero:
                 break
-            result = result + n_k * (comb(exponent, k) * c ** (exponent - k))
+            if c or k == exponent:  # else the binomial term is zero
+                result += n_k * (comb(exponent, k) * c ** (exponent - k))
         flags = self._flags_with() if exponent else {}
         return GradedSeries(chart, result.terms, _trusted=True, **flags)
 
@@ -486,6 +489,9 @@ def multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     Merging two canonical monomials moves every right factor of coordinate
     index j past the left factors of index i > j; each pass contributes
     ``(-1)^{<deg_i, deg_j>}``.
+
+    The window is checked first, on degrees summed per term; a pair past it
+    that is no odd square is built, unsigned, only for a drop collector.
     """
     chart = _same_chart(f, g)
     pair = chart.pair_table
@@ -493,11 +499,19 @@ def multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     nz_idx = chart.nonzero_indices
     b_idx = chart.base_indices
     jmax, bmax = chart.j_order, chart.base_order
+    sink = _DROP_SINK.get()
+    right = [(e2, c2, sum(e2[i] for i in nz_idx), sum(e2[i] for i in b_idx))
+             for e2, c2 in g.terms.items()]
 
     out: dict[Monomial, Fraction] = {}
     for e1, c1 in f.terms.items():
         nz1 = [i for i, v in enumerate(e1) if v]
-        for e2, c2 in g.terms.items():
+        j_room = jmax - sum(e1[i] for i in nz_idx)
+        b_room = bmax - sum(e1[i] for i in b_idx)
+        for e2, c2, j2, b2 in right:
+            outside = j2 > j_room or b2 > b_room
+            if outside and sink is None:
+                continue
             sign_exp = 0
             dead = False
             for j, vj in enumerate(e2):
@@ -513,9 +527,8 @@ def multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
             if dead:
                 continue
             mon = Monomial(map(add, e1, e2))
-            if (sum(mon[i] for i in nz_idx) > jmax
-                    or sum(mon[i] for i in b_idx) > bmax):
-                _note_drop(mon, c1 * c2)
+            if outside:
+                sink.append((mon, c1 * c2))
                 continue
             coeff = c1 * c2 if sign_exp % 2 == 0 else -c1 * c2
             acc = out.get(mon)

@@ -1,0 +1,98 @@
+"""Fuzzed expression text in problem files, run through `io_cli.main`.
+
+Whatever the expressions say, a run ends in exit code 0, 1 or 2 with
+exactly one JSON object on stdout, within a time the small truncation
+orders bound.  The examples are derandomized, so the run is repeatable.
+"""
+
+import contextlib
+import io
+import json
+import time
+
+from hypothesis import given, settings, strategies as st
+
+from znfrob.io_cli import main
+
+COORDINATES = [("x", [0, 0]), ("y", [0, 0]), ("t1", [0, 1]), ("t2", [1, 0]),
+               ("e", [1, 1])]
+NAMES = [name for name, _ in COORDINATES]
+TASKS = ["bracket", "rank", "involutive", "straighten", "frobenius"]
+
+
+def _series(names, numbers, exponents):
+    atoms = st.one_of(st.sampled_from(names), numbers)
+    return st.recursive(atoms, lambda inner: st.one_of(
+        st.builds("{} {} {}".format, inner, st.sampled_from("+-*"), inner),
+        st.builds("({})^{}".format, inner, st.sampled_from(exponents)),
+        st.builds("({})".format, inner),
+        st.builds("-{}".format, inner),
+    ), max_leaves=8)
+
+
+def _rationals(low):
+    return st.one_of(
+        st.integers(low, 10 ** 6).map(str),
+        st.builds("{}/{}".format, st.integers(low, 99), st.integers(low, 9)))
+
+
+# series in the base coordinates alone are homogeneous of degree zero, so
+# fields built from them reach the solver, not only the parser; the noise
+# also has unknown names, zero denominators and huge powers
+_base = _series(["x", "y"], _rationals(1), [0, 1, 2, 3, 7])
+_mixed = _series(NAMES + ["w"], _rationals(0), [0, 1, 2, 3, 7, 10 ** 6])
+_soup = st.text(alphabet="xyte12 0^*+-/().", max_size=24)
+
+
+@st.composite
+def coefficients(draw):
+    """One field, homogeneous of the degree of a lead coordinate: its
+    coefficient on the lead is one plus a base series, and its coefficient
+    on another coordinate has the degree of the lead times that one."""
+    lead = draw(st.sampled_from(NAMES))
+    out = {name: draw(_base.map(f"({{}})*{lead}*{name}".format))
+           for name in draw(st.lists(st.sampled_from(NAMES), max_size=2))}
+    out[lead] = draw(_base.map("1 + {}".format))
+    return out
+
+
+@st.composite
+def problems(draw):
+    fields = draw(st.lists(coefficients(), min_size=2, max_size=3))
+    # at most one coefficient is mixed or token soup, so that most problems
+    # get past the parser
+    noise = draw(st.one_of(st.none(), _mixed, _soup))
+    if noise is not None:
+        where = draw(st.sampled_from(fields))
+        where[draw(st.sampled_from(NAMES))] = noise
+    task = draw(st.sampled_from(TASKS))
+    return {
+        "n": 2,
+        "truncation": {"j_order": draw(st.integers(1, 3)),
+                       "base_order": draw(st.integers(1, 4))},
+        "coordinates": [{"name": n, "degree": d} for n, d in COORDINATES],
+        "fields": [{"name": f"F{i}", "coefficients": c}
+                   for i, c in enumerate(fields)],
+        "task": task,
+        "args": {"field": "F0"} if task == "straighten" else {},
+    }
+
+
+def test_fuzzed_expressions_end_in_one_json_report(tmp_path):
+    path = tmp_path / "problem.json"
+
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              database=None)
+    @given(problem=problems())
+    def check(problem):
+        path.write_text(json.dumps(problem))
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = main(["--input", str(path)])
+        elapsed = time.perf_counter() - start
+        assert code in (0, 1, 2)
+        assert isinstance(json.loads(out.getvalue()), dict)
+        assert elapsed < 2.0, problem
+
+    check()

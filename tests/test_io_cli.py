@@ -1,10 +1,16 @@
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from helpers import random_series, standard_chart
+import znfrob
 from znfrob import (
     ExpressionSyntaxError,
     ProblemFormatError,
@@ -457,3 +463,30 @@ def test_run_lets_other_value_errors_through(monkeypatch):
     monkeypatch.setattr(znfrob.io_cli, "_run_rank", broken)
     with pytest.raises(ValueError, match="not about printing"):
         run(load_problem(problem_dict(task="rank")))
+
+
+def _capped_address_space():
+    # a regression would allocate one label per truncation order: let it
+    # fail at 512 MiB instead of taking the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize("task, key, value", [
+    ("frobenius", "verified", True), ("straighten", "pivot", "x")])
+def test_main_huge_j_order_is_fast_in_bounded_memory(tmp_path, task, key,
+                                                     value):
+    data = problem_dict(task=task, fields=[
+        {"name": "X", "coefficients": {"x": "1", "t1": "x*t1", "e": "y*e"}},
+    ], args={"field": "X"})
+    data["truncation"]["j_order"] = 10 ** 12
+    env = dict(os.environ, PYTHONPATH=str(Path(znfrob.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "znfrob.io_cli",
+         "--input", write_problem(tmp_path, data)],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_capped_address_space)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr[-400:]
+    assert json.loads(proc.stdout)[key] == value
+    assert elapsed < 2.0

@@ -324,3 +324,80 @@ def test_power_with_constant_term_matches_chained_products(chart):
         chained = multiply(chained, mixed)
     assert mixed ** 7 == chained
     assert mixed ** 0 == chart.one()
+
+
+@pytest.mark.parametrize("seed", [3, 29, 61, 97])
+def test_multi_term_products_match_transposition_oracle(seed):
+    # a low window on the five-coordinate chart, so that many term pairs
+    # leave it or hit an odd square, against the oracle summed over pairs
+    chart = standard_chart(j_order=2, base_order=3, extra_base=True)
+    rng = random.Random(seed)
+    pairs = left = 0
+    for _ in range(25):
+        f = random_series(rng, chart, terms=rng.randint(2, 6))
+        g = random_series(rng, chart, terms=rng.randint(2, 6))
+        expected = {}
+        for m1, c1 in f.terms.items():
+            for m2, c2 in g.terms.items():
+                pairs += 1
+                mon, sign = oracle_multiply_monomials(chart, m1, m2)
+                if mon is None:
+                    left += 1
+                    continue
+                expected[mon] = expected.get(mon, 0) + c1 * c2 * sign
+        assert multiply(f, g).terms == {m: c for m, c in expected.items() if c}
+    assert left > pairs // 3
+
+
+def test_multiply_drop_notes_pinned():
+    # recorded before the window moved ahead of the sign scan: odd squares
+    # are not noted, window drops are, unsigned and in pair order
+    chart = standard_chart(j_order=3, base_order=4)
+    f = series_of(chart, "x^3 + t1*e + 2*x*t2 - 1/2*e^2 + t1*t2")
+    g = series_of(chart, "3*x^2 + t1 - 1/3*e^2 + t2*e + 5*x*t1*t2")
+    with collect_truncation_drops() as sink:
+        out = multiply(f, g)
+    assert [(mon.label(chart), coeff) for mon, coeff in sink] == [
+        ("x^5", 3), ("t1*e^3", Fraction(-1, 3)), ("t1*t2*e^2", 1),
+        ("e^4", Fraction(1, 6)), ("t2*e^3", Fraction(-1, 2)),
+        ("x*t1*t2*e^2", Fraction(-5, 2)), ("t1*t2*e^2", Fraction(-1, 3))]
+    assert str(out) == (
+        "-1/2*t1*e^2 + 2*x*t1*t2 - 2/3*x*t2*e^2 - 3/2*x^2*e^2 + 3*x^2*t1*e"
+        " + 3*x^2*t1*t2 + 6*x^3*t2 + x^3*t1 - 1/3*x^3*e^2 + x^3*t2*e"
+        " + 5*x^4*t1*t2")
+
+
+def test_multiply_without_collector_notes_nothing(chart, monkeypatch):
+    import znfrob.series
+
+    def refuse(mon, coeff):
+        raise AssertionError("a dropped product was built with no collector")
+
+    monkeypatch.setattr(znfrob.series, "_note_drop", refuse)
+    f = series_of(chart, "x^4 + e^2 + x*t1")
+    g = series_of(chart, "x^3 + e^2 + t1*e")
+    # x^7, e^4 and t1*e^3 leave the window, x*t1*t1*e is an odd square
+    assert str(multiply(f, g)) == (
+        "x*t1*e^2 + x^3*e^2 + x^4*t1 + x^4*e^2 + x^4*t1*e")
+
+
+@pytest.mark.parametrize("k, drops, terms", [
+    (0, 0, 1), (1, 0, 4), (2, 0, 9), (3, 7, 13), (5, 47, 11), (8, 101, 3)])
+def test_centered_power_matches_chained_products(chart, k, drops, terms):
+    # powers of a centered series leave the window after a few factors; the
+    # loss flag comes from an antiderivative that dropped x^7; the counts
+    # were recorded before zero binomial terms were skipped
+    n = series_of(chart, "x + 2*e - t1*t2") + antiderivative(
+        series_of(chart, "3*x^6 + 2*x*e"), "x")
+    assert n.base_loss and not n.j_loss and not n.constant_term
+    with collect_truncation_drops() as chained_drops:
+        chained = chart.one()
+        for _ in range(k):
+            chained = multiply(chained, n)
+    with collect_truncation_drops() as power_drops:
+        powered = n ** k
+    assert powered == chained
+    assert (powered.base_loss, powered.j_loss) == (chained.base_loss,
+                                                   chained.j_loss)
+    assert power_drops == chained_drops
+    assert (len(power_drops), len(powered.terms)) == (drops, terms)
