@@ -42,10 +42,6 @@ class Rank:
                 return c
         return 0
 
-    @property
-    def total(self) -> int:
-        return sum(c for _, c in self.counts)
-
     def to_json(self) -> dict[str, int]:
         return {"".join(str(b) for b in d.bits): c for d, c in self.counts}
 

@@ -17,6 +17,11 @@ paper's proof, one field at a time:
   the pivot variable, and an odd field with zero self-bracket is exact
   after the frame.
 
+A distribution is involutive exactly when its normalized generators
+supercommute, because their brackets have no pivot components; the
+pipeline therefore brackets the normalized generators once and asks
+``is_involutive`` for a witness only when that pass refuses the family.
+
 Corrections whose antiderivative is not representable are dropped with a
 loss flag.  Verification is decisive on the certified window (J-degree
 below j_order, base degree below base_order, total degree at most
@@ -26,12 +31,13 @@ truncation boundary are reported but tolerated.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
-from .distribution import Distribution, is_involutive, membership, rank_of
+from .distribution import Distribution, Rank, is_involutive, membership, rank_of
 from .errors import (
     DegenerateAtPoint,
     DependentAtPoint,
@@ -48,7 +54,6 @@ from .fields import (
     bracket,
     pushforward,
 )
-from .grading import DegreeVector
 from .linalg import GradedMatrix
 from .series import (
     ChartSpec,
@@ -419,13 +424,8 @@ def verify_adapted(D: Distribution, cert: FrobeniusCertificate) -> AdaptedReport
         tolerated.append(clean)
 
     try:
-        rank = rank_of(D)
-        counts: dict[DegreeVector, int] = {}
-        for name in cert.adapted:
-            deg = chart.degree_of(name)
-            counts[deg] = counts.get(deg, 0) + 1
-        rank_ok = all(rank.count(d) == c for d, c in counts.items()) \
-            and rank.total == len(cert.adapted)
+        rank_ok = rank_of(D) == Rank.of(
+            Counter(chart.degree_of(n) for n in cert.adapted))
     except DependentAtPoint:
         rank_ok = False
 
@@ -459,27 +459,33 @@ def verify_adapted(D: Distribution, cert: FrobeniusCertificate) -> AdaptedReport
 def adapted_coordinates(D: Distribution) -> FrobeniusCertificate:
     """Full pipeline for an involutive distribution: normalize, triangularize
     the degree-zero part, straighten each nonzero-degree generator in pivot
-    order, compose, and verify before returning."""
+    order, compose, and verify before returning.
+
+    Involutivity is decided by one pass over the brackets of the normalized
+    generators ``d/d(pivot_i) + tail_i``.  Their pivot coefficients are
+    constants and their tails have no pivot components, so a bracket of two
+    of them has no pivot component either; membership of such a bracket
+    forces every coefficient to zero, and the distribution is involutive
+    exactly when the normalized generators supercommute on the certified
+    window.  Only a refused family runs ``is_involutive``, for the
+    witness that ``NotInvolutive`` carries.
+    """
     chart = D.chart
     if not D.generators:
-        cert = FrobeniusCertificate(
-            change=CoordinateChange.identity(chart),
-            adapted=(), residuals=(), steps=())
-        return cert
-
-    involutive = is_involutive(D)
-    if not involutive:
-        i, j = involutive.witness_pair
-        raise NotInvolutive(
-            f"bracket of generators {i} and {j} leaves the distribution",
-            witness=involutive)
+        return FrobeniusCertificate(change=CoordinateChange.identity(chart),
+                                    adapted=(), residuals=(), steps=())
 
     norm = D.normalized()
     gens = list(norm.distribution.generators)
     pivots = list(norm.pivots)
 
-    # a normalized involutive family supercommutes inside the window
     if _noncommuting_pair(gens, diagonal=True) is not None:
+        involutive = is_involutive(D)
+        if not involutive:
+            i, j = involutive.witness_pair
+            raise NotInvolutive(
+                f"bracket of generators {i} and {j} leaves the distribution",
+                witness=involutive)
         raise InternalInconsistency(
             "normalized involutive generators fail to supercommute")
 

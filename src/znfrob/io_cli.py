@@ -37,12 +37,12 @@ from .errors import (
     UnknownCoordinateError,
     ZnError,
 )
-from .fields import CoordinateChange, VectorField, bracket, pushforward
+from .fields import CoordinateChange, VectorField, bracket
 from .frobenius import (
     FrobeniusCertificate,
+    _compose_steps,
+    _straighten_steps,
     adapted_coordinates,
-    straighten_deg0,
-    straighten_nonzero,
     verify_adapted,
 )
 from .grading import DegreeVector
@@ -298,10 +298,10 @@ def _require(data: dict, key: str, kind, where: str):
 
 def _parse_degree(data, n: int, where: str) -> DegreeVector:
     if (not isinstance(data, list) or len(data) != n
-            or any(b not in (0, 1) for b in data)):
+            or not all(_is_int(b) and b in (0, 1) for b in data)):
         raise ProblemFormatError(
             f"{where} must be a list of {n} bits")
-    return DegreeVector(tuple(int(b) for b in data))
+    return DegreeVector(tuple(data))
 
 
 def load_problem(data: dict,
@@ -338,7 +338,10 @@ def load_problem(data: dict,
     warnings: list[str] = []
     fields: dict[str, VectorField] = {}
     order: list[str] = []
-    for i, f in enumerate(data.get("fields", [])):
+    fields_data = data.get("fields", [])
+    if not isinstance(fields_data, list):
+        raise ProblemFormatError("problem.fields must be a list")
+    for i, f in enumerate(fields_data):
         where = f"fields[{i}]"
         if not isinstance(f, dict):
             raise ProblemFormatError(f"{where} must be an object")
@@ -428,8 +431,8 @@ def _run_bracket(spec: ProblemSpec) -> tuple[dict, int]:
     names = spec.args.get("fields")
     if names is None:
         names = list(spec.field_order[:2])
-    if (not isinstance(names, list) or len(names) != 2
-            or any(n not in spec.fields for n in names)):
+    if (not isinstance(names, list) or len(names) != 2 or not all(
+            isinstance(n, str) and n in spec.fields for n in names)):
         raise ProblemFormatError("bracket needs args.fields = [left, right]")
     result = bracket(spec.fields[names[0]], spec.fields[names[1]])
     return {"task": "bracket", "result": result.to_json_dict()}, 0
@@ -456,18 +459,9 @@ def _run_straighten(spec: ProblemSpec) -> tuple[dict, int]:
         name = spec.field_order[0]
     if not isinstance(name, str) or name not in spec.fields:
         raise ProblemFormatError("straighten needs args.field")
-    X = spec.fields[name]
-    if X.degree.is_zero:
-        change = straighten_deg0(X)
-    else:
-        change = straighten_nonzero(X)
-    straight = pushforward(change, X)
-    pivot = next(
-        n for n in spec.chart.names
-        if straight.coefficient(n).constant_term
-    )
+    steps, _, pivot = _straighten_steps(spec.fields[name])
     report = {"task": "straighten", "field": name, "pivot": pivot}
-    report.update(change.to_json_dict())
+    report.update(_compose_steps(spec.chart, steps).to_json_dict())
     return report, 0
 
 
@@ -492,7 +486,8 @@ def _load_certificate(spec: ProblemSpec, path: str
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: an undecodable file, bad JSON, or a path open() refuses
         raise ProblemFormatError(f"cannot read certificate {path!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise ProblemFormatError("certificate must be a JSON object")
@@ -614,7 +609,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             with open(opts.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 text
         print(json.dumps({"error_kind": "IOError", "error": str(exc)}))
         return 2
 

@@ -1,5 +1,9 @@
 """Matrices over the chart ring and exact linear algebra at the base point.
 
+Exact linear algebra over Q has one elimination, the reduced echelon form
+kept by ``RowSpan``: pivot selection, basis completion and the rational
+inverse (a reduction of ``[A | I]``) all run through it.
+
 Invertibility of a graded matrix is decided by its value at the origin;
 the full inverse is then recovered from the finite geometric series, which
 terminates inside the truncation window because every entry of the error
@@ -26,37 +30,6 @@ from .series import ChartSpec, GradedSeries, value_at_origin
 # ---------------------------------------------------------------------------
 # exact rational elimination helpers
 # ---------------------------------------------------------------------------
-
-def rational_inverse(rows: Sequence[Sequence[Fraction]]) -> Optional[list[list[Fraction]]]:
-    """Gauss-Jordan inverse over Q; None when singular.
-
-    Pivoting takes the first nonzero entry in order, keeping the result
-    deterministic; exactness makes numerical pivoting unnecessary.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DimensionError("inverse needs a square matrix")
-    a = [[Fraction(x) for x in r] for r in rows]
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return None
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(n):
-            if r == col or not a[r][col]:
-                continue
-            factor = a[r][col]
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return inv
-
 
 class RowSpan:
     """Incremental row space over Q, kept in reduced echelon form."""
@@ -89,6 +62,24 @@ class RowSpan:
         self.rows.append(v)
         self.pivots.append(p)
         return True
+
+
+def rational_inverse(rows: Sequence[Sequence[Fraction]]) -> Optional[list[list[Fraction]]]:
+    """Inverse over Q; None when singular.
+
+    ``[A | I]`` is reduced in a ``RowSpan``, whose rows are always
+    independent: A is singular exactly when a pivot lands in the right
+    half, and otherwise the right halves, sorted by pivot, are the inverse.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DimensionError("inverse needs a square matrix")
+    span = RowSpan(2 * n)
+    for i, row in enumerate(rows):
+        span.try_add([*row, *(int(i == j) for j in range(n))])
+    if any(p >= n for p in span.pivots):
+        return None
+    return [row[n:] for _, row in sorted(zip(span.pivots, span.rows))]
 
 
 # ---------------------------------------------------------------------------

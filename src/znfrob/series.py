@@ -141,9 +141,6 @@ class ChartSpec:
     def degree_of(self, name: str) -> DegreeVector:
         return self.degrees[self.index(name)]
 
-    def base_names(self) -> tuple[str, ...]:
-        return tuple(self.names[i] for i in self.base_indices)
-
     def nonzero_names(self) -> tuple[str, ...]:
         return tuple(self.names[i] for i in self.nonzero_indices)
 

@@ -473,3 +473,51 @@ def test_composites_and_pushes_skip_redundant_work(monkeypatch):
     # x's steps: x itself and t1; t1's frame: t1 alone
     assert [sum(c is step for c in pushed) for _, step in cert.steps] == \
         [2] * (len(labels) - 1) + [1]
+
+
+def test_one_pass_verdict_agrees_with_is_involutive():
+    # criterion-8 families, half of them with one generator perturbed off
+    # the family by a field m*d/dw, w outside it: [d/du, m*d/dw] = (dm/du)*d/dw
+    from collections import Counter
+
+    from helpers import random_series
+    from znfrob import is_involutive
+    from znfrob.frobenius import _noncommuting_pair
+    chart = standard_chart(j_order=3, base_order=4, extra_base=True)
+    rng = random.Random(2024)
+    subsets = [("x",), ("x", "y"), ("x", "t1"), ("t1",), ("e",), ("x", "e"),
+               ("y", "t2"), ("x", "y", "t1"), ("x", "t1", "e"), ("t1", "t2")]
+    verdicts = Counter()
+    for i in range(48):
+        sigma = random_centered_change(rng, chart)
+        names = subsets[i % len(subsets)]
+        gens = [dgen(chart, u) for u in names]
+        if i % 3:
+            k = rng.randrange(len(gens))
+            w = rng.choice([n for n in chart.names if n not in names])
+            m = random_series(rng, chart, terms=2, allow_constant=False,
+                              degree=gens[k].degree + chart.degree_of(w),
+                              max_base=2)
+            gens[k] = gens[k] + dgen(chart, w).scaled_by(m)
+        D = Distribution(chart, [pushforward(sigma, g) for g in gens])
+        one_pass = _noncommuting_pair(
+            D.normalized().distribution.generators, diagonal=True) is None
+        assert bool(is_involutive(D)) == one_pass, (i, names)
+        verdicts[one_pass] += 1
+    assert verdicts[True] >= 10 and verdicts[False] >= 10, verdicts
+
+
+def test_adapted_never_asks_is_involutive_on_involutive_input(monkeypatch):
+    import znfrob.frobenius
+
+    def refuse(D):
+        raise AssertionError("is_involutive called on involutive input")
+
+    monkeypatch.setattr(znfrob.frobenius, "is_involutive", refuse)
+    chart = standard_chart(j_order=3, base_order=4, extra_base=True)
+    sigma = random_centered_change(random.Random(11), chart)
+    D = Distribution(chart, [pushforward(sigma, dgen(chart, u))
+                             for u in ("x", "t1", "e")])
+    cert = adapted_coordinates(D)
+    assert len(cert.adapted) == 3
+    assert verify_adapted(D, cert).ok

@@ -1,8 +1,9 @@
-"""Fuzzed expression text in problem files, run through `io_cli.main`.
+"""Fuzzed problem files, run through `io_cli.main`: fuzzed expression
+text, and a fuzzed JSON structure with values of the wrong type.
 
-Whatever the expressions say, a run ends in exit code 0, 1 or 2 with
-exactly one JSON object on stdout, within a time the small truncation
-orders bound.  The examples are derandomized, so the run is repeatable.
+Whatever the file says, a run ends in exit code 0, 1 or 2 with exactly
+one JSON object on stdout, within a time the small truncation orders
+bound.  The examples are derandomized, so the run is repeatable.
 """
 
 import contextlib
@@ -84,6 +85,98 @@ def test_fuzzed_expressions_end_in_one_json_report(tmp_path):
     @settings(max_examples=150, derandomize=True, deadline=None,
               database=None)
     @given(problem=problems())
+    def check(problem):
+        path.write_text(json.dumps(problem))
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = main(["--input", str(path)])
+        elapsed = time.perf_counter() - start
+        assert code in (0, 1, 2)
+        assert isinstance(json.loads(out.getvalue()), dict)
+        assert elapsed < 2.0, problem
+
+    check()
+
+
+# -- problem-JSON structure ---------------------------------------------------
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(
+        max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+FIELDS = [
+    {"name": "A", "coefficients": {"x": "1 + y", "t1": "x*t1"}},
+    {"name": "B", "degree": [0, 1], "coefficients": {"t1": "1", "e": "t2"}},
+    {"name": "C", "coefficients": {"y": "1 + x^2"}},
+]
+ARGS = {
+    "bracket": {"fields": ["A", "B"]},
+    "rank": {"generators": ["A", "B"]},
+    "involutive": {"generators": ["A", "C"]},
+    "straighten": {"field": "A"},
+    "frobenius": {"generators": ["A", "B", "C"]},
+    "verify": {"generators": ["A"], "certificate": "certificate.json"},
+}
+MUTABLE = ("args", "fields", "coordinates", "truncation")
+
+
+def _paths(value, path):
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, inner in items:
+        yield from _paths(inner, path + (key,))
+
+
+@st.composite
+def mutated_problems(draw):
+    """A valid problem of a drawn task with one or two values under
+    ``args``, ``fields``, ``coordinates`` or ``truncation`` replaced by JSON
+    of another type."""
+    task = draw(st.sampled_from(sorted(ARGS)))
+    problem = json.loads(json.dumps({
+        "n": 2,
+        "truncation": {"j_order": 2, "base_order": 3},
+        "coordinates": [{"name": n, "degree": d} for n, d in COORDINATES],
+        "fields": FIELDS,
+        "task": task,
+        "args": ARGS[task],
+    }))
+    for _ in range(draw(st.integers(1, 2))):
+        paths = [p for key in MUTABLE for p in _paths(problem[key], (key,))]
+        *parents, last = draw(st.sampled_from(paths))
+        owner = problem
+        for key in parents:
+            owner = owner[key]
+        old = owner[last]
+        owner[last] = draw(_json.filter(lambda v: type(v) is not type(old)))
+    return problem
+
+
+def test_fuzzed_problem_structure_ends_in_one_json_report(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    source = tmp_path / "problem.json"
+    source.write_text(json.dumps({
+        "n": 2, "truncation": {"j_order": 2, "base_order": 3},
+        "coordinates": [{"name": n, "degree": d} for n, d in COORDINATES],
+        "fields": FIELDS[:1], "task": "frobenius"}))
+    with contextlib.redirect_stdout(io.StringIO()) as certificate:
+        assert main(["--input", str(source)]) == 0
+    (tmp_path / "certificate.json").write_text(certificate.getvalue())
+    path = tmp_path / "mutated.json"
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              database=None)
+    @given(problem=mutated_problems())
     def check(problem):
         path.write_text(json.dumps(problem))
         out = io.StringIO()

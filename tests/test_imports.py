@@ -71,3 +71,44 @@ def test_dead_private_helper_is_caught():
     assert dead_private_helpers(source, [source]) == ["_Gone", "_recursive"]
     other = "import m\nm._recursive(3)\n"
     assert dead_private_helpers(source, [source, other]) == ["_Gone"]
+
+
+REPO = PACKAGE.parent.parent
+
+
+def dead_methods(sources: list[str], referencing: list[str]) -> list[str]:
+    """``Class.method`` for every non-dunder method or property defined in
+    ``sources`` whose name no attribute in ``referencing`` uses."""
+    used = {node.attr for text in referencing
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute)}
+    return sorted(
+        f"{cls.name}.{node.name}"
+        for text in sources
+        for cls in ast.walk(ast.parse(text)) if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used)
+
+
+def test_no_dead_methods():
+    package = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")]
+    referencing = package + [
+        p.read_text(encoding="utf-8")
+        for p in [*(REPO / "tests").glob("*.py"),
+                  *(REPO / "perfbench").glob("*.py")]]
+    assert dead_methods(package, referencing) == []
+
+
+def test_dead_method_is_caught():
+    source = ("class A:\n"
+              "    def __len__(self): return self.used()\n"
+              "    def used(self): return self._helper()\n"
+              "    def _helper(self): return 1\n"
+              "    @property\n"
+              "    def gone(self): return 2\n"
+              "    @classmethod\n"
+              "    def unused(cls): return cls\n")
+    assert dead_methods([source], [source]) == ["A.gone", "A.unused"]
+    assert dead_methods([source], [source, "x.gone\n"]) == ["A.unused"]

@@ -490,3 +490,99 @@ def test_main_huge_j_order_is_fast_in_bounded_memory(tmp_path, task, key,
     assert proc.returncode == 0, proc.stderr[-400:]
     assert json.loads(proc.stdout)[key] == value
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("names", [[[1], "X"], [{"a": 1}, "X"], ["X", None]])
+def test_main_bracket_non_string_field_name(tmp_path, capsys, names):
+    # an unhashable name used to reach the field lookup and raise TypeError
+    data = problem_dict(task="bracket", args={"fields": names})
+    code = main(["--input", write_problem(tmp_path, data)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["error_kind"] == "ProblemFormatError"
+
+
+@pytest.mark.parametrize("bit", [False, True, 0.0, 1.0])
+@pytest.mark.parametrize("where", ["coordinate", "field"])
+def test_degree_bits_must_be_integers(where, bit):
+    # JSON false/true and 0.0/1.0 compare equal to the bits 0 and 1
+    data = problem_dict(fields=[
+        {"name": "X", "degree": [0, 0], "coefficients": {"x": "1"}}])
+    load_problem(data)
+    owner = data["coordinates"][1] if where == "coordinate" else data["fields"][0]
+    owner["degree"] = [bit, 0]
+    with pytest.raises(ProblemFormatError, match="bits"):
+        load_problem(data)
+
+
+@pytest.mark.parametrize("value", [None, 3, "X", {"name": "X"}])
+def test_main_fields_must_be_a_list(tmp_path, capsys, value):
+    data = problem_dict(task="rank")
+    data["fields"] = value
+    code = main(["--input", write_problem(tmp_path, data)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["error_kind"] == "ProblemFormatError"
+
+
+@pytest.mark.parametrize("certificate", [
+    "nul\0byte", "lone\ud800surrogate", "binary"],
+    ids=["nul-byte", "surrogate", "binary"])
+def test_main_unreadable_certificate_path(tmp_path, capsys, certificate):
+    # open() refuses the first two paths with ValueError, and the third
+    # file is not UTF-8 text
+    (tmp_path / "binary").write_bytes(b"\xff\xfe\x00")
+    if certificate == "binary":
+        certificate = str(tmp_path / "binary")
+    data = problem_dict(task="verify", args={"certificate": certificate})
+    code = main(["--input", write_problem(tmp_path, data)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["error_kind"] == "ProblemFormatError"
+
+
+def test_main_input_not_utf8(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_bytes(b"{\"n\": \xff}")
+    code = main(["--input", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["error_kind"] == "IOError"
+
+
+STRAIGHTEN_REPORTS = {
+    "even-zero": (
+        {"x": "1 + y", "t1": "y*t1", "e": "x*e"},
+        {"task": "straighten", "field": "F", "pivot": "x",
+         "change": {"x": "x - x*y + x*y^2", "y": "y", "z": "z",
+                    "t1": "t1 - x*y*t1 + x*y^2*t1",
+                    "e": "e - 1/2*x^2*e + 1/2*x^2*y*e"},
+         "inverse": {"x": "x + x*y", "y": "y", "z": "z", "t1": "t1 + x*y*t1",
+                     "e": "e + 1/2*x^2*e + 1/2*x^2*y*e"},
+         "truncation_loss": {"base": True, "j": False}}),
+    "even-nonzero": (
+        {"e": "1 + x", "t1": "x*t1*e", "x": "y*e"},
+        {"task": "straighten", "field": "F", "pivot": "e",
+         "change": {"x": "x - 1/2*y*e^2 + 1/2*x*y*e^2 - 1/2*x^2*y*e^2",
+                    "y": "y", "z": "z", "t1": "t1",
+                    "e": "e - x*e + x^2*e - x^3*e"},
+         "inverse": {"x": "x + 1/2*y*e^2 + 1/2*x*y*e^2", "y": "y", "z": "z",
+                     "t1": "t1", "e": "e + x*e"},
+         "truncation_loss": {"base": False, "j": False}}),
+    "odd": (
+        {"t1": "1 + x + x*y"},
+        {"task": "straighten", "field": "F", "pivot": "t1",
+         "change": {"x": "x", "y": "y", "z": "z",
+                    "t1": "t1 - x*t1 - x*y*t1 + x^2*t1 + 2*x^2*y*t1 - x^3*t1",
+                    "e": "e"},
+         "inverse": {"x": "x", "y": "y", "z": "z", "t1": "t1 + x*t1 + x*y*t1",
+                     "e": "e"},
+         "truncation_loss": {"base": False, "j": False}}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STRAIGHTEN_REPORTS))
+def test_main_straighten_report_pinned(tmp_path, capsys, kind):
+    coefficients, expected = STRAIGHTEN_REPORTS[kind]
+    data = problem_dict(task="straighten", fields=[
+        {"name": "F", "coefficients": coefficients}])
+    data["truncation"] = {"j_order": 2, "base_order": 3}
+    code = main(["--input", write_problem(tmp_path, data)])
+    assert code == 0
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"

@@ -129,3 +129,38 @@ def test_complete_basis_homogeneity(chart):
     bad = TangentVector.make(chart.zero_degree, {"t1": Fraction(1)})
     with pytest.raises(HomogeneityError):
         complete_basis([bad], chart)
+
+
+def _leibniz_det(a):
+    """Determinant as the signed sum over permutations: an oracle that
+    shares nothing with the elimination."""
+    from itertools import permutations
+    from math import prod
+    total = Fraction(0)
+    for perm in permutations(range(len(a))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        total += (-1) ** inversions * prod(a[i][p] for i, p in enumerate(perm))
+    return total
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rational_inverse_oracle(seed):
+    rng = random.Random(seed)
+    for size in range(7):
+        a = [[Fraction(rng.choice([0, 0, 1, -1, 2, -3]), rng.randint(1, 3))
+              for _ in range(size)] for _ in range(size)]
+        identity = [[Fraction(i == j) for j in range(size)]
+                    for i in range(size)]
+        inv = rational_inverse(a)
+        assert (inv is None) == (_leibniz_det(a) == 0)
+        if inv is not None:
+            assert [[sum((a[i][k] * inv[k][j] for k in range(size)),
+                         Fraction(0)) for j in range(size)]
+                    for i in range(size)] == identity
+        if size:
+            # a last row combining the others leaves the matrix singular
+            weights = [Fraction(rng.randint(-2, 2)) for _ in range(size - 1)]
+            last = [sum((w * row[j] for w, row in zip(weights, a)),
+                        Fraction(0)) for j in range(size)]
+            assert rational_inverse(a[:-1] + [last]) is None
