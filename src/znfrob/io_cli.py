@@ -46,7 +46,7 @@ from .frobenius import (
     verify_adapted,
 )
 from .grading import DegreeVector
-from .series import (ChartSpec, GradedSeries, certified_part,
+from .series import (ChartSpec, Coefficient, GradedSeries, certified_part,
                      collect_truncation_drops)
 
 
@@ -117,7 +117,7 @@ def _max_digits() -> float:
     return sys.get_int_max_str_digits() or math.inf
 
 
-def _printable(value: Fraction) -> bool:
+def _printable(value: Coefficient) -> bool:
     big = max(abs(value.numerator), value.denominator)
     limit = _max_digits()
     # up to 3 bits per allowed digit needs no exact comparison
@@ -537,7 +537,9 @@ def _run_verify(spec: ProblemSpec) -> tuple[dict, int]:
     body = {"task": "verify"}
     body.update(report.to_json_dict())
     body["inverse_consistent"] = inverse_ok
-    body["ok"] = report.ok and inverse_ok
+    # the stored residual orders must be the ones the check finds
+    residuals_ok = sorted(cert.residuals) == list(report.residual_entries())
+    body["ok"] = report.ok and inverse_ok and residuals_ok
     return body, 0 if body["ok"] else 1
 
 

@@ -24,7 +24,7 @@ from .errors import (
     NotInvertibleModJ,
 )
 from .grading import DegreeVector
-from .series import ChartSpec, GradedSeries, value_at_origin
+from .series import ChartSpec, Coefficient, GradedSeries, value_at_origin
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,7 @@ class RowSpan:
         self.rows: list[list[Fraction]] = []
         self.pivots: list[int] = []
 
-    def residual(self, vec: Sequence[Fraction]) -> list[Fraction]:
+    def residual(self, vec: Sequence[Coefficient]) -> list[Fraction]:
         v = [Fraction(x) for x in vec]
         for row, p in zip(self.rows, self.pivots):
             if v[p]:
@@ -47,7 +47,7 @@ class RowSpan:
                 v = [x - factor * y for x, y in zip(v, row)]
         return v
 
-    def try_add(self, vec: Sequence[Fraction]) -> bool:
+    def try_add(self, vec: Sequence[Coefficient]) -> bool:
         """Add the vector if independent; returns False when it is in the span."""
         v = self.residual(vec)
         p = next((i for i, x in enumerate(v) if x), None)
@@ -64,12 +64,14 @@ class RowSpan:
         return True
 
 
-def rational_inverse(rows: Sequence[Sequence[Fraction]]) -> Optional[list[list[Fraction]]]:
+def rational_inverse(rows: Sequence[Sequence[Coefficient]]
+                     ) -> Optional[list[list[Coefficient]]]:
     """Inverse over Q; None when singular.
 
     ``[A | I]`` is reduced in a ``RowSpan``, whose rows are always
     independent: A is singular exactly when a pivot lands in the right
-    half, and otherwise the right halves, sorted by pivot, are the inverse.
+    half, and otherwise the right halves, sorted by pivot, are the inverse,
+    with its integral entries as ``int``.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -79,7 +81,8 @@ def rational_inverse(rows: Sequence[Sequence[Fraction]]) -> Optional[list[list[F
         span.try_add([*row, *(int(i == j) for j in range(n))])
     if any(p >= n for p in span.pivots):
         return None
-    return [row[n:] for _, row in sorted(zip(span.pivots, span.rows))]
+    return [[x.numerator if x.denominator == 1 else x for x in row[n:]]
+            for _, row in sorted(zip(span.pivots, span.rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +109,8 @@ class TangentVector:
     def is_zero(self) -> bool:
         return not self.components
 
-    def as_row(self, chart: ChartSpec) -> list[Fraction]:
-        row = [Fraction(0)] * len(chart.names)
+    def as_row(self, chart: ChartSpec) -> list[Coefficient]:
+        row = [0] * len(chart.names)
         for name, c in self.components:
             row[chart.index(name)] = c
         return row
@@ -176,7 +179,7 @@ class GradedMatrix:
     def from_rationals(cls, chart: ChartSpec,
                        row_degrees: Sequence[DegreeVector],
                        col_degrees: Sequence[DegreeVector],
-                       values: Sequence[Sequence[Fraction]]) -> "GradedMatrix":
+                       values: Sequence[Sequence[Coefficient]]) -> "GradedMatrix":
         return cls(chart, row_degrees, col_degrees, [
             [chart.constant(v) if v else chart.zero() for v in row]
             for row in values
@@ -230,7 +233,7 @@ class GradedMatrix:
     def is_zero(self) -> bool:
         return all(e.is_zero for row in self.entries for e in row)
 
-    def value_at_origin(self) -> list[list[Fraction]]:
+    def value_at_origin(self) -> list[list[Coefficient]]:
         return [[value_at_origin(e) for e in row] for row in self.entries]
 
     def __eq__(self, other):
@@ -301,8 +304,8 @@ def complete_basis(vectors: Sequence[TangentVector],
     for i, name in enumerate(chart.names):
         deg = chart.degrees[i]
         span = spans.setdefault(deg, RowSpan(width))
-        unit = [Fraction(0)] * width
-        unit[i] = Fraction(1)
+        unit = [0] * width
+        unit[i] = 1
         if span.try_add(unit):
             chosen.append(name)
     return chosen

@@ -9,7 +9,10 @@ commutative algebra on the chart coordinates by two relations:
 
 Monomials are exponent tuples, canonical by construction: factors sorted
 by chart coordinate order, all reordering signs folded into the exact
-``Fraction`` coefficient.
+coefficient.  A coefficient is an ``int`` when it is integral and a
+``Fraction`` only while a denominator remains: every series is built
+through one constructor that turns an integral ``Fraction`` back into an
+``int``, so integral arithmetic never takes the slow ``Fraction`` path.
 Dropping a monomial during multiplication or substitution is therefore
 *exact* quotient-ring arithmetic and carries no flag (`multiply` checks the
 window first and builds a dropped product only for a drop collector).
@@ -42,6 +45,8 @@ from .errors import (
 from .grading import DegreeVector
 
 Rational = Union[Fraction, int, str]
+# canonical coefficient: never a Fraction whose denominator is 1
+Coefficient = Union[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +168,8 @@ class ChartSpec:
         return GradedSeries(self, {})
 
     def constant(self, value: Rational) -> "GradedSeries":
-        return GradedSeries(self, {self.unit_monomial: Fraction(value)},
-                            _trusted=True)
+        coeff = value if type(value) is int else Fraction(value)
+        return GradedSeries(self, {self.unit_monomial: coeff}, _trusted=True)
 
     def one(self) -> "GradedSeries":
         return self.constant(1)
@@ -174,14 +179,14 @@ class ChartSpec:
         exps = [0] * len(self.coordinates)
         exps[i] = 1
         # both orders are at least 1, so a coordinate is inside the window
-        return GradedSeries(self, {Monomial(exps): Fraction(1)}, _trusted=True)
+        return GradedSeries(self, {Monomial(exps): 1}, _trusted=True)
 
     def monomial(self, exponents: Mapping[str, int],
                  coefficient: Rational = 1) -> "GradedSeries":
         exps = [0] * len(self.coordinates)
         for name, e in exponents.items():
             exps[self.index(name)] = int(e)
-        return GradedSeries(self, {Monomial(tuple(exps)): Fraction(coefficient)})
+        return GradedSeries(self, {Monomial(tuple(exps)): coefficient})
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +249,7 @@ _DROP_SINK = contextvars.ContextVar("znfrob_drop_sink", default=None)
 @contextlib.contextmanager
 def collect_truncation_drops():
     """Collect monomials dropped by the truncation window inside the block."""
-    sink: list[tuple[Monomial, Fraction]] = []
+    sink: list[tuple[Monomial, Coefficient]] = []
     token = _DROP_SINK.set(sink)
     try:
         yield sink
@@ -252,7 +257,7 @@ def collect_truncation_drops():
         _DROP_SINK.reset(token)
 
 
-def _note_drop(mon: Monomial, coeff: Fraction) -> None:
+def _note_drop(mon: Monomial, coeff: Coefficient) -> None:
     sink = _DROP_SINK.get()
     if sink is not None:
         sink.append((mon, coeff))
@@ -278,10 +283,8 @@ class GradedSeries:
         self.chart = chart
         self.base_loss = base_loss
         self.j_loss = j_loss
-        if _trusted:
-            clean = {m: c for m, c in terms.items() if c}
-        else:
-            clean = {}
+        if not _trusted:
+            summed = {}
             for mon, raw in terms.items():
                 coeff = Fraction(raw)
                 if not coeff:
@@ -293,9 +296,12 @@ class GradedSeries:
                         or mon.base_degree(chart) > chart.base_order):
                     _note_drop(mon, coeff)
                     continue
-                clean[mon] = clean.get(mon, Fraction(0)) + coeff
-            clean = {m: c for m, c in clean.items() if c}
-        self.terms: dict[Monomial, Fraction] = clean
+                summed[mon] = summed.get(mon, 0) + coeff
+            terms = summed
+        # the one place a coefficient takes its canonical form
+        clean = {m: c.numerator if type(c) is Fraction and c.denominator == 1
+                 else c for m, c in terms.items() if c}
+        self.terms: dict[Monomial, Coefficient] = clean
         self._degree = _UNSET
         if declared_degree is not None:
             for mon in clean:
@@ -324,13 +330,13 @@ class GradedSeries:
         return not self.terms or self.degree == degree
 
     @property
-    def constant_term(self) -> Fraction:
-        return self.terms.get(self.chart.unit_monomial, Fraction(0))
+    def constant_term(self) -> Coefficient:
+        return self.terms.get(self.chart.unit_monomial, 0)
 
-    def coefficient(self, mon: Monomial) -> Fraction:
-        return self.terms.get(mon, Fraction(0))
+    def coefficient(self, mon: Monomial) -> Coefficient:
+        return self.terms.get(mon, 0)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Coefficient]]:
         return sorted(self.terms.items(),
                       key=lambda mc: (mc[0].total_degree, mc[0].exps))
 
@@ -350,7 +356,7 @@ class GradedSeries:
         _same_chart(self, other)
         terms = dict(self.terms)
         for mon, c in other.terms.items():
-            acc = terms.get(mon, Fraction(0)) + c
+            acc = terms.get(mon, 0) + c
             if acc:
                 terms[mon] = acc
             else:
@@ -489,6 +495,8 @@ def multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
 
     The window is checked first, on degrees summed per term; a pair past it
     that is no odd square is built, unsigned, only for a drop collector.
+    Two integral coefficients multiply as ``int``s; only a pair with a
+    ``Fraction`` factor takes the ``Fraction`` path.
     """
     chart = _same_chart(f, g)
     pair = chart.pair_table
@@ -500,7 +508,7 @@ def multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     right = [(e2, c2, sum(e2[i] for i in nz_idx), sum(e2[i] for i in b_idx))
              for e2, c2 in g.terms.items()]
 
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Coefficient] = {}
     for e1, c1 in f.terms.items():
         nz1 = [i for i, v in enumerate(e1) if v]
         j_room = jmax - sum(e1[i] for i in nz_idx)
@@ -546,7 +554,7 @@ def derive(f: GradedSeries, name: str) -> GradedSeries:
     chart = f.chart
     k = chart.index(name)
     pair_k = chart.pair_table[k]
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Coefficient] = {}
     for mon, coeff in f.terms.items():
         e = mon.exps
         if not e[k]:
@@ -578,7 +586,7 @@ def antiderivative(f: GradedSeries, name: str) -> GradedSeries:
             f"cannot integrate along odd coordinate {name!r}")
     is_base = chart.base_flags[k]
     pair_k = chart.pair_table[k]
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Coefficient] = {}
     base_loss = f.base_loss
     j_loss = f.j_loss
     for mon, coeff in f.terms.items():
@@ -597,7 +605,7 @@ def antiderivative(f: GradedSeries, name: str) -> GradedSeries:
                 j_loss = True
                 continue
         sign_exp = sum(e[j] * pair_k[j] for j in range(k) if e[j])
-        c = coeff / (e[k] + 1)
+        c = Fraction(coeff) / (e[k] + 1)
         if sign_exp % 2:
             c = -c
         out[key] = c
@@ -645,7 +653,7 @@ def reduce_mod_j(f: GradedSeries) -> GradedSeries:
     return reduce_series(f, "mod_J")
 
 
-def value_at_origin(f: GradedSeries) -> Fraction:
+def value_at_origin(f: GradedSeries) -> Coefficient:
     return reduce_series(f, "at_point")
 
 
@@ -710,7 +718,7 @@ def _substitution(images: Mapping[str, GradedSeries], keyed: ChartSpec,
     def substitute(f: GradedSeries) -> GradedSeries:
         if f.chart != keyed:
             raise ChartError("series does not live on the chart the images key")
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coefficient] = {}
         for mon, coeff in f.terms.items():
             acc = None
             for i, e in enumerate(mon):

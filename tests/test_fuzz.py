@@ -189,3 +189,56 @@ def test_fuzzed_problem_structure_ends_in_one_json_report(tmp_path,
         assert elapsed < 2.0, problem
 
     check()
+
+
+# -- certificate JSON -----------------------------------------------------------
+
+CERTIFICATE_KEYS = ("adapted", "change", "inverse", "residuals")
+
+
+@st.composite
+def mutated_certificates(draw, certificate):
+    """A valid certificate with one or two values under ``adapted``,
+    ``change``, ``inverse`` or ``residuals`` replaced by JSON of another
+    type or by a fuzzed expression."""
+    certificate = json.loads(json.dumps(certificate))
+    for _ in range(draw(st.integers(1, 2))):
+        paths = [p for key in CERTIFICATE_KEYS
+                 for p in _paths(certificate[key], (key,))]
+        *parents, last = draw(st.sampled_from(paths))
+        owner = certificate
+        for key in parents:
+            owner = owner[key]
+        old = owner[last]
+        owner[last] = draw(st.one_of(
+            _json.filter(lambda v: type(v) is not type(old)), _mixed))
+    return certificate
+
+
+def test_fuzzed_certificate_ends_in_one_json_report(tmp_path):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({
+        "n": 2, "truncation": {"j_order": 2, "base_order": 3},
+        "coordinates": [{"name": n, "degree": d} for n, d in COORDINATES],
+        "fields": FIELDS[:1], "task": "frobenius"}))
+    with contextlib.redirect_stdout(io.StringIO()) as report:
+        assert main(["--input", str(problem)]) == 0
+    certificate = json.loads(report.getvalue())
+    assert certificate["change"] and certificate["inverse"]
+    path = tmp_path / "certificate.json"
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              database=None)
+    @given(mutated=mutated_certificates(certificate))
+    def check(mutated):
+        path.write_text(json.dumps(mutated))
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = main(["--input", str(problem), "--verify", str(path)])
+        elapsed = time.perf_counter() - start
+        assert code in (0, 1, 2)
+        assert isinstance(json.loads(out.getvalue()), dict)
+        assert elapsed < 2.0, mutated
+
+    check()

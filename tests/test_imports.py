@@ -112,3 +112,52 @@ def test_dead_method_is_caught():
               "    def unused(cls): return cls\n")
     assert dead_methods([source], [source]) == ["A.gone", "A.unused"]
     assert dead_methods([source], [source, "x.gone\n"]) == ["A.unused"]
+
+
+# true divisions whose operands are Fractions by construction, so they
+# cannot make a float: module -> the division as ``ast.unparse`` prints it
+FRACTION_DIVISIONS = {
+    # RowSpan.try_add: the residual's entries and its pivot are Fractions
+    "linalg.py": {"x / scale"},
+}
+
+
+def float_divisions(source: str, allowed=frozenset()) -> list[str]:
+    """True divisions (``/``, ``/=``) with no ``Fraction(...)`` call as an
+    operand: on two ints such a division silently makes a float."""
+    def is_fraction(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "Fraction")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            operands = (node.target, node.value)
+        else:
+            continue
+        text = ast.unparse(node)
+        if not any(map(is_fraction, operands)) and text not in allowed:
+            found.append((node.lineno, text))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py")))
+def test_no_float_division(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert float_divisions(source, FRACTION_DIVISIONS.get(module, set())) == []
+
+
+def test_float_division_is_caught():
+    source = ("c = coeff / (e + 1)\n"
+              "c = Fraction(coeff) / (e + 1)\n"
+              "c = coeff / Fraction(2)\n"
+              "c /= 3\n"
+              "c = x / scale\n"
+              "c = n // 2\n")
+    assert float_divisions(source) == [
+        "line 1: coeff / (e + 1)", "line 4: c /= 3", "line 5: x / scale"]
+    assert float_divisions(source, {"x / scale"}) == [
+        "line 1: coeff / (e + 1)", "line 4: c /= 3"]

@@ -343,6 +343,36 @@ def test_main_certificate_residuals_not_an_object(tmp_path, capsys):
     assert code == 2 and out["error_kind"] == "ProblemFormatError"
 
 
+@pytest.mark.parametrize("residuals", [
+    {"99999999999999999999": 1}, {"0": -5}, {"0": 10 ** 4000},
+], ids=["huge_index", "negative_order", "huge_order"])
+def test_main_verify_rejects_residuals_it_does_not_find(tmp_path, capsys,
+                                                        residuals):
+    code, out = _verify_with_residuals(tmp_path, capsys, residuals)
+    assert code == 1 and out["ok"] is False
+    # the change itself is sound: only the stored residual map is wrong
+    assert out["residuals"] == {} and out["inverse_consistent"] is True
+
+
+def test_main_verify_checks_nonempty_residuals(tmp_path, capsys):
+    # y^6 sits on the base-order boundary, so the certificate is clean in
+    # the window but records a leftover of order 6 on generator 0
+    data = problem_dict(task="frobenius", fields=[
+        {"name": "X", "coefficients": {"x": "1", "y": "y^6"}},
+    ])
+    path = write_problem(tmp_path, data)
+    main(["--input", path])
+    report = json.loads(capsys.readouterr().out)
+    assert report["residuals"] == {"0": 6}
+    cert = {k: report[k] for k in ("adapted", "change", "inverse", "residuals")}
+    for residuals, code in [({"0": 6}, 0), ({"0": 5}, 1), ({}, 1),
+                            ({"0": 6, "1": 6}, 1)]:
+        cert["residuals"] = residuals
+        cert_path = write_problem(tmp_path, cert, name="cert.json")
+        assert main(["--input", path, "--verify", cert_path]) == code
+        assert json.loads(capsys.readouterr().out)["ok"] is (code == 0)
+
+
 @pytest.mark.parametrize("expr", ["(" * 5000 + "x" + ")" * 5000,
                                   "-" * 5000 + "x"],
                          ids=["parentheses", "unary_minus"])
