@@ -16,10 +16,12 @@ source chart; ``pushforward(change, X)`` rewrites a field on the source
 chart in the target coordinates.
 
 Where one image map substitutes several series, the map is checked once
-and its powers are built once (``series._substitution``): each Picard pass
-of the inversion pushes every image through the current inverse, ``then``
-pushes each direction through one map, and ``pushforward`` pushes every
-coefficient through the inverse images.
+and its powers are built once, as term rows (``series._substitution``):
+each Picard pass of the inversion substitutes every image into the current
+inverse, ``then`` substitutes each direction through one map, and
+``pushforward`` substitutes every coefficient into the inverse images.
+Powers and partial products are multiplied as rows, so none of these
+builds a series per product, only one per result.
 """
 
 from __future__ import annotations
@@ -212,7 +214,8 @@ def _invert_map(images: Mapping[str, GradedSeries],
     """Inverse substitution of ``images`` (keyed chart written on the value
     chart): from ``u = 0``, repeat ``u <- u + A^{-1}(k - images(u))`` until a
     pass changes nothing.  Pass p fixes total degree p, so the window needs
-    at most ``j_order + base_order + 1`` passes."""
+    at most ``j_order + base_order + 1`` passes.  Each update is summed in
+    one coefficient map."""
     linear = [next(iter(values_on.coordinate(v).terms)) for v in values_on.names]
     ainv = rational_inverse([[images[k].coefficient(m) for m in linear]
                              for k in keyed.names])
@@ -226,11 +229,13 @@ def _invert_map(images: Mapping[str, GradedSeries],
                  for kname in keyed.names}
         new = {}
         for u, uname in enumerate(values_on.names):
-            acc = current[uname]
-            for k, kname in enumerate(keyed.names):
-                if ainv[u][k]:
-                    acc = acc + error[kname] * ainv[u][k]
-            new[uname] = acc
+            used = [(a, error[kname]) for a, kname in zip(ainv[u], keyed.names) if a]
+            acc = dict(current[uname].terms)
+            for a, err in used:
+                for m, c in err.terms.items():
+                    acc[m] = acc.get(m, 0) + a * c
+            flags = current[uname]._flags_with(*(err for _, err in used))
+            new[uname] = GradedSeries(keyed, acc, _trusted=True, **flags)
         if all(new[n].terms == current[n].terms for n in new):
             return new
         current = new

@@ -24,7 +24,8 @@ from .errors import (
     NotInvertibleModJ,
 )
 from .grading import DegreeVector
-from .series import ChartSpec, Coefficient, GradedSeries, value_at_origin
+from .series import (ChartSpec, Coefficient, GradedSeries, _canonical,
+                     value_at_origin)
 
 
 # ---------------------------------------------------------------------------
@@ -32,15 +33,18 @@ from .series import ChartSpec, Coefficient, GradedSeries, value_at_origin
 # ---------------------------------------------------------------------------
 
 class RowSpan:
-    """Incremental row space over Q, kept in reduced echelon form."""
+    """Incremental row space over Q, kept in reduced echelon form.
+
+    Entries stay ``int`` until a pivot other than 1 divides a row, and an
+    integral quotient is turned back into an ``int``."""
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[list[Coefficient]] = []
         self.pivots: list[int] = []
 
-    def residual(self, vec: Sequence[Coefficient]) -> list[Fraction]:
-        v = [Fraction(x) for x in vec]
+    def residual(self, vec: Sequence[Coefficient]) -> list[Coefficient]:
+        v = list(vec)
         for row, p in zip(self.rows, self.pivots):
             if v[p]:
                 factor = v[p]
@@ -53,8 +57,9 @@ class RowSpan:
         p = next((i for i, x in enumerate(v) if x), None)
         if p is None:
             return False
-        scale = v[p]
-        v = [x / scale for x in v]
+        if v[p] != 1:
+            inv = Fraction(1) / v[p]
+            v = [_canonical(x * inv) for x in v]
         for row in self.rows:
             if row[p]:
                 factor = row[p]
@@ -81,7 +86,7 @@ def rational_inverse(rows: Sequence[Sequence[Coefficient]]
         span.try_add([*row, *(int(i == j) for j in range(n))])
     if any(p >= n for p in span.pivots):
         return None
-    return [[x.numerator if x.denominator == 1 else x for x in row[n:]]
+    return [[_canonical(x) for x in row[n:]]
             for _, row in sorted(zip(span.pivots, span.rows))]
 
 
@@ -101,7 +106,7 @@ class TangentVector:
     def make(cls, degree: DegreeVector,
              components: Mapping[str, Fraction]) -> "TangentVector":
         items = tuple(sorted(
-            (name, Fraction(c)) for name, c in components.items() if c
+            (name, _canonical(Fraction(c))) for name, c in components.items() if c
         ))
         return cls(degree, items)
 

@@ -21,6 +21,15 @@ information: when the integral of a representable term is not
 representable, the term is dropped and the result is marked with a
 truncation-loss flag (``base_loss`` / ``j_loss``) that propagates through
 everything computed from it.
+
+Products run on term rows, which a series works out once from its terms
+and caches: ``(monomial, coefficient, J-degree, base degree, odd-support
+mask, odd-exponent mask, sign mask)``, where bit ``i`` of the sign mask is
+``sum_{j<i} (e_j mod 2) <deg_j, deg_i> mod 2``.  A product term's degrees
+and masks are the sums and XORs of its factors', so a product's rows come
+out of the product itself, and a substitution multiplies rows without
+building a series per power or partial product.  A series' ``terms`` are
+never changed after construction, or its cached rows would go stale.
 """
 
 from __future__ import annotations
@@ -47,6 +56,12 @@ from .grading import DegreeVector
 Rational = Union[Fraction, int, str]
 # canonical coefficient: never a Fraction whose denominator is 1
 Coefficient = Union[int, Fraction]
+
+
+def _canonical(c: Coefficient) -> Coefficient:
+    """The one canonical form of a coefficient: an integral ``Fraction``
+    becomes its ``int``."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +141,14 @@ class ChartSpec:
         return tuple(
             tuple(a.dot(b) for b in self.degrees) for a in self.degrees
         )
+
+    @cached_property
+    def _row_masks(self) -> tuple[int, tuple[int, ...]]:
+        # the bits of the odd coordinates, and per coordinate j the bits of
+        # the later coordinates i with <deg_j, deg_i> = 1
+        return (sum(1 << i for i, odd in enumerate(self.odd_flags) if odd),
+                tuple(sum(1 << i for i in range(j + 1, len(row)) if row[i])
+                      for j, row in enumerate(self.pair_table)))
 
     @cached_property
     def zero_degree(self) -> DegreeVector:
@@ -273,7 +296,7 @@ _UNSET = object()
 class GradedSeries:
     """Element of the truncated chart ring with exact rational coefficients."""
 
-    __slots__ = ("chart", "terms", "_degree", "base_loss", "j_loss")
+    __slots__ = ("chart", "terms", "_degree", "_rows", "base_loss", "j_loss")
 
     def __init__(self, chart: ChartSpec,
                  terms: Mapping[Monomial, Rational],
@@ -298,11 +321,10 @@ class GradedSeries:
                     continue
                 summed[mon] = summed.get(mon, 0) + coeff
             terms = summed
-        # the one place a coefficient takes its canonical form
-        clean = {m: c.numerator if type(c) is Fraction and c.denominator == 1
-                 else c for m, c in terms.items() if c}
+        clean = {m: _canonical(c) for m, c in terms.items() if c}
         self.terms: dict[Monomial, Coefficient] = clean
         self._degree = _UNSET
+        self._rows = None
         if declared_degree is not None:
             for mon in clean:
                 if mon.degree(chart) != declared_degree:
@@ -339,6 +361,26 @@ class GradedSeries:
     def sorted_terms(self) -> list[tuple[Monomial, Coefficient]]:
         return sorted(self.terms.items(),
                       key=lambda mc: (mc[0].total_degree, mc[0].exps))
+
+    def _term_rows(self) -> list[tuple]:
+        """The cached term rows (see the module docstring)."""
+        if self._rows is None:
+            odd_mask, later = self.chart._row_masks
+            base = self.chart.base_indices
+            self._rows = []
+            for mon, c in self.terms.items():
+                par = sign = b = 0
+                for i, e in enumerate(mon):
+                    if e & 1:
+                        par |= 1 << i
+                        sign ^= later[i]
+                for i in base:
+                    b += mon[i]
+                # an odd coordinate's exponent is 0 or 1, so its odd-exponent
+                # bit is its support bit
+                self._rows.append((mon, c, sum(mon) - b, b, par & odd_mask,
+                                   par, sign))
+        return self._rows
 
     def _flags_with(self, *others: "GradedSeries") -> dict:
         return {
@@ -491,62 +533,54 @@ def multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
 
     Merging two canonical monomials moves every right factor of coordinate
     index j past the left factors of index i > j; each pass contributes
-    ``(-1)^{<deg_i, deg_j>}``.
-
-    The window is checked first, on degrees summed per term; a pair past it
-    that is no odd square is built, unsigned, only for a drop collector.
-    Two integral coefficients multiply as ``int``s; only a pair with a
-    ``Fraction`` factor takes the ``Fraction`` path.
+    ``(-1)^{<deg_i, deg_j>}``, so the pair's sign is
+    ``(-1)^{popcount(par1 & sign2)}`` on the term rows, and the pair is an
+    odd square exactly when ``osup1 & osup2`` is nonzero.  The product is
+    `_multiply_rows` on the cached rows; its rows are cached on the result.
     """
     chart = _same_chart(f, g)
-    pair = chart.pair_table
-    odd = chart.odd_flags
-    nz_idx = chart.nonzero_indices
-    b_idx = chart.base_indices
+    rows = _multiply_rows(f._term_rows(), g._term_rows(), chart)
+    out = GradedSeries(chart, {row[0]: row[1] for row in rows},
+                       _trusted=True, **f._flags_with(g))
+    out._rows = rows
+    return out
+
+
+def _multiply_rows(rows1: list[tuple], rows2: list[tuple],
+                   chart: ChartSpec) -> list[tuple]:
+    """Rows of the product of two row lists, truncated to the window.
+
+    The window is checked first, on the rows' degrees; a pair past it that
+    is no odd square is built, unsigned, only for a drop collector.  Two
+    integral coefficients multiply as ``int``s; only a pair with a
+    ``Fraction`` factor takes the ``Fraction`` path.
+    """
     jmax, bmax = chart.j_order, chart.base_order
     sink = _DROP_SINK.get()
-    right = [(e2, c2, sum(e2[i] for i in nz_idx), sum(e2[i] for i in b_idx))
-             for e2, c2 in g.terms.items()]
-
-    out: dict[Monomial, Coefficient] = {}
-    for e1, c1 in f.terms.items():
-        nz1 = [i for i, v in enumerate(e1) if v]
-        j_room = jmax - sum(e1[i] for i in nz_idx)
-        b_room = bmax - sum(e1[i] for i in b_idx)
-        for e2, c2, j2, b2 in right:
-            outside = j2 > j_room or b2 > b_room
-            if outside and sink is None:
+    out: dict[Monomial, list] = {}
+    for m1, c1, j1, b1, o1, p1, s1 in rows1:
+        j_room = jmax - j1
+        b_room = bmax - b1
+        for m2, c2, j2, b2, o2, p2, s2 in rows2:
+            if j2 > j_room or b2 > b_room:
+                if sink is not None and not o1 & o2:
+                    sink.append((Monomial(map(add, m1, m2)), c1 * c2))
                 continue
-            sign_exp = 0
-            dead = False
-            for j, vj in enumerate(e2):
-                if not vj:
-                    continue
-                if e1[j] and odd[j]:
-                    dead = True
-                    break
-                pj = pair[j]
-                for i in nz1:
-                    if i > j:
-                        sign_exp += e1[i] * vj * pj[i]
-            if dead:
+            if o1 & o2:
                 continue
-            mon = Monomial(map(add, e1, e2))
-            if outside:
-                sink.append((mon, c1 * c2))
-                continue
-            coeff = c1 * c2 if sign_exp % 2 == 0 else -c1 * c2
-            acc = out.get(mon)
-            if acc is None:
-                out[mon] = coeff
+            mon = Monomial(map(add, m1, m2))
+            coeff = -c1 * c2 if (p1 & s2).bit_count() & 1 else c1 * c2
+            row = out.get(mon)
+            if row is None:
+                out[mon] = [coeff, j1 + j2, b1 + b2, o1 | o2, p1 ^ p2, s1 ^ s2]
             else:
-                acc += coeff
-                if acc:
-                    out[mon] = acc
+                coeff += row[0]
+                if coeff:
+                    row[0] = coeff
                 else:
                     del out[mon]
-
-    return GradedSeries(chart, out, _trusted=True, **f._flags_with(g))
+    return [(m, _canonical(c), j, b, o, p, s)
+            for m, (c, j, b, o, p, s) in out.items()]
 
 
 def derive(f: GradedSeries, name: str) -> GradedSeries:
@@ -702,16 +736,19 @@ def compose(f: GradedSeries, images: Mapping[str, GradedSeries],
 def _substitution(images: Mapping[str, GradedSeries], keyed: ChartSpec,
                   into_chart: ChartSpec):
     """`compose` through one image map, checked once: the returned function
-    takes series on ``keyed`` and shares one power cache across them."""
+    takes series on ``keyed`` and shares one power cache across them.
+
+    Powers and partial products are row lists multiplied by
+    `_multiply_rows`, so no series is built but the result."""
     check_images(images, keyed, into_chart)
     unit = into_chart.unit_monomial
-    pow_cache: dict[tuple[int, int], GradedSeries] = {}
+    pow_cache: dict[tuple[int, int], list[tuple]] = {}
 
-    def power(i: int, e: int) -> GradedSeries:
+    def power(i: int, e: int) -> list[tuple]:
         got = pow_cache.get((i, e))
         if got is None:
-            img = images[keyed.names[i]]
-            got = img if e == 1 else multiply(power(i, e - 1), img)
+            img = images[keyed.names[i]]._term_rows()
+            got = img if e == 1 else _multiply_rows(power(i, e - 1), img, into_chart)
             pow_cache[(i, e)] = got
         return got
 
@@ -724,11 +761,18 @@ def _substitution(images: Mapping[str, GradedSeries], keyed: ChartSpec,
             for i, e in enumerate(mon):
                 if not e:
                     continue
-                acc = (power(i, e) * coeff if acc is None
-                       else multiply(acc, power(i, e)))
-                if acc.is_zero:
+                if acc is None:
+                    acc = power(i, e)
+                    if coeff != 1:
+                        acc = [(m, _canonical(c * coeff), j, b, o, p, s)
+                               for m, c, j, b, o, p, s in acc]
+                else:
+                    acc = _multiply_rows(acc, power(i, e), into_chart)
+                if not acc:
                     break
-            for m, c in (acc.terms if acc is not None else {unit: coeff}).items():
+            if acc is None:
+                acc = [(unit, coeff, 0, 0, 0, 0, 0)]
+            for m, c, _, _, _, _, _ in acc:
                 got = out.get(m)
                 if got is None:
                     out[m] = c

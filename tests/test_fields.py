@@ -332,20 +332,21 @@ def test_then_and_pushforward_match_one_compose_per_series(chart):
 def test_substitution_multiply_counts(monkeypatch):
     # work counts, not timings: powers are built once per image map and a
     # term starts from its scaled first power (200 and 172 calls when each
-    # compose rebuilt its powers from a constant series)
+    # compose rebuilt its powers from a constant series); substitution
+    # multiplies term rows, so the count is taken at the row product
     chart = standard_chart()
     rng = random.Random(3)
     a = random_centered_change(rng, chart, extra_terms=2)
     b = random_centered_change(rng, chart, extra_terms=2)
     calls = 0
-    real = znfrob.series.multiply
+    real = znfrob.series._multiply_rows
 
-    def counted(f, g):
+    def counted(rows1, rows2, chart):
         nonlocal calls
         calls += 1
-        return real(f, g)
+        return real(rows1, rows2, chart)
 
-    monkeypatch.setattr(znfrob.series, "multiply", counted)
+    monkeypatch.setattr(znfrob.series, "_multiply_rows", counted)
     a.then(b)
     assert calls == 112
     calls = 0

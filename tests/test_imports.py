@@ -161,3 +161,39 @@ def test_float_division_is_caught():
         "line 1: coeff / (e + 1)", "line 4: c /= 3", "line 5: x / scale"]
     assert float_divisions(source, {"x / scale"}) == [
         "line 1: coeff / (e + 1)", "line 4: c /= 3"]
+
+
+# the slot that caches a series' term rows: only series.py keeps it in step
+# with the terms, so no other module reads or writes it
+ROW_CACHE = "_rows"
+
+
+def row_cache_accesses(source: str) -> list[str]:
+    """Attribute reads or writes of the row-cache slot, and the slot's name
+    as a string (``getattr``/``setattr``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == ROW_CACHE:
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Constant) and node.value == ROW_CACHE:
+            found.append((node.lineno, repr(node.value)))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py") if p.name != "series.py"))
+def test_row_cache_stays_in_series(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert row_cache_accesses(source) == []
+
+
+def test_row_cache_access_is_caught():
+    source = ("rows = f._rows\n"
+              "out._rows = rows\n"
+              "setattr(g, '_rows', None)\n"
+              "rows = f._term_rows()\n"
+              "other = f.rows\n")
+    assert row_cache_accesses(source) == [
+        "line 1: f._rows", "line 2: out._rows", "line 3: '_rows'"]
+    assert row_cache_accesses((PACKAGE / "series.py").read_text(
+        encoding="utf-8"))

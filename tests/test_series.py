@@ -1,5 +1,6 @@
 import random
 import threading
+from operator import add
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from helpers import (
 )
 from znfrob import (
     ChartError,
+    ChartSpec,
     DegreeVector,
     GradedSeries,
     HomogeneityError,
@@ -401,3 +403,89 @@ def test_centered_power_matches_chained_products(chart, k, drops, terms):
                                                    chained.j_loss)
     assert power_drops == chained_drops
     assert (len(power_drops), len(powered.terms)) == (drops, terms)
+
+
+def interleaved_chart():
+    # n=3, odd and even degrees interleaved in the coordinate order, so
+    # that sign-mask bits sit between base and odd coordinates
+    return ChartSpec.build(3, [("a", (1, 0, 0)), ("x", (0, 0, 0)),
+                               ("b", (0, 1, 1)), ("c", (1, 1, 0)),
+                               ("y", (0, 0, 0))], j_order=3, base_order=3)
+
+
+@pytest.mark.parametrize("seed", [5, 17, 43])
+def test_interleaved_chart_products_match_transposition_oracle(seed):
+    chart = interleaved_chart()
+    odd = [i for i, flag in enumerate(chart.odd_flags) if flag]
+    rng = random.Random(seed)
+    signs = {1: 0, -1: 0}
+    dropped = 0
+    for _ in range(20):
+        f = random_series(rng, chart, terms=rng.randint(2, 6))
+        g = random_series(rng, chart, terms=rng.randint(2, 6))
+        expected, drops = {}, []
+        for m1, c1 in f.terms.items():
+            for m2, c2 in g.terms.items():
+                mon, sign = oracle_multiply_monomials(chart, m1, m2)
+                if mon is not None:
+                    signs[sign] += 1
+                    expected[mon] = expected.get(mon, 0) + c1 * c2 * sign
+                    continue
+                summed = Monomial(map(add, m1, m2))
+                if all(summed[i] < 2 for i in odd):
+                    drops.append((summed, c1 * c2))
+        want = {m: c for m, c in expected.items() if c}
+        assert multiply(f, g).terms == want
+        with collect_truncation_drops() as sink:
+            assert multiply(f, g).terms == want
+        assert sink == drops
+        dropped += len(drops)
+    assert signs[-1] > 10 and signs[1] > 10 and dropped > 10
+
+
+def rows_by_definition(s):
+    """Term rows straight from their definition: bit i of the sign mask is
+    the parity of sum_{j<i} e_j <deg_j, deg_i>."""
+    chart = s.chart
+    pair = chart.pair_table
+    rows = []
+    for mon, c in s.terms.items():
+        sign = sum((sum(mon[j] * pair[j][i] for j in range(i)) % 2) << i
+                   for i in range(len(mon)))
+        rows.append((mon, c, mon.j_degree(chart), mon.base_degree(chart),
+                     sum(1 << i for i, e in enumerate(mon)
+                         if e and chart.odd_flags[i]),
+                     sum(1 << i for i, e in enumerate(mon) if e % 2), sign))
+    return rows
+
+
+def test_cached_rows_match_rows_from_terms(monkeypatch):
+    import znfrob.series
+    chart = interleaved_chart()
+    made = []
+    real = znfrob.series._multiply_rows
+
+    def recording(rows1, rows2, chart):
+        out = real(rows1, rows2, chart)
+        made.append(out)
+        return out
+
+    monkeypatch.setattr(znfrob.series, "_multiply_rows", recording)
+    f = series_of(chart, "x^2*b + 1/2*a*c*y - 3*x*y^2 + 2*a*x + b*c - 1")
+    g = series_of(chart, "a*b + 2*x*c - 1/3*y + c^2")
+    product = multiply(f, g)
+    assert product._term_rows() is made[-1]
+    power = f ** 3
+    images = {"a": series_of(chart, "a + x*a - 2*a*c^2"),
+              "x": series_of(chart, "x + 1/2*x^2 + c^2"),
+              "b": series_of(chart, "b - y*b + b*c^2"),
+              "c": series_of(chart, "2*c + x*c"),
+              "y": series_of(chart, "y + x*y - 1/4*x^2")}
+    pulled = compose(f, images, chart)
+    assert len(made) > 10
+    for rows in made:
+        built = GradedSeries(chart, {row[0]: row[1] for row in rows})
+        assert rows == rows_by_definition(built)
+    for s in (product, power, pulled, f, g):
+        assert s._term_rows() == rows_by_definition(s)
+
