@@ -20,7 +20,7 @@ from .errors import ChartError, DependentAtPoint
 from .fields import VectorField, bracket
 from .grading import DegreeVector
 from .linalg import GradedMatrix, RowSpan, invert_mod_J
-from .series import ChartSpec, GradedSeries, certified_part
+from .series import ChartSpec, GradedSeries, certified_part, value_at_origin
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,8 @@ def _normalize(D: Distribution) -> _Normalized:
     span = RowSpan(width)
     pivots: list[str] = []
     for gen in gens:
-        if not span.try_add(gen.tangent_at_origin().as_row(chart)):
+        if not span.try_add([value_at_origin(gen.coefficient(name))
+                             for name in chart.names]):
             raise DependentAtPoint(
                 "generators are linearly dependent at the base point")
         pivots.append(chart.names[span.pivots[-1]])

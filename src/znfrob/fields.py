@@ -35,9 +35,9 @@ from .errors import (
     JacobianSingular,
 )
 from .grading import DegreeVector, scalar_product
-from .linalg import TangentVector, rational_inverse
-from .series import (ChartSpec, GradedSeries, _substitution, check_images,
-                     compose, derive, multiply, value_at_origin)
+from .linalg import rational_inverse
+from .series import (ChartSpec, GradedSeries, _combination, _substitution,
+                     check_images, compose, derive, multiply)
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +93,6 @@ class VectorField:
                 continue
             acc = acc + multiply(a, df)
         return acc
-
-    def tangent_at_origin(self) -> TangentVector:
-        comps = {
-            name: value_at_origin(a)
-            for name, a in self.coefficients.items()
-        }
-        return TangentVector.make(self.degree, comps)
 
     def scaled_by(self, f: GradedSeries) -> "VectorField":
         """Left multiplication by a homogeneous series."""
@@ -229,13 +222,8 @@ def _invert_map(images: Mapping[str, GradedSeries],
                  for kname in keyed.names}
         new = {}
         for u, uname in enumerate(values_on.names):
-            used = [(a, error[kname]) for a, kname in zip(ainv[u], keyed.names) if a]
-            acc = dict(current[uname].terms)
-            for a, err in used:
-                for m, c in err.terms.items():
-                    acc[m] = acc.get(m, 0) + a * c
-            flags = current[uname]._flags_with(*(err for _, err in used))
-            new[uname] = GradedSeries(keyed, acc, _trusted=True, **flags)
+            new[uname] = _combination(current[uname], [
+                (a, error[kname]) for a, kname in zip(ainv[u], keyed.names) if a])
         if all(new[n].terms == current[n].terms for n in new):
             return new
         current = new

@@ -58,10 +58,10 @@ from .linalg import GradedMatrix
 from .series import (
     ChartSpec,
     GradedSeries,
-    Monomial,
     _substitution,
     antiderivative,
     certified_part,
+    derive,
     multiply,
     reduce_mod_j,
     value_at_origin,
@@ -131,17 +131,8 @@ def _j_linear_step(X: VectorField, pivot: str) -> Optional[CoordinateChange]:
     if not nz:
         return None
     # b[rho][tau]: coefficient of tau in the J-linear part of X's rho entry
-    b = [[chart.zero()] * len(nz) for _ in nz]
-    for row, rho in zip(b, nz):
-        for mon, c in X.coefficient(rho).terms.items():
-            if mon.j_degree(chart) != 1:
-                continue
-            tau_pos = next(i for i in chart.nonzero_indices if mon.exps[i])
-            base_exps = list(mon.exps)
-            base_exps[tau_pos] = 0
-            col = chart.nonzero_indices.index(tau_pos)
-            row[col] = row[col] + GradedSeries(
-                chart, {Monomial(tuple(base_exps)): c}, _trusted=True)
+    b = [[reduce_mod_j(derive(X.coefficient(rho), tau)) for tau in nz]
+         for rho in nz]
     degrees = tuple(chart.degree_of(rho) for rho in nz)
     B = GradedMatrix(chart, degrees, degrees, b)
     if B.is_zero:
@@ -369,7 +360,6 @@ class AdaptedReport:
 
     ok: bool
     generator_residuals: tuple[Optional[int], ...]
-    generator_tolerated: tuple[bool, ...]
     rank_ok: bool
     reverse_ok: bool
     base_loss: bool
@@ -444,16 +434,11 @@ def verify_adapted(D: Distribution, cert: FrobeniusCertificate) -> AdaptedReport
     elif cert.adapted:
         reverse_ok = False
 
-    ok = all(tolerated) and rank_ok and reverse_ok
-    return AdaptedReport(
-        ok=ok,
-        generator_residuals=tuple(residual_orders),
-        generator_tolerated=tuple(tolerated),
-        rank_ok=rank_ok,
-        reverse_ok=reverse_ok,
-        base_loss=base_loss,
-        j_loss=j_loss,
-    )
+    # the fields in order: ok, generator_residuals, rank_ok, reverse_ok,
+    # base_loss, j_loss
+    return AdaptedReport(all(tolerated) and rank_ok and reverse_ok,
+                         tuple(residual_orders), rank_ok, reverse_ok,
+                         base_loss, j_loss)
 
 
 def adapted_coordinates(D: Distribution) -> FrobeniusCertificate:

@@ -392,14 +392,14 @@ def _infer_field_degree(chart: ChartSpec, coeffs: dict[str, GradedSeries],
         f"{where}: zero field needs an explicit degree")
 
 
-def _selected_fields(spec: ProblemSpec, key: str = "generators") -> list[VectorField]:
-    names = spec.args.get(key, list(spec.field_order))
+def _selected_fields(spec: ProblemSpec) -> list[VectorField]:
+    names = spec.args.get("generators", list(spec.field_order))
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
-        raise ProblemFormatError(f"args.{key} must be a list of field names")
+        raise ProblemFormatError("args.generators must be a list of field names")
     out = []
     for name in names:
         if name not in spec.fields:
-            raise ProblemFormatError(f"unknown field {name!r} in args.{key}")
+            raise ProblemFormatError(f"unknown field {name!r} in args.generators")
         out.append(spec.fields[name])
     return out
 

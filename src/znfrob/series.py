@@ -10,17 +10,19 @@ commutative algebra on the chart coordinates by two relations:
 Monomials are exponent tuples, canonical by construction: factors sorted
 by chart coordinate order, all reordering signs folded into the exact
 coefficient.  A coefficient is an ``int`` when it is integral and a
-``Fraction`` only while a denominator remains: every series is built
-through one constructor that turns an integral ``Fraction`` back into an
-``int``, so integral arithmetic never takes the slow ``Fraction`` path.
-Dropping a monomial during multiplication or substitution is therefore
-*exact* quotient-ring arithmetic and carries no flag (`multiply` checks the
-window first and builds a dropped product only for a drop collector).
+``Fraction`` only while a denominator remains, so integral arithmetic never
+takes the slow ``Fraction`` path.  ``GradedSeries(chart, terms)`` is the
+one constructor and always checks its input; every kernel result comes
+from one private builder, `_built`, and every sum, difference, negation,
+scalar multiple and Picard update from one loop, `_combination`.
+Dropping a monomial during multiplication or substitution is *exact*
+quotient-ring arithmetic and carries no flag (`multiply` checks the window
+first and builds a dropped product only for a drop collector).
 Antiderivatives are the one lifted operation that can genuinely lose
 information: when the integral of a representable term is not
-representable, the term is dropped and the result is marked with a
-truncation-loss flag (``base_loss`` / ``j_loss``) that propagates through
-everything computed from it.
+representable, the term is dropped and the result carries truncation
+loss, one private value per series that ``|`` combines into everything
+computed from it and the read-only ``base_loss`` / ``j_loss`` report.
 
 Products run on term rows, which a series works out once from its terms
 and caches: ``(monomial, coefficient, J-degree, base degree, odd-support
@@ -29,7 +31,8 @@ mask, odd-exponent mask, sign mask)``, where bit ``i`` of the sign mask is
 and masks are the sums and XORs of its factors', so a product's rows come
 out of the product itself, and a substitution multiplies rows without
 building a series per power or partial product.  A series' ``terms`` are
-never changed after construction, or its cached rows would go stale.
+never changed after construction (a lint in the tests checks this), or
+its cached rows would go stale.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ import contextlib
 import contextvars
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb
-from operator import add
+from operator import add, or_
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import (
@@ -188,11 +191,11 @@ class ChartSpec:
     # -- series factories -----------------------------------------------------
 
     def zero(self) -> "GradedSeries":
-        return GradedSeries(self, {})
+        return _built(self, {})
 
     def constant(self, value: Rational) -> "GradedSeries":
         coeff = value if type(value) is int else Fraction(value)
-        return GradedSeries(self, {self.unit_monomial: coeff}, _trusted=True)
+        return _built(self, {self.unit_monomial: coeff})
 
     def one(self) -> "GradedSeries":
         return self.constant(1)
@@ -202,7 +205,7 @@ class ChartSpec:
         exps = [0] * len(self.coordinates)
         exps[i] = 1
         # both orders are at least 1, so a coordinate is inside the window
-        return GradedSeries(self, {Monomial(exps): 1}, _trusted=True)
+        return _built(self, {Monomial(exps): 1})
 
     def monomial(self, exponents: Mapping[str, int],
                  coefficient: Rational = 1) -> "GradedSeries":
@@ -292,48 +295,61 @@ def _note_drop(mon: Monomial, coeff: Coefficient) -> None:
 
 _UNSET = object()
 
+# the bits of a series' truncation loss
+_BASE_LOSS = 1
+_J_LOSS = 2
+
 
 class GradedSeries:
     """Element of the truncated chart ring with exact rational coefficients."""
 
-    __slots__ = ("chart", "terms", "_degree", "_rows", "base_loss", "j_loss")
+    __slots__ = ("chart", "terms", "_degree", "_rows", "_loss")
 
     def __init__(self, chart: ChartSpec,
                  terms: Mapping[Monomial, Rational],
-                 declared_degree: Optional[DegreeVector] = None,
-                 *, base_loss: bool = False, j_loss: bool = False,
-                 _trusted: bool = False):
-        self.chart = chart
-        self.base_loss = base_loss
-        self.j_loss = j_loss
-        if not _trusted:
-            summed = {}
-            for mon, raw in terms.items():
-                coeff = Fraction(raw)
-                if not coeff:
-                    continue
-                if any(mon.exps[i] > 1 for i in chart.nonzero_indices
-                       if chart.odd_flags[i]):
-                    continue  # odd square: zero in the ring
-                if (mon.j_degree(chart) > chart.j_order
-                        or mon.base_degree(chart) > chart.base_order):
-                    _note_drop(mon, coeff)
-                    continue
-                summed[mon] = summed.get(mon, 0) + coeff
-            terms = summed
-        clean = {m: _canonical(c) for m, c in terms.items() if c}
-        self.terms: dict[Monomial, Coefficient] = clean
-        self._degree = _UNSET
-        self._rows = None
+                 declared_degree: Optional[DegreeVector] = None):
+        kept = {}
+        for mon, raw in terms.items():
+            coeff = Fraction(raw)
+            if not coeff:
+                continue
+            if any(mon.exps[i] > 1 for i in chart.nonzero_indices
+                   if chart.odd_flags[i]):
+                continue  # odd square: zero in the ring
+            if (mon.j_degree(chart) > chart.j_order
+                    or mon.base_degree(chart) > chart.base_order):
+                _note_drop(mon, coeff)
+                continue
+            kept[mon] = coeff
+        self._fill(chart, kept, 0, None)
         if declared_degree is not None:
-            for mon in clean:
+            for mon in self.terms:
                 if mon.degree(chart) != declared_degree:
                     raise HomogeneityError(
                         f"monomial {mon.label(chart)} has degree "
                         f"{mon.degree(chart)}, declared {declared_degree}"
                     )
 
+    def _fill(self, chart: ChartSpec, terms: Mapping[Monomial, Coefficient],
+              loss: int, rows: Optional[list[tuple]]) -> "GradedSeries":
+        """Set every slot; only the constructor and `_built` call this."""
+        self.chart = chart
+        self.terms: dict[Monomial, Coefficient] = {
+            m: _canonical(c) for m, c in terms.items() if c}
+        self._loss = loss
+        self._degree = _UNSET
+        self._rows = rows
+        return self
+
     # -- basic structure ----------------------------------------------------
+
+    @property
+    def base_loss(self) -> bool:
+        return bool(self._loss & _BASE_LOSS)
+
+    @property
+    def j_loss(self) -> bool:
+        return bool(self._loss & _J_LOSS)
 
     @property
     def is_zero(self) -> bool:
@@ -382,45 +398,39 @@ class GradedSeries:
                                    par, sign))
         return self._rows
 
-    def _flags_with(self, *others: "GradedSeries") -> dict:
-        return {
-            "base_loss": self.base_loss or any(o.base_loss for o in others),
-            "j_loss": self.j_loss or any(o.j_loss for o in others),
-        }
-
     # -- ring operations ------------------------------------------------------
 
-    def __add__(self, other):
+    def _operand(self, other) -> Optional["GradedSeries"]:
+        """``other`` as a series on this chart, or None for a non-number."""
         if isinstance(other, (int, Fraction)):
-            other = self.chart.constant(other)
-        if not isinstance(other, GradedSeries):
+            return self.chart.constant(other)
+        if isinstance(other, GradedSeries):
+            _same_chart(self, other)
+            return other
+        return None
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        _same_chart(self, other)
-        terms = dict(self.terms)
-        for mon, c in other.terms.items():
-            acc = terms.get(mon, 0) + c
-            if acc:
-                terms[mon] = acc
-            else:
-                terms.pop(mon, None)
-        return GradedSeries(self.chart, terms, _trusted=True,
-                            **self._flags_with(other))
+        return _combination(self, ((1, other),))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedSeries(self.chart, {m: -c for m, c in self.terms.items()},
-                            _trusted=True, base_loss=self.base_loss, j_loss=self.j_loss)
+        return _combination(self.chart.zero(), ((-1, self),))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.chart.constant(other)
-        if not isinstance(other, GradedSeries):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        return self + (-other)
+        return _combination(self, ((-1, other),))
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return _combination(other, ((-1, self),))
 
     def __mul__(self, other):
         if isinstance(other, GradedSeries):
@@ -428,9 +438,7 @@ class GradedSeries:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self.chart.zero()
-            return GradedSeries(
-                self.chart, {m: c * other for m, c in self.terms.items()},
-                _trusted=True, base_loss=self.base_loss, j_loss=self.j_loss)
+            return _combination(self.chart.zero(), ((other, self),))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -457,8 +465,7 @@ class GradedSeries:
                 break
             if c or k == exponent:  # else the binomial term is zero
                 result += n_k * (comb(exponent, k) * c ** (exponent - k))
-        flags = self._flags_with() if exponent else {}
-        return GradedSeries(chart, result.terms, _trusted=True, **flags)
+        return _built(chart, result.terms, self._loss if exponent else 0)
 
     def __eq__(self, other):
         if not isinstance(other, GradedSeries):
@@ -479,8 +486,7 @@ class GradedSeries:
             if m.j_degree(chart) <= chart.j_order
             and m.base_degree(chart) <= chart.base_order
         }
-        return GradedSeries(chart, terms, _trusted=True,
-                            base_loss=self.base_loss, j_loss=self.j_loss)
+        return _built(chart, terms, self._loss)
 
     # -- presentation -----------------------------------------------------------
 
@@ -522,6 +528,29 @@ class GradedSeries:
 # operations
 # ---------------------------------------------------------------------------
 
+def _built(chart: ChartSpec, terms: Mapping[Monomial, Coefficient],
+           loss: int = 0, rows: Optional[list[tuple]] = None) -> GradedSeries:
+    """The one builder of kernel results: ``terms`` lie inside the window
+    and hold no odd square, so only zeros are dropped and coefficients made
+    canonical; ``rows``, when given, are the terms' cached rows."""
+    return object.__new__(GradedSeries)._fill(chart, terms, loss, rows)
+
+
+def _combination(base: GradedSeries,
+                 scaled: Iterable[tuple[Coefficient, GradedSeries]]
+                 ) -> GradedSeries:
+    """``base + sum a*s`` over the ``(a, s)`` pairs, summed in one
+    coefficient map, carrying the loss of ``base`` and of every ``s``.
+    The series share one chart, which the callers check."""
+    terms = base.terms.copy()
+    loss = base._loss
+    for a, s in scaled:
+        loss |= s._loss
+        for m, c in s.terms.items():
+            terms[m] = terms.get(m, 0) + a * c
+    return _built(base.chart, terms, loss)
+
+
 def _same_chart(f: GradedSeries, g: GradedSeries) -> ChartSpec:
     if f.chart != g.chart:
         raise ChartError("series live on different charts")
@@ -540,10 +569,8 @@ def multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     """
     chart = _same_chart(f, g)
     rows = _multiply_rows(f._term_rows(), g._term_rows(), chart)
-    out = GradedSeries(chart, {row[0]: row[1] for row in rows},
-                       _trusted=True, **f._flags_with(g))
-    out._rows = rows
-    return out
+    return _built(chart, {row[0]: row[1] for row in rows},
+                  f._loss | g._loss, rows)
 
 
 def _multiply_rows(rows1: list[tuple], rows2: list[tuple],
@@ -599,11 +626,9 @@ def derive(f: GradedSeries, name: str) -> GradedSeries:
             c = -c
         new = list(e)
         new[k] -= 1
-        key = Monomial(new)
-        acc = out.get(key)
-        out[key] = c if acc is None else acc + c
-    return GradedSeries(chart, out, _trusted=True,
-                        base_loss=f.base_loss, j_loss=f.j_loss)
+        # lowering one exponent maps distinct monomials to distinct ones
+        out[Monomial(new)] = c
+    return _built(chart, out, f._loss)
 
 
 def antiderivative(f: GradedSeries, name: str) -> GradedSeries:
@@ -621,8 +646,7 @@ def antiderivative(f: GradedSeries, name: str) -> GradedSeries:
     is_base = chart.base_flags[k]
     pair_k = chart.pair_table[k]
     out: dict[Monomial, Coefficient] = {}
-    base_loss = f.base_loss
-    j_loss = f.j_loss
+    loss = f._loss
     for mon, coeff in f.terms.items():
         e = mon.exps
         new = list(e)
@@ -631,20 +655,19 @@ def antiderivative(f: GradedSeries, name: str) -> GradedSeries:
         if is_base:
             if key.base_degree(chart) > chart.base_order:
                 _note_drop(key, coeff)
-                base_loss = True
+                loss |= _BASE_LOSS
                 continue
         else:
             if key.j_degree(chart) > chart.j_order:
                 _note_drop(key, coeff)
-                j_loss = True
+                loss |= _J_LOSS
                 continue
         sign_exp = sum(e[j] * pair_k[j] for j in range(k) if e[j])
         c = Fraction(coeff) / (e[k] + 1)
         if sign_exp % 2:
             c = -c
         out[key] = c
-    return GradedSeries(chart, out, _trusted=True,
-                        base_loss=base_loss, j_loss=j_loss)
+    return _built(chart, out, loss)
 
 
 def is_boundary_monomial(mon: Monomial, chart: ChartSpec) -> bool:
@@ -666,8 +689,7 @@ def certified_part(f: GradedSeries) -> GradedSeries:
     """The sub-series supported on the certified window."""
     terms = {m: c for m, c in f.terms.items()
              if not is_boundary_monomial(m, f.chart)}
-    return GradedSeries(f.chart, terms, _trusted=True,
-                        base_loss=f.base_loss, j_loss=f.j_loss)
+    return _built(f.chart, terms, f._loss)
 
 
 def reduce_series(f: GradedSeries, mode: str):
@@ -676,8 +698,7 @@ def reduce_series(f: GradedSeries, mode: str):
     chart = f.chart
     if mode == "mod_J":
         terms = {m: c for m, c in f.terms.items() if m.j_degree(chart) == 0}
-        return GradedSeries(chart, terms, _trusted=True,
-                            base_loss=f.base_loss, j_loss=f.j_loss)
+        return _built(chart, terms, f._loss)
     if mode == "at_point":
         return f.constant_term
     raise ValueError(f"unknown reduction mode {mode!r}")
@@ -741,6 +762,7 @@ def _substitution(images: Mapping[str, GradedSeries], keyed: ChartSpec,
     Powers and partial products are row lists multiplied by
     `_multiply_rows`, so no series is built but the result."""
     check_images(images, keyed, into_chart)
+    image_loss = reduce(or_, (img._loss for img in images.values()), 0)
     unit = into_chart.unit_monomial
     pow_cache: dict[tuple[int, int], list[tuple]] = {}
 
@@ -782,7 +804,6 @@ def _substitution(images: Mapping[str, GradedSeries], keyed: ChartSpec,
                         out[m] = got
                     else:
                         del out[m]
-        return GradedSeries(into_chart, out, _trusted=True,
-                            **f._flags_with(*images.values()))
+        return _built(into_chart, out, f._loss | image_loss)
 
     return substitute

@@ -115,11 +115,9 @@ def test_dead_method_is_caught():
 
 
 # true divisions whose operands are Fractions by construction, so they
-# cannot make a float: module -> the division as ``ast.unparse`` prints it
-FRACTION_DIVISIONS = {
-    # RowSpan.try_add: the residual's entries and its pivot are Fractions
-    "linalg.py": {"x / scale"},
-}
+# cannot make a float: module -> the division as ``ast.unparse`` prints it;
+# none at present
+FRACTION_DIVISIONS: dict[str, set[str]] = {}
 
 
 def float_divisions(source: str, allowed=frozenset()) -> list[str]:
@@ -163,19 +161,20 @@ def test_float_division_is_caught():
         "line 1: coeff / (e + 1)", "line 4: c /= 3"]
 
 
-# the slot that caches a series' term rows: only series.py keeps it in step
-# with the terms, so no other module reads or writes it
-ROW_CACHE = "_rows"
+# the series slots that cache term rows and hold truncation loss: only
+# series.py keeps them in step with the terms, so no other module reads or
+# writes them
+SERIES_SLOTS = ("_rows", "_loss")
 
 
 def row_cache_accesses(source: str) -> list[str]:
-    """Attribute reads or writes of the row-cache slot, and the slot's name
-    as a string (``getattr``/``setattr``)."""
+    """Attribute reads or writes of a private series slot, and the slot's
+    name as a string (``getattr``/``setattr``)."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr == ROW_CACHE:
+        if isinstance(node, ast.Attribute) and node.attr in SERIES_SLOTS:
             found.append((node.lineno, ast.unparse(node)))
-        elif isinstance(node, ast.Constant) and node.value == ROW_CACHE:
+        elif isinstance(node, ast.Constant) and node.value in SERIES_SLOTS:
             found.append((node.lineno, repr(node.value)))
     return [f"line {line}: {text}" for line, text in sorted(found)]
 
@@ -197,3 +196,86 @@ def test_row_cache_access_is_caught():
         "line 1: f._rows", "line 2: out._rows", "line 3: '_rows'"]
     assert row_cache_accesses((PACKAGE / "series.py").read_text(
         encoding="utf-8"))
+
+
+def test_loss_slot_access_is_caught():
+    source = ("loss = f._loss | g._loss\n"
+              "getattr(s, '_loss')\n"
+              "flag = f.base_loss\n")
+    assert row_cache_accesses(source) == [
+        "line 1: f._loss", "line 1: g._loss", "line 2: '_loss'"]
+
+
+# the attributes holding a kernel value's contents, each with the functions
+# allowed to write it: its class's constructor and, for a series, the builder
+VALUE_WRITERS = {
+    "terms": {("GradedSeries", "__init__"), ("GradedSeries", "_fill")},
+    "coefficients": {("VectorField", "__init__")},
+    "images": {("CoordinateChange", "__init__")},
+    "inverse_images": {("CoordinateChange", "__init__")},
+}
+MUTATING_METHODS = {"pop", "update", "setdefault", "clear", "popitem"}
+
+
+def value_writes(source: str) -> list[str]:
+    """Writes to a value attribute outside its writers: an attribute store
+    or ``del``, a subscript store or ``del`` on it, or a call of one of
+    ``MUTATING_METHODS`` on it."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.ClassDef):
+            scope = (node.name, None)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = (scope[0], node.name)
+        written = None
+        if (isinstance(node, (ast.Attribute, ast.Subscript))
+                and isinstance(node.ctx, (ast.Store, ast.Del))):
+            written = node
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATING_METHODS):
+            written = node.func.value
+        while isinstance(written, ast.Subscript):
+            written = written.value
+        if (isinstance(written, ast.Attribute) and written.attr in VALUE_WRITERS
+                and scope not in VALUE_WRITERS[written.attr]):
+            found.append((node.lineno, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), (None, None))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py")))
+def test_values_are_written_only_by_their_builders(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert value_writes(source) == []
+
+
+def test_value_write_is_caught():
+    source = ("class GradedSeries:\n"
+              "    def __init__(self, terms):\n"
+              "        self.terms = dict(terms)\n"
+              "    def scale(self, a):\n"
+              "        self.terms = {}\n"
+              "class VectorField:\n"
+              "    def __init__(self, f):\n"
+              "        f.terms[m] = 1\n"
+              "def edit(s, change, X):\n"
+              "    del s.terms[m]\n"
+              "    s.terms.pop(m)\n"
+              "    change.images.update({})\n"
+              "    change.inverse_images[u][m] = 0\n"
+              "    X.coefficients.setdefault('x', 0)\n"
+              "    del X.coefficients\n"
+              "    terms[m] = 1\n"
+              "    got = s.terms.get(m)\n"
+              "    s.terms.items()\n")
+    assert value_writes(source) == [
+        "line 5: self.terms", "line 8: f.terms[m]", "line 10: s.terms[m]",
+        "line 11: s.terms.pop(m)", "line 12: change.images.update({})",
+        "line 13: change.inverse_images[u][m]",
+        "line 14: X.coefficients.setdefault('x', 0)",
+        "line 15: X.coefficients"]

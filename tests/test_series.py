@@ -1,3 +1,4 @@
+import itertools
 import random
 import threading
 from operator import add
@@ -21,6 +22,7 @@ from znfrob import (
     OddIntegrationError,
     UnknownCoordinateError,
     antiderivative,
+    certified_part,
     collect_truncation_drops,
     compose,
     derive,
@@ -489,3 +491,46 @@ def test_cached_rows_match_rows_from_terms(monkeypatch):
     for s in (product, power, pulled, f, g):
         assert s._term_rows() == rows_by_definition(s)
 
+
+
+def test_loss_flags_are_read_only(chart):
+    s = antiderivative(series_of(chart, "x^6 + e"), "x")
+    for flag in ("base_loss", "j_loss"):
+        with pytest.raises(AttributeError):
+            setattr(s, flag, False)
+    assert s.base_loss and not s.j_loss
+
+
+def lossy_operands(chart):
+    """Nonzero series with no loss, base loss, j loss and both: each loss
+    comes from an antiderivative that drops a term past the window."""
+    base = antiderivative(series_of(chart, "x^6 + e + 1"), "x")  # x^7 drops
+    j = antiderivative(series_of(chart, "e^3 + x + 2"), "e")     # e^4 drops
+    both = antiderivative(series_of(chart, "x^6*e + x + e"), "x") + j
+    operands = [series_of(chart, "x*e - 3*x^2*e + 1"), base, j, both]
+    assert [(s.base_loss, s.j_loss) for s in operands] == [
+        (False, False), (True, False), (False, True), (True, True)]
+    assert not any(s.is_zero for s in operands)
+    return operands
+
+
+@pytest.mark.parametrize("arity, operation", [
+    (2, lambda f, g: f + g),
+    (2, lambda f, g: f - g),
+    (1, lambda f: 2 - f),
+    (1, lambda f: -f),
+    (1, lambda f: Fraction(-3, 2) * f),
+    (1, lambda f: f * 4),
+    (1, lambda f: f.truncated_to(f.chart.with_truncation(2, 3))),
+    (1, certified_part),
+    (1, reduce_mod_j),
+    (1, lambda f: derive(f, "x")),
+], ids=["add", "sub", "rsub", "neg", "scalar_left", "scalar_right",
+        "truncated_to", "certified_part", "reduce_mod_j", "derive"])
+def test_operations_carry_the_union_of_their_operands_loss(
+        chart, arity, operation):
+    operands = lossy_operands(chart)
+    for args in itertools.product(operands, repeat=arity):
+        out = operation(*args)
+        assert (out.base_loss, out.j_loss) == (
+            any(a.base_loss for a in args), any(a.j_loss for a in args))
