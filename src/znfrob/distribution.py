@@ -20,7 +20,8 @@ from .errors import ChartError, DependentAtPoint
 from .fields import VectorField, bracket
 from .grading import DegreeVector
 from .linalg import GradedMatrix, RowSpan, invert_mod_J
-from .series import ChartSpec, GradedSeries, certified_part, value_at_origin
+from .series import (ChartSpec, GradedSeries, _accumulate, certified_part,
+                     value_at_origin)
 
 
 @dataclass(frozen=True)
@@ -97,15 +98,12 @@ def _normalize(D: Distribution) -> _Normalized:
         [gen.coefficient(p) for p in pivots] for gen in gens
     ])
     s = invert_mod_J(block)
-    new_gens = []
-    for i in range(len(gens)):
-        acc = VectorField(chart, degrees[i], {})
-        for j, gen in enumerate(gens):
-            entry = s.entry(i, j)
-            if entry.is_zero:
-                continue
-            acc = acc + gen.scaled_by(entry)
-        new_gens.append(acc)
+    new_gens = [
+        VectorField(chart, degree, {
+            name: _accumulate(chart, [(1, entry, gen.coefficient(name))
+                                      for entry, gen in zip(row, gens)])
+            for name in chart.names})
+        for degree, row in zip(degrees, s.entries)]
     rest = tuple(n for n in chart.names if n not in pivots)
     return _Normalized(
         Distribution(chart, new_gens),
@@ -158,11 +156,10 @@ def membership(X: VectorField, D: Distribution) -> MembershipResult:
     norm = D.normalized()
     gens = norm.distribution.generators
     forced = tuple(X.coefficient(p) for p in norm.pivots)
-    residual = X
-    for f, g in zip(forced, gens):
-        if f.is_zero:
-            continue
-        residual = residual - g.scaled_by(f)
+    residual = VectorField(X.chart, X.degree, {
+        name: _accumulate(X.chart, [(1, X.coefficient(name)), *(
+            (-1, f, g.coefficient(name)) for f, g in zip(forced, gens))])
+        for name in X.chart.names})
     decisive = {
         name: series for name, series in (
             (n, certified_part(residual.coefficient(n)))
@@ -172,15 +169,9 @@ def membership(X: VectorField, D: Distribution) -> MembershipResult:
     if not decisive:
         # translate to coefficients on the original generators: f = f' S
         s = norm.transform
-        coeffs = []
-        for j in range(len(gens)):
-            acc = D.chart.zero()
-            for i, f in enumerate(forced):
-                entry = s.entry(i, j)
-                if f.is_zero or entry.is_zero:
-                    continue
-                acc = acc + f * entry
-            coeffs.append(acc)
+        coeffs = [_accumulate(D.chart, [(1, f, row[j])
+                                        for f, row in zip(forced, s.entries)])
+                  for j in range(len(gens))]
         leftover = residual if not residual.is_zero else None
         return MembershipResult(True, tuple(coeffs), leftover, None, None)
     first = next(name for name in D.chart.names if name in decisive)

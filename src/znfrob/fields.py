@@ -21,12 +21,14 @@ each Picard pass of the inversion substitutes every image into the current
 inverse, ``then`` substitutes each direction through one map, and
 ``pushforward`` substitutes every coefficient into the inverse images.
 Powers and partial products are multiplied as rows, so none of these
-builds a series per product, only one per result.
+builds a series per product, only one per result.  So do the Picard
+update, ``VectorField.apply`` and ``bracket`` (both of its halves at
+once): each result is one sum in ``series._accumulate``.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .errors import (
     ChartError,
@@ -36,7 +38,7 @@ from .errors import (
 )
 from .grading import DegreeVector, scalar_product
 from .linalg import rational_inverse
-from .series import (ChartSpec, GradedSeries, _combination, _substitution,
+from .series import (ChartSpec, GradedSeries, _accumulate, _substitution,
                      check_images, compose, derive, multiply)
 
 
@@ -86,13 +88,7 @@ class VectorField:
     def apply(self, f: GradedSeries) -> GradedSeries:
         if f.chart != self.chart:
             raise ChartError("field and series live on different charts")
-        acc = self.chart.zero()
-        for name, a in self.coefficients.items():
-            df = derive(f, name)
-            if df.is_zero:
-                continue
-            acc = acc + multiply(a, df)
-        return acc
+        return _accumulate(self.chart, _applied(self, f, 1))
 
     def scaled_by(self, f: GradedSeries) -> "VectorField":
         """Left multiplication by a homogeneous series."""
@@ -170,18 +166,26 @@ class VectorField:
         return f"VectorField({self})"
 
 
+def _applied(X: VectorField, f: Optional[GradedSeries], scale: int
+             ) -> list[tuple]:
+    """The parts ``scale * a_u * d/du f`` of ``scale * X(f)``; none for None."""
+    if f is None:
+        return []
+    return [(scale, a, derive(f, u)) for u, a in X.coefficients.items()]
+
+
 def bracket(X: VectorField, Y: VectorField) -> VectorField:
     """Graded Lie bracket ``X o Y - (-1)^{<deg X, deg Y>} Y o X``, computed
-    coefficient-wise; the second-order terms cancel identically."""
+    coefficient-wise as one sum of both halves; the second-order terms
+    cancel identically."""
     if X.chart != Y.chart:
         raise ChartError("fields live on different charts")
     chart = X.chart
-    sign = -1 if scalar_product(X.degree, Y.degree) else 1
+    sign = 1 if scalar_product(X.degree, Y.degree) else -1
     out: dict[str, GradedSeries] = {}
     for name in chart.names:
-        a = X.apply(Y.coefficient(name))
-        b = Y.apply(X.coefficient(name))
-        c = a - b if sign > 0 else a + b
+        c = _accumulate(chart, _applied(X, Y.coefficients.get(name), 1)
+                        + _applied(Y, X.coefficients.get(name), sign))
         if not c.is_zero:
             out[name] = c
     return VectorField(chart, X.degree + Y.degree, out)
@@ -207,8 +211,8 @@ def _invert_map(images: Mapping[str, GradedSeries],
     """Inverse substitution of ``images`` (keyed chart written on the value
     chart): from ``u = 0``, repeat ``u <- u + A^{-1}(k - images(u))`` until a
     pass changes nothing.  Pass p fixes total degree p, so the window needs
-    at most ``j_order + base_order + 1`` passes.  Each update is summed in
-    one coefficient map."""
+    at most ``j_order + base_order + 1`` passes.  Each update
+    ``u + sum_k A^{-1}_{uk} error_k`` is one `series._accumulate` call."""
     linear = [next(iter(values_on.coordinate(v).terms)) for v in values_on.names]
     ainv = rational_inverse([[images[k].coefficient(m) for m in linear]
                              for k in keyed.names])
@@ -222,8 +226,8 @@ def _invert_map(images: Mapping[str, GradedSeries],
                  for kname in keyed.names}
         new = {}
         for u, uname in enumerate(values_on.names):
-            new[uname] = _combination(current[uname], [
-                (a, error[kname]) for a, kname in zip(ainv[u], keyed.names) if a])
+            new[uname] = _accumulate(keyed, [(1, current[uname]), *(
+                (a, error[kname]) for a, kname in zip(ainv[u], keyed.names) if a)])
         if all(new[n].terms == current[n].terms for n in new):
             return new
         current = new

@@ -273,16 +273,6 @@ def straighten_nonzero(X: VectorField) -> CoordinateChange:
 # commuting families and full assembly
 # ---------------------------------------------------------------------------
 
-def _subtract_adapted(X: VectorField, adapted: Sequence[str]) -> VectorField:
-    out = X
-    for name in adapted:
-        c = out.coefficient(name)
-        if c.is_zero:
-            continue
-        out = out - VectorField.coordinate_derivation(X.chart, name).scaled_by(c)
-    return out
-
-
 def _straighten_family(fields: Sequence[VectorField], order: Sequence[int]
                        ) -> tuple[list[Step], list[str]]:
     """Straighten ``fields[i]`` for each i in ``order``, minus the pivot
@@ -292,7 +282,9 @@ def _straighten_family(fields: Sequence[VectorField], order: Sequence[int]
     adapted: list[str] = []
     cur = list(fields)
     for pos, i in enumerate(order):
-        stripped = _subtract_adapted(cur[i], adapted)
+        X = cur[i]
+        stripped = VectorField(X.chart, X.degree, {
+            n: a for n, a in X.coefficients.items() if n not in adapted})
         try:
             sub_steps, _, pivot = _straighten_steps(stripped)
         except (OddSquareNonzero, DegenerateAtPoint) as exc:

@@ -24,8 +24,8 @@ from .errors import (
     NotInvertibleModJ,
 )
 from .grading import DegreeVector
-from .series import (ChartSpec, Coefficient, GradedSeries, _canonical,
-                     value_at_origin)
+from .series import (ChartSpec, Coefficient, GradedSeries, _accumulate,
+                     _canonical, value_at_origin)
 
 
 # ---------------------------------------------------------------------------
@@ -198,41 +198,31 @@ class GradedMatrix:
             raise ChartError("matrices on different charts")
         if self.col_degrees != other.row_degrees:
             raise DimensionError("inner degree profiles do not match")
-        rows = []
-        for i in range(len(self.row_degrees)):
-            row = []
-            for j in range(len(other.col_degrees)):
-                acc = self.chart.zero()
-                for k in range(len(self.col_degrees)):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero or b.is_zero:
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
-        return GradedMatrix(self.chart, self.row_degrees, other.col_degrees, rows)
+        columns = [[row[j] for row in other.entries]
+                   for j in range(len(other.col_degrees))]
+        return GradedMatrix(self.chart, self.row_degrees, other.col_degrees, [
+            [_accumulate(self.chart, [(1, a, b) for a, b in zip(row, column)])
+             for column in columns]
+            for row in self.entries
+        ])
 
     def __add__(self, other: "GradedMatrix") -> "GradedMatrix":
-        self._check_same_shape(other)
-        return GradedMatrix(self.chart, self.row_degrees, self.col_degrees, [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)
-        ])
+        return self._entrywise(other, 1)
 
     def __sub__(self, other: "GradedMatrix") -> "GradedMatrix":
-        self._check_same_shape(other)
-        return GradedMatrix(self.chart, self.row_degrees, self.col_degrees, [
-            [a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)
-        ])
+        return self._entrywise(other, -1)
 
-    def _check_same_shape(self, other: "GradedMatrix") -> None:
+    def _entrywise(self, other: "GradedMatrix", sign: int) -> "GradedMatrix":
+        """``self + sign * other``, entry by entry."""
         if self.chart != other.chart:
             raise ChartError("matrices on different charts")
         if (self.row_degrees != other.row_degrees
                 or self.col_degrees != other.col_degrees):
             raise DimensionError("degree profiles do not match")
+        return GradedMatrix(self.chart, self.row_degrees, self.col_degrees, [
+            [_accumulate(self.chart, ((1, a), (sign, b))) for a, b in zip(ra, rb)]
+            for ra, rb in zip(self.entries, other.entries)
+        ])
 
     @property
     def is_zero(self) -> bool:

@@ -13,8 +13,9 @@ coefficient.  A coefficient is an ``int`` when it is integral and a
 ``Fraction`` only while a denominator remains, so integral arithmetic never
 takes the slow ``Fraction`` path.  ``GradedSeries(chart, terms)`` is the
 one constructor and always checks its input; every kernel result comes
-from one private builder, `_built`, and every sum, difference, negation,
-scalar multiple and Picard update from one loop, `_combination`.
+from one private builder, `_built`, and every sum of scaled series and
+scaled products of two series, from ``+`` to a bracket, from one
+accumulator, `_accumulate`.
 Dropping a monomial during multiplication or substitution is *exact*
 quotient-ring arithmetic and carries no flag (`multiply` checks the window
 first and builds a dropped product only for a drop collector).
@@ -413,24 +414,24 @@ class GradedSeries:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        return _combination(self, ((1, other),))
+        return _accumulate(self.chart, ((1, self), (1, other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _combination(self.chart.zero(), ((-1, self),))
+        return _accumulate(self.chart, ((-1, self),))
 
     def __sub__(self, other):
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        return _combination(self, ((-1, other),))
+        return _accumulate(self.chart, ((1, self), (-1, other)))
 
     def __rsub__(self, other):
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        return _combination(other, ((-1, self),))
+        return _accumulate(self.chart, ((1, other), (-1, self)))
 
     def __mul__(self, other):
         if isinstance(other, GradedSeries):
@@ -438,7 +439,7 @@ class GradedSeries:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self.chart.zero()
-            return _combination(self.chart.zero(), ((other, self),))
+            return _accumulate(self.chart, ((other, self),))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -536,19 +537,47 @@ def _built(chart: ChartSpec, terms: Mapping[Monomial, Coefficient],
     return object.__new__(GradedSeries)._fill(chart, terms, loss, rows)
 
 
-def _combination(base: GradedSeries,
-                 scaled: Iterable[tuple[Coefficient, GradedSeries]]
-                 ) -> GradedSeries:
-    """``base + sum a*s`` over the ``(a, s)`` pairs, summed in one
-    coefficient map, carrying the loss of ``base`` and of every ``s``.
-    The series share one chart, which the callers check."""
-    terms = base.terms.copy()
-    loss = base._loss
-    for a, s in scaled:
-        loss |= s._loss
-        for m, c in s.terms.items():
-            terms[m] = terms.get(m, 0) + a * c
-    return _built(base.chart, terms, loss)
+def _accumulate(chart: ChartSpec, parts: Iterable[tuple],
+                loss: int = 0) -> GradedSeries:
+    """``sum a*f`` and ``sum a*f*g`` over the parts ``(a, f)`` and
+    ``(a, f, g)`` in one coefficient map, built as one series carrying
+    ``loss`` and every factor's loss.  A product is `_multiply_rows` on
+    cached rows in factor order (the Koszul sign depends on it), skipped
+    with its loss when a factor is zero.  ``f`` may be a row list with no
+    loss of its own, as substitution makes a term.  A scale of 1 or -1
+    adds or subtracts without multiplying.  Callers check the charts."""
+    out: dict[Monomial, Coefficient] = {}
+    get = out.get
+    for a, f, *g in parts:
+        if g:
+            g = g[0]
+            if not f.terms or not g.terms:
+                continue
+            loss |= f._loss | g._loss
+            terms = _multiply_rows(f._term_rows(), g._term_rows(), chart)
+        elif type(f) is list:
+            terms = f
+        else:
+            loss |= f._loss
+            if a == 1 and not out:  # a leading series is copied as it is
+                out.update(f.terms)
+                continue
+            terms = f.terms.items()
+        # a new monomial takes its coefficient as it is: 0 + c would take
+        # Fraction's slow reverse-operator path
+        if a == 1:
+            for t in terms:
+                got = get(t[0])
+                out[t[0]] = t[1] if got is None else got + t[1]
+        elif a == -1:
+            for t in terms:
+                got = get(t[0])
+                out[t[0]] = -t[1] if got is None else got - t[1]
+        else:
+            for t in terms:
+                got = get(t[0])
+                out[t[0]] = a * t[1] if got is None else got + a * t[1]
+    return _built(chart, out, loss)
 
 
 def _same_chart(f: GradedSeries, g: GradedSeries) -> ChartSpec:
@@ -760,7 +789,8 @@ def _substitution(images: Mapping[str, GradedSeries], keyed: ChartSpec,
     takes series on ``keyed`` and shares one power cache across them.
 
     Powers and partial products are row lists multiplied by
-    `_multiply_rows`, so no series is built but the result."""
+    `_multiply_rows`, and `_accumulate` sums each term's row list, so no
+    series is built but the result."""
     check_images(images, keyed, into_chart)
     image_loss = reduce(or_, (img._loss for img in images.values()), 0)
     unit = into_chart.unit_monomial
@@ -774,36 +804,28 @@ def _substitution(images: Mapping[str, GradedSeries], keyed: ChartSpec,
             pow_cache[(i, e)] = got
         return got
 
+    def term(mon: Monomial, coeff: Coefficient) -> list[tuple]:
+        """The rows of ``coeff * mon`` with every coordinate substituted."""
+        acc = None
+        for i, e in enumerate(mon):
+            if not e:
+                continue
+            if acc is None:
+                acc = power(i, e)
+                if coeff != 1:
+                    acc = [(m, _canonical(c * coeff), j, b, o, p, s)
+                           for m, c, j, b, o, p, s in acc]
+            else:
+                acc = _multiply_rows(acc, power(i, e), into_chart)
+            if not acc:
+                break
+        return [(unit, coeff, 0, 0, 0, 0, 0)] if acc is None else acc
+
     def substitute(f: GradedSeries) -> GradedSeries:
         if f.chart != keyed:
             raise ChartError("series does not live on the chart the images key")
-        out: dict[Monomial, Coefficient] = {}
-        for mon, coeff in f.terms.items():
-            acc = None
-            for i, e in enumerate(mon):
-                if not e:
-                    continue
-                if acc is None:
-                    acc = power(i, e)
-                    if coeff != 1:
-                        acc = [(m, _canonical(c * coeff), j, b, o, p, s)
-                               for m, c, j, b, o, p, s in acc]
-                else:
-                    acc = _multiply_rows(acc, power(i, e), into_chart)
-                if not acc:
-                    break
-            if acc is None:
-                acc = [(unit, coeff, 0, 0, 0, 0, 0)]
-            for m, c, _, _, _, _, _ in acc:
-                got = out.get(m)
-                if got is None:
-                    out[m] = c
-                else:
-                    got += c
-                    if got:
-                        out[m] = got
-                    else:
-                        del out[m]
-        return _built(into_chart, out, f._loss | image_loss)
+        return _accumulate(into_chart,
+                           ((1, term(m, c)) for m, c in f.terms.items()),
+                           f._loss | image_loss)
 
     return substitute

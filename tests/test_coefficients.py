@@ -130,3 +130,45 @@ def test_integral_hot_path_takes_no_fraction_operation(seed, monkeypatch):
     for series in products + derived + composed:
         assert all(type(c) is int for c in series.terms.values())
     assert any(not s.is_zero for s in products + composed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fraction_sums_take_no_fraction_multiplication(seed, monkeypatch):
+    # a sum, difference or negation adds or subtracts coefficients; only a
+    # scale other than 1 or -1 multiplies them
+    from znfrob.series import _accumulate
+    rng = random.Random(seed)
+    chart = standard_chart(j_order=3, base_order=4)
+    mons = list(random_series(rng, chart, terms=6).terms)
+    f, g, u = (GradedSeries(chart, {
+        m: Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([2, 3]))
+        for m in rng.sample(mons, 4)}) for _ in range(3))
+
+    def refuse(*args):
+        raise AssertionError("Fraction multiplication in a plain sum")
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    with pytest.raises(AssertionError):
+        Fraction(1, 2) * 2  # the patch is live
+
+    # the Picard update u + sum a_k error_k where A^{-1} is a signed
+    # permutation
+    results = [f + g, f - g, 1 - f, -f,
+               _accumulate(chart, [(1, u), (1, f), (-1, g)])]
+    monkeypatch.undo()
+
+    def plain(*scaled):
+        out = {}
+        for a, s in scaled:
+            for m, v in s.terms.items():
+                out[m] = out.get(m, 0) + a * v
+        return {m: v for m, v in out.items() if v}
+
+    wants = [plain((1, f), (1, g)), plain((1, f), (-1, g)),
+             plain((1, chart.one()), (-1, f)), plain((-1, f)),
+             plain((1, u), (1, f), (-1, g))]
+    for got, want in zip(results, wants):
+        assert got.terms == want
+        assert_canonical(got)
+    assert any(isinstance(v, Fraction) for s in results for v in s.terms.values())

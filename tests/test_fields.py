@@ -1,11 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+import znfrob.fields
 import znfrob.series
 
 from helpers import (
+    base_chart,
     boundary_only,
+    oracle_multiply_monomials,
     random_series,
     field_of,
     random_centered_change,
@@ -16,6 +20,7 @@ from helpers import (
 from znfrob import (
     ChartSpec,
     CoordinateChange,
+    GradedMatrix,
     HomogeneityError,
     JacobianSingular,
     UnknownCoordinateError,
@@ -23,6 +28,7 @@ from znfrob import (
     bracket,
     compose,
     compose_changes,
+    derive,
     invert_change,
     pushforward,
     scalar_product,
@@ -383,3 +389,110 @@ def test_change_loss_flags_pinned():
         assert (change.base_loss, change.j_loss) == (base, j), name
         assert change.to_json_dict()["truncation_loss"] == {
             "base": base, "j": j}, name
+
+
+def oracle_sum(chart, products):
+    """``sum scale * f * g`` over ``(scale, f, g)`` as a plain dict, from
+    the transposition oracle term pair by term pair; no kernel arithmetic."""
+    out = {}
+    for scale, f, g in products:
+        for m1, c1 in f.terms.items():
+            for m2, c2 in g.terms.items():
+                mon, sign = oracle_multiply_monomials(chart, m1, m2)
+                if mon is not None:
+                    out[mon] = out.get(mon, 0) + scale * sign * c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def oracle_apply(X, f, scale=1):
+    if f is None:
+        return []
+    return [(scale, a, derive(f, u)) for u, a in X.coefficients.items()]
+
+
+def assert_bracket_matches_oracle(X, Y):
+    chart = X.chart
+    sign = 1 if scalar_product(X.degree, Y.degree) else -1
+    got = bracket(X, Y)
+    for name in chart.names:
+        want = oracle_sum(chart,
+                          oracle_apply(X, Y.coefficients.get(name))
+                          + oracle_apply(Y, X.coefficients.get(name), sign))
+        assert got.coefficient(name).terms == want, name
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_apply_bracket_and_matmul_match_oracle_sums(chart, seed):
+    # Fraction coefficients and the odd coordinates t1, t2 of the chart
+    rng = random.Random(seed)
+    for _ in range(3):
+        X, Y = random_field(rng, chart, terms=3), random_field(rng, chart, terms=3)
+        f = random_series(rng, chart, terms=5)
+        assert X.apply(f).terms == oracle_sum(chart, oracle_apply(X, f))
+        assert_bracket_matches_oracle(X, Y)
+        assert_bracket_matches_oracle(Y, X)
+        assert_bracket_matches_oracle(X, X)
+    degrees = [chart.degree_of(n) for n in ("x", "t1", "e")]
+    A = GradedMatrix(chart, degrees[:2], degrees, [
+        [random_series(rng, chart, terms=3) for _ in degrees] for _ in range(2)])
+    B = GradedMatrix(chart, degrees, degrees[1:], [
+        [random_series(rng, chart, terms=3) for _ in range(2)] for _ in degrees])
+    product = A @ B
+    for i in range(2):
+        for j in range(2):
+            want = oracle_sum(chart, [(1, A.entry(i, k), B.entry(k, j))
+                                      for k in range(3)])
+            assert product.entry(i, j).terms == want
+
+
+def test_sums_that_cancel_and_reappear_match_oracle():
+    # the running sum of x goes x, 0, x within one result
+    chart = base_chart(("x", "y", "z", "w"))
+    x = chart.coordinate("x")
+    X = VectorField(chart, chart.zero_degree, {"x": x, "y": -x, "z": x})
+    f = series_of(chart, "x + y + z")
+    assert X.apply(f) == x
+    assert X.apply(f).terms == oracle_sum(chart, oracle_apply(X, f))
+    Y = VectorField(chart, chart.zero_degree, {"w": f})
+    assert bracket(X, Y) == VectorField(chart, chart.zero_degree, {"w": x})
+    assert_bracket_matches_oracle(X, Y)
+    deg = (chart.zero_degree,) * 3
+    row = GradedMatrix(chart, deg[:1], deg, [[chart.one()] * 3])
+    column = GradedMatrix(chart, deg, deg[:1], [[x], [-x], [x * Fraction(1, 2)]])
+    assert (row @ column).entry(0, 0) == x * Fraction(1, 2)
+
+
+def test_sums_build_one_series_per_result(chart, monkeypatch):
+    # work counts: a sum of products builds its result and nothing else
+    # beyond the derivatives it applies
+    rng = random.Random(5)
+    X = random_field(rng, chart, terms=3)
+    Y = random_field(rng, chart, terms=3)
+    f = random_series(rng, chart, terms=5)
+    degrees = [chart.degree_of(n) for n in ("x", "t1", "e")]
+    A = GradedMatrix(chart, degrees, degrees, [
+        [random_series(rng, chart, terms=3) for _ in degrees] for _ in degrees])
+    fills = derives = 0
+    real_fill = znfrob.series.GradedSeries._fill
+    real_derive = znfrob.fields.derive
+
+    def counted_fill(self, *args):
+        nonlocal fills
+        fills += 1
+        return real_fill(self, *args)
+
+    def counted_derive(f, name):
+        nonlocal derives
+        derives += 1
+        return real_derive(f, name)
+
+    monkeypatch.setattr(znfrob.series.GradedSeries, "_fill", counted_fill)
+    monkeypatch.setattr(znfrob.fields, "derive", counted_derive)
+    assert not X.apply(f).is_zero
+    assert (fills, derives) == (len(X.coefficients) + 1, len(X.coefficients))
+    fills = derives = 0
+    assert not (A @ A).is_zero
+    assert (fills, derives) == (9, 0)
+    fills = derives = 0
+    assert not bracket(X, Y).is_zero
+    assert derives and fills == derives + len(chart.names)
