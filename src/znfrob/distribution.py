@@ -37,12 +37,6 @@ class Rank:
             key=lambda dc: dc[0].bits,
         )))
 
-    def count(self, degree: DegreeVector) -> int:
-        for d, c in self.counts:
-            if d == degree:
-                return c
-        return 0
-
     def to_json(self) -> dict[str, int]:
         return {"".join(str(b) for b in d.bits): c for d, c in self.counts}
 

@@ -15,8 +15,10 @@ A coordinate change stores both directions eagerly:
 source chart; ``pushforward(change, X)`` rewrites a field on the source
 chart in the target coordinates.
 
-Where one image map substitutes several series, the map is checked once
-and its powers are built once, as term rows (``series._substitution``):
+``make`` checks the forward images (``series.check_images``); the inverse
+and every later substitution through a change's maps are valid by
+construction and run unchecked.  Where one image map substitutes several
+series, its powers are built once, as term rows (``series._substitution``):
 each Picard pass of the inversion substitutes every image into the current
 inverse, ``then`` substitutes each direction through one map, and
 ``pushforward`` substitutes every coefficient into the inverse images.
@@ -39,7 +41,7 @@ from .errors import (
 from .grading import DegreeVector, scalar_product
 from .linalg import rational_inverse
 from .series import (ChartSpec, GradedSeries, _accumulate, _substitution,
-                     check_images, compose, derive, multiply)
+                     check_images, derive, multiply)
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +306,13 @@ class CoordinateChange:
         """Series on the target chart, rewritten in source coordinates."""
         if f.chart != self.target:
             raise ChartError("series does not live on the target chart")
-        return compose(f, self.images, self.source)
+        return _substitution(self.images, self.target, self.source)(f)
 
     def push_series(self, f: GradedSeries) -> GradedSeries:
         """Series on the source chart, rewritten in target coordinates."""
         if f.chart != self.source:
             raise ChartError("series does not live on the source chart")
-        return compose(f, self.inverse_images, self.target)
+        return _substitution(self.inverse_images, self.source, self.target)(f)
 
     @property
     def is_identity(self) -> bool:

@@ -26,7 +26,8 @@ Corrections whose antiderivative is not representable are dropped with a
 loss flag.  Verification is decisive on the certified window (J-degree
 below j_order, base degree below base_order, total degree at most
 base_order): residuals there refute a certificate, leftovers on the
-truncation boundary are reported but tolerated.
+truncation boundary are reported but tolerated.  One normalization of the
+pushed family gives both the rank and the reverse inclusion.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import reduce
 from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
-from .distribution import Distribution, Rank, is_involutive, membership, rank_of
+from .distribution import Distribution, Rank, is_involutive
 from .errors import (
     DegenerateAtPoint,
     DependentAtPoint,
@@ -380,8 +381,18 @@ class AdaptedReport:
 def verify_adapted(D: Distribution, cert: FrobeniusCertificate) -> AdaptedReport:
     """Push every generator through the certificate's change and check both
     inclusions between the distribution and the adapted span; only residuals
-    inside the certified window refute the certificate."""
+    inside the certified window refute the certificate.
+
+    An adapted name off the target chart is refused.  One normalization of
+    the pushed family settles the rest.  The change is invertible at the
+    origin and keeps degrees, so that family is independent exactly when
+    ``D`` is, with the same count per degree.  ``d/da`` lies in its span
+    exactly when ``a`` is a pivot whose normalized generator is ``d/da`` on
+    the certified window.  A dependent family fails the rank, and contains
+    the adapted span only when that span is empty.
+    """
     chart = cert.change.target
+    adapted_rank = Rank.of(Counter(chart.degree_of(n) for n in cert.adapted))
     pushed = [pushforward(cert.change, g) for g in D.generators]
     coefficients = [a for Y in pushed for a in Y.coefficients.values()]
     base_loss = cert.change.base_loss or any(a.base_loss for a in coefficients)
@@ -406,25 +417,17 @@ def verify_adapted(D: Distribution, cert: FrobeniusCertificate) -> AdaptedReport
         tolerated.append(clean)
 
     try:
-        rank_ok = rank_of(D) == Rank.of(
-            Counter(chart.degree_of(n) for n in cert.adapted))
+        norm = Distribution(chart, pushed).normalized()
     except DependentAtPoint:
-        rank_ok = False
-
-    reverse_ok = True
-    if pushed:
-        try:
-            image = Distribution(chart, pushed)
-            for name in cert.adapted:
-                if not membership(
-                        VectorField.coordinate_derivation(chart, name),
-                        image).contained:
-                    reverse_ok = False
-                    break
-        except DependentAtPoint:
-            reverse_ok = False
-    elif cert.adapted:
-        reverse_ok = False
+        rank_ok, reverse_ok = False, not cert.adapted
+    else:
+        rank_ok = Rank.of(Counter(Y.degree for Y in pushed)) == adapted_rank
+        by_pivot = dict(zip(norm.pivots, norm.distribution.generators))
+        reverse_ok = all(
+            name in by_pivot and not any(
+                certified_part(e).terms
+                for e in _straightness_error(by_pivot[name], name).values())
+            for name in cert.adapted)
 
     # the fields in order: ok, generator_residuals, rank_ok, reverse_ok,
     # base_loss, j_loss

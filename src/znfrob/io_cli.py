@@ -548,9 +548,6 @@ def _error_report(spec: ProblemSpec, exc: ZnError) -> dict:
     witness = getattr(exc, "witness", None)
     if witness is not None:
         report["witness"] = _witness_json(witness)
-    pair = getattr(exc, "pair", None)
-    if pair is not None:
-        report["witness"] = {"pair": list(pair)}
     return report
 
 

@@ -745,7 +745,8 @@ def check_images(images: Mapping[str, GradedSeries], keyed: ChartSpec,
                  values_on: ChartSpec) -> None:
     """Require exactly one image per ``keyed`` coordinate, each a centered
     series on ``values_on`` that is homogeneous of its coordinate's degree
-    (or zero)."""
+    (or zero).  A map is checked where it enters the kernel: by `compose`
+    and by ``CoordinateChange.make``."""
     if images.keys() != set(keyed.names):
         missing = set(keyed.names) - set(images)
         extra = set(images) - set(keyed.names)
@@ -778,20 +779,22 @@ def compose(f: GradedSeries, images: Mapping[str, GradedSeries],
     Every term goes into one accumulator: its first power scaled by its
     coefficient, times the remaining powers in coordinate order.  Callers
     that push several series through one map use `_substitution`, which
-    checks the map once and shares its powers.
+    shares its powers.
     """
+    check_images(images, f.chart, into_chart)
     return _substitution(images, f.chart, into_chart)(f)
 
 
 def _substitution(images: Mapping[str, GradedSeries], keyed: ChartSpec,
                   into_chart: ChartSpec):
-    """`compose` through one image map, checked once: the returned function
-    takes series on ``keyed`` and shares one power cache across them.
+    """`compose` through one image map, unchecked: a change's maps were
+    checked by ``make``, and a Picard iterate or the map sending a pivot to
+    zero is valid by construction.  The returned function takes series on
+    ``keyed`` and shares one power cache across them.
 
     Powers and partial products are row lists multiplied by
     `_multiply_rows`, and `_accumulate` sums each term's row list, so no
     series is built but the result."""
-    check_images(images, keyed, into_chart)
     image_loss = reduce(or_, (img._loss for img in images.values()), 0)
     unit = into_chart.unit_monomial
     pow_cache: dict[tuple[int, int], list[tuple]] = {}

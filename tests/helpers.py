@@ -1,15 +1,26 @@
-"""Shared test utilities: standard charts, seeded random data, and the
-brute-force transposition oracle for the product sign."""
+"""Shared test utilities: standard charts, seeded random data, the
+brute-force transposition oracle for the product sign, and the
+membership-based reference for certificate verification."""
 
+from collections import Counter
 from fractions import Fraction
+from typing import Optional
 
 from znfrob import (
+    AdaptedReport,
     ChartSpec,
     CoordinateChange,
     DegreeVector,
+    DependentAtPoint,
+    Distribution,
     GradedSeries,
     Monomial,
+    Rank,
     VectorField,
+    certified_part,
+    membership,
+    pushforward,
+    rank_of,
 )
 
 
@@ -182,3 +193,60 @@ def field_of(chart, degree_bits, coefficients):
         name: series_of(chart, expr) for name, expr in coefficients.items()
     }
     return VectorField(chart, DegreeVector(tuple(degree_bits)), coeffs)
+
+
+def reference_verify_adapted(D, cert):
+    """Certificate check through `rank_of` on ``D`` and one `membership` of
+    each adapted derivation in the pushed family: the reference that
+    `verify_adapted`, which reads both answers off one normalization,
+    must match field by field."""
+    chart = cert.change.target
+    pushed = [pushforward(cert.change, g) for g in D.generators]
+    coefficients = [a for Y in pushed for a in Y.coefficients.values()]
+    base_loss = cert.change.base_loss or any(a.base_loss for a in coefficients)
+    j_loss = cert.change.j_loss or any(a.j_loss for a in coefficients)
+
+    adapted = set(cert.adapted)
+    residual_orders: list[Optional[int]] = []
+    tolerated: list[bool] = []
+    for Y in pushed:
+        orders = []
+        clean = True
+        for name in chart.names:
+            if name in adapted:
+                continue
+            series = Y.coefficient(name)
+            if series.is_zero:
+                continue
+            orders.extend(m.total_degree for m in series.terms)
+            if certified_part(series).terms:
+                clean = False
+        residual_orders.append(min(orders) if orders else None)
+        tolerated.append(clean)
+
+    try:
+        rank_ok = rank_of(D) == Rank.of(
+            Counter(chart.degree_of(n) for n in cert.adapted))
+    except DependentAtPoint:
+        rank_ok = False
+
+    reverse_ok = True
+    if pushed:
+        try:
+            image = Distribution(chart, pushed)
+            for name in cert.adapted:
+                if not membership(
+                        VectorField.coordinate_derivation(chart, name),
+                        image).contained:
+                    reverse_ok = False
+                    break
+        except DependentAtPoint:
+            reverse_ok = False
+    elif cert.adapted:
+        reverse_ok = False
+
+    # the fields in order: ok, generator_residuals, rank_ok, reverse_ok,
+    # base_loss, j_loss
+    return AdaptedReport(all(tolerated) and rank_ok and reverse_ok,
+                         tuple(residual_orders), rank_ok, reverse_ok,
+                         base_loss, j_loss)

@@ -360,6 +360,33 @@ def test_substitution_multiply_counts(monkeypatch):
     assert calls == 62
 
 
+def test_change_maps_are_checked_once(monkeypatch):
+    # a map is checked where it enters: make checks the forward images,
+    # while its Picard passes, then and pushforward reuse checked maps
+    chart = standard_chart()
+    rng = random.Random(5)
+    a = random_centered_change(rng, chart, extra_terms=2)
+    b = random_centered_change(rng, chart, extra_terms=2)
+    calls = 0
+    real = znfrob.series.check_images
+
+    def counted(images, keyed, values_on):
+        nonlocal calls
+        calls += 1
+        return real(images, keyed, values_on)
+
+    monkeypatch.setattr(znfrob.series, "check_images", counted)
+    monkeypatch.setattr(znfrob.fields, "check_images", counted)
+    CoordinateChange.make(chart, chart, b.images)
+    assert calls == 1
+    calls = 0
+    pushforward(a, field_of(chart, (0, 0), {"x": "1 + t1*t2*e", "e": "x*e"}))
+    a.then(b)
+    assert calls == 0
+    compose(chart.coordinate("x"), a.images, chart)
+    assert calls == 1
+
+
 def test_change_loss_flags_pinned():
     # recorded while the flags were stored next to the images
     from znfrob import antiderivative

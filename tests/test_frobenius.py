@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -19,8 +20,10 @@ from znfrob import (
     NotCommuting,
     NotInvolutive,
     OddSquareNonzero,
+    UnknownCoordinateError,
     VectorField,
     ZeroDegree,
+    ZnError,
     adapted_coordinates,
     commuting_triangular,
     pushforward,
@@ -521,3 +524,102 @@ def test_adapted_never_asks_is_involutive_on_involutive_input(monkeypatch):
     cert = adapted_coordinates(D)
     assert len(cert.adapted) == 3
     assert verify_adapted(D, cert).ok
+
+
+# -- verification against the membership reference ------------------------------
+
+def _verdict(D, cert, verify):
+    """The report, or the type of the error the check raised."""
+    try:
+        return verify(D, cert)
+    except ZnError as exc:
+        return type(exc)
+
+
+def test_verify_matches_membership_reference():
+    # certificates from the solver, then with their adapted tuple emptied,
+    # duplicated, swapped or replaced by chart names, or their change
+    # replaced by a foreign one; checked against the family, a dependent
+    # one, one lacking a generator and the empty one
+    from helpers import reference_verify_adapted
+    chart = standard_chart(j_order=3, base_order=3, extra_base=True)
+    rng = random.Random(1608)
+    subsets = [("x",), ("x", "t1"), ("t1",), ("e",), ("x", "e"),
+               ("y", "t2"), ("x", "y", "t1"), ("t1", "t2", "e")]
+    kinds = set()
+    for i in range(24):
+        names = subsets[i % len(subsets)]
+        sigma = random_centered_change(rng, chart)
+        gens = [pushforward(sigma, dgen(chart, u)) for u in names]
+        cert = adapted_coordinates(Distribution(chart, gens))
+        adapted = cert.adapted
+        swapped = (adapted[::-1] if len(adapted) > 1
+                   else (rng.choice(chart.names),))
+        certs = [cert, replace(cert, adapted=()),
+                 replace(cert, adapted=adapted + adapted[:1]),
+                 replace(cert, adapted=swapped),
+                 replace(cert, adapted=tuple(rng.sample(
+                     chart.names, rng.randint(0, len(chart.names))))),
+                 replace(cert, change=random_centered_change(rng, chart)),
+                 replace(cert, change=random_centered_change(rng, chart),
+                         adapted=tuple(rng.sample(chart.names, len(names))))]
+        k = rng.randrange(len(gens))
+        families = [gens, gens + [gens[k]], gens[:k] + gens[k + 1:], []]
+        for c in certs:
+            for family in families:
+                want = _verdict(Distribution(chart, family), c,
+                                reference_verify_adapted)
+                got = _verdict(Distribution(chart, family), c, verify_adapted)
+                assert got == want, (i, c.adapted, len(family))
+                kinds.add(want if isinstance(want, type)
+                          else (want.ok, want.rank_ok, want.reverse_ok))
+    assert {(True, True, True), (False, False, True), (False, True, False),
+            (False, False, False)} <= kinds, kinds
+
+
+def test_verify_dependent_and_empty_families():
+    chart = standard_chart(j_order=3, base_order=4)
+    X = field_of(chart, (0, 0), {"x": "1", "e": "t1*t2"})
+    cert = adapted_coordinates(Distribution(chart, [X]))
+    dependent = Distribution(chart, [X, X])
+    report = verify_adapted(dependent, replace(cert, adapted=()))
+    assert (report.rank_ok, report.reverse_ok, report.ok) == (False, True, False)
+    report = verify_adapted(dependent, cert)
+    assert (report.rank_ok, report.reverse_ok) == (False, False)
+    empty = Distribution(chart, [])
+    report = verify_adapted(empty, replace(cert, adapted=()))
+    assert report.ok and report.generator_residuals == ()
+    report = verify_adapted(empty, cert)
+    assert (report.rank_ok, report.reverse_ok, report.ok) == (False, False, False)
+
+
+@pytest.mark.parametrize("adapted", [("x", "nope"), ("nope", "x")])
+@pytest.mark.parametrize("duplicated", [False, True])
+def test_verify_refuses_names_off_the_chart(adapted, duplicated):
+    chart = standard_chart(j_order=3, base_order=4)
+    X = field_of(chart, (0, 0), {"x": "1", "e": "t1*t2"})
+    cert = adapted_coordinates(Distribution(chart, [X]))
+    D = Distribution(chart, [X, X] if duplicated else [X])
+    with pytest.raises(UnknownCoordinateError):
+        verify_adapted(D, replace(cert, adapted=adapted))
+
+
+def test_verify_normalizes_once(monkeypatch):
+    # the rank and the reverse inclusion come from one normalization of the
+    # pushed family, not from normalizing the distribution as well
+    import znfrob.distribution
+    chart = standard_chart(j_order=3, base_order=4)
+    sigma = random_centered_change(random.Random(12), chart)
+    gens = [pushforward(sigma, dgen(chart, u)) for u in ("x", "t1")]
+    cert = adapted_coordinates(Distribution(chart, gens))
+    calls = 0
+    real = znfrob.distribution._normalize
+
+    def counted(D):
+        nonlocal calls
+        calls += 1
+        return real(D)
+
+    monkeypatch.setattr(znfrob.distribution, "_normalize", counted)
+    assert verify_adapted(Distribution(chart, gens), cert).ok
+    assert calls == 1

@@ -206,6 +206,66 @@ def test_loss_slot_access_is_caught():
         "line 1: f._loss", "line 1: g._loss", "line 2: '_loss'"]
 
 
+# the functions that check a substitution map where it enters the kernel:
+# every other substitution runs on a map one of these has checked, or on
+# one its builder makes valid, so a re-check there is only repeated work
+IMAGE_CHECKERS = {
+    "series.py": {(None, "compose")},
+    "fields.py": {("CoordinateChange", "make")},
+}
+
+
+def image_checks(source: str, allowed=frozenset()) -> list[str]:
+    """References to ``check_images`` (a call, an alias or an attribute)
+    outside the ``(class, function)`` scopes in ``allowed``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.ClassDef):
+            scope = (node.name, None)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = (scope[0], node.name)
+        named = ((isinstance(node, ast.Name) and node.id == "check_images")
+                 or (isinstance(node, ast.Attribute)
+                     and node.attr == "check_images"))
+        if named and scope not in allowed:
+            found.append((node.lineno, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), (None, None))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py")))
+def test_image_maps_are_checked_where_they_enter(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert image_checks(source, IMAGE_CHECKERS.get(module, frozenset())) == []
+
+
+def test_image_check_is_caught():
+    source = ("def compose(f, images, chart):\n"
+              "    check_images(images, f.chart, chart)\n"
+              "def _substitution(images, keyed, chart):\n"
+              "    check_images(images, keyed, chart)\n"
+              "    def substitute(f):\n"
+              "        series.check_images(images, keyed, chart)\n"
+              "class CoordinateChange:\n"
+              "    def make(cls, source, target, images):\n"
+              "        check = check_images\n"
+              "    def then(self, nxt):\n"
+              "        check_images(nxt.images, nxt.target, nxt.source)\n")
+    assert image_checks(source, {(None, "compose"),
+                                 ("CoordinateChange", "make")}) == [
+        "line 4: check_images", "line 6: series.check_images",
+        "line 11: check_images"]
+    assert image_checks(source) == [
+        "line 2: check_images", "line 4: check_images",
+        "line 6: series.check_images", "line 9: check_images",
+        "line 11: check_images"]
+
+
 # the attributes holding a kernel value's contents, each with the functions
 # allowed to write it: its class's constructor and, for a series, the builder
 VALUE_WRITERS = {
