@@ -6,10 +6,11 @@ A coordinate change stores both directions eagerly:
   series in the *source* coordinates (the new coordinates as functions of
   the old);
 * ``inverse_images``: each source coordinate written in target
-  coordinates, found by a Picard loop that starts from zero and adds
-  ``A^{-1}(k - images(u))`` to the current inverse ``u``, where ``A`` is
-  the Jacobian at the origin; each pass settles one more total-degree
-  layer, so the loop stops within the truncation window.
+  coordinates, found as a fixed point: from the linear inverse
+  ``L = A^{-1} k``, with ``A`` the Jacobian at the origin, repeat
+  ``u <- L - A^{-1} N(u)`` over the images' nonlinear terms ``N``.  Each
+  pass settles one more total-degree layer, a linear change takes no pass,
+  and the centered inverse is unique in the truncated ring.
 
 ``substitute(f, change)`` takes a series on the target chart into the
 source chart; ``pushforward(change, X)`` rewrites a field on the source
@@ -19,11 +20,11 @@ chart in the target coordinates.
 and every later substitution through a change's maps are valid by
 construction and run unchecked.  Where one image map substitutes several
 series, its powers are built once, as term rows (``series._substitution``):
-each Picard pass of the inversion substitutes every image into the current
-inverse, ``then`` substitutes each direction through one map, and
-``pushforward`` substitutes every coefficient into the inverse images.
+each pass of the inversion substitutes every nonlinear image part into
+the current inverse, ``then`` substitutes each direction through one map,
+and ``pushforward`` substitutes every coefficient into the inverse images.
 Powers and partial products are multiplied as rows, so none of these
-builds a series per product, only one per result.  So do the Picard
+builds a series per product, only one per result.  So do the inversion's
 update, ``VectorField.apply`` and ``bracket`` (both of its halves at
 once): each result is one sum in ``series._accumulate``.
 """
@@ -40,8 +41,8 @@ from .errors import (
 )
 from .grading import DegreeVector, scalar_product
 from .linalg import rational_inverse
-from .series import (ChartSpec, GradedSeries, _accumulate, _substitution,
-                     check_images, derive, multiply)
+from .series import (ChartSpec, GradedSeries, _accumulate, _linear_split,
+                     _substitution, check_images, derive, multiply)
 
 
 # ---------------------------------------------------------------------------
@@ -211,25 +212,38 @@ def _check_frames(source: ChartSpec, target: ChartSpec) -> None:
 def _invert_map(images: Mapping[str, GradedSeries],
                 keyed: ChartSpec, values_on: ChartSpec) -> dict[str, GradedSeries]:
     """Inverse substitution of ``images`` (keyed chart written on the value
-    chart): from ``u = 0``, repeat ``u <- u + A^{-1}(k - images(u))`` until a
-    pass changes nothing.  Pass p fixes total degree p, so the window needs
-    at most ``j_order + base_order + 1`` passes.  Each update
-    ``u + sum_k A^{-1}_{uk} error_k`` is one `series._accumulate` call."""
-    linear = [next(iter(values_on.coordinate(v).terms)) for v in values_on.names]
-    ainv = rational_inverse([[images[k].coefficient(m) for m in linear]
-                             for k in keyed.names])
+    chart) as a fixed point.  With ``F(u) = A u + N(u)``, ``A`` the
+    Jacobian at the origin and ``N`` the terms of total degree >= 2, start
+    from the linear inverse ``L = A^{-1} k`` and repeat
+    ``u <- L - A^{-1} N(u)`` until a pass changes nothing; a linear change
+    is ``L`` and takes no pass.  The degree-p layer of ``N(u)`` depends
+    only on the layers of ``u`` below p, so the window needs at most
+    ``j_order + base_order`` passes.  The fixed point solves ``F(u) = k``
+    when ``A^{-1}`` inverts ``A``, which is checked once.  The centered
+    inverse is unique, since ``A`` keeps every (J-degree, base degree)
+    layer, so it is the one ``u <- u + A^{-1}(k - F(u))`` from ``u = 0``
+    reaches a pass later.  Every image carries the loss of all images."""
+    jacobian, nonlinear, loss = _linear_split(images, keyed, values_on)
+    ainv = rational_inverse(jacobian)
     if ainv is None:
         raise JacobianSingular("coordinate change has singular Jacobian at the base point")
-    coords = {kname: keyed.coordinate(kname) for kname in keyed.names}
-    current = {uname: keyed.zero() for uname in values_on.names}
+    if any(sum(a * b for a, b in zip(row, col)) != int(i == j)
+           for i, row in enumerate(jacobian)
+           for j, col in enumerate(zip(*ainv))):
+        raise InternalInconsistency("linear inverse does not invert the Jacobian")
+    coords = [keyed.coordinate(k) for k in keyed.names]
+    linear = {u: _accumulate(keyed, [(a, c) for a, c in zip(row, coords) if a],
+                             loss)
+              for u, row in zip(values_on.names, ainv)}
+    if not any(n.terms for n in nonlinear.values()):
+        return linear
+    current = linear
     for _ in range(keyed.j_order + keyed.base_order + 2):
         through = _substitution(current, values_on, keyed)
-        error = {kname: coords[kname] - through(images[kname])
-                 for kname in keyed.names}
-        new = {}
-        for u, uname in enumerate(values_on.names):
-            new[uname] = _accumulate(keyed, [(1, current[uname]), *(
-                (a, error[kname]) for a, kname in zip(ainv[u], keyed.names) if a)])
+        pushed = [through(nonlinear[k]) for k in keyed.names]
+        new = {u: _accumulate(keyed, [(1, linear[u]), *(
+                   (-a, p) for a, p in zip(row, pushed) if a)])
+               for u, row in zip(values_on.names, ainv)}
         if all(new[n].terms == current[n].terms for n in new):
             return new
         current = new

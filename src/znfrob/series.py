@@ -155,6 +155,13 @@ class ChartSpec:
                       for j, row in enumerate(self.pair_table)))
 
     @cached_property
+    def _degree_codes(self) -> tuple[tuple[int, ...], dict[int, DegreeVector]]:
+        # each coordinate's degree as an int whose bit k is component k, and
+        # the degree vector of each code read so far (`_degree_vector`)
+        return (tuple(sum(b << k for k, b in enumerate(deg.bits))
+                      for deg in self.degrees), {})
+
+    @cached_property
     def zero_degree(self) -> DegreeVector:
         return DegreeVector.zero(self.n)
 
@@ -172,6 +179,25 @@ class ChartSpec:
 
     def degree_of(self, name: str) -> DegreeVector:
         return self.degrees[self.index(name)]
+
+    def _degree_code(self, mon: "Monomial") -> int:
+        """The degree of a monomial as an int: the XOR of the codes of its
+        odd-exponent coordinates, since even powers have degree zero."""
+        codes = self._degree_codes[0]
+        code = 0
+        for i, e in enumerate(mon):
+            if e & 1:
+                code ^= codes[i]
+        return code
+
+    def _degree_vector(self, code: int) -> DegreeVector:
+        """The degree vector of a code, built once per chart and code."""
+        vectors = self._degree_codes[1]
+        got = vectors.get(code)
+        if got is None:
+            got = vectors[code] = DegreeVector(
+                tuple((code >> k) & 1 for k in range(self.n)))
+        return got
 
     def nonzero_names(self) -> tuple[str, ...]:
         return tuple(self.names[i] for i in self.nonzero_indices)
@@ -241,12 +267,7 @@ class Monomial(tuple):
         return sum(self)
 
     def degree(self, chart: ChartSpec) -> DegreeVector:
-        bits = [0] * chart.n
-        for i, e in enumerate(self):
-            if e % 2:
-                for k, b in enumerate(chart.degrees[i].bits):
-                    bits[k] = (bits[k] + b) % 2
-        return DegreeVector(tuple(bits))
+        return chart._degree_vector(chart._degree_code(self))
 
     def label(self, chart: ChartSpec) -> str:
         if not any(self):
@@ -361,8 +382,10 @@ class GradedSeries:
         """Common degree of the terms, or None when the series is zero or
         inhomogeneous; worked out from the terms on first read."""
         if self._degree is _UNSET:
-            degs = {mon.degree(self.chart) for mon in self.terms}
-            self._degree = degs.pop() if len(degs) == 1 else None
+            chart = self.chart
+            codes = {chart._degree_code(mon) for mon in self.terms}
+            self._degree = (chart._degree_vector(codes.pop())
+                            if len(codes) == 1 else None)
         return self._degree
 
     def is_homogeneous_of(self, degree: DegreeVector) -> bool:
@@ -543,21 +566,23 @@ def _accumulate(chart: ChartSpec, parts: Iterable[tuple],
     ``(a, f, g)`` in one coefficient map, built as one series carrying
     ``loss`` and every factor's loss.  A product is `_multiply_rows` on
     cached rows in factor order (the Koszul sign depends on it), skipped
-    with its loss when a factor is zero.  ``f`` may be a row list with no
-    loss of its own, as substitution makes a term.  A scale of 1 or -1
-    adds or subtracts without multiplying.  Callers check the charts."""
+    with its loss when a factor is zero.  A part may also be a bare row
+    list, added as it is with no loss of its own, as substitution makes a
+    term.  A scale of 1 or -1 adds or subtracts without multiplying.
+    Callers check the charts."""
     out: dict[Monomial, Coefficient] = {}
     get = out.get
-    for a, f, *g in parts:
-        if g:
-            g = g[0]
+    for part in parts:
+        if type(part) is list:
+            a, terms = 1, part
+        elif len(part) == 3:
+            a, f, g = part
             if not f.terms or not g.terms:
                 continue
             loss |= f._loss | g._loss
             terms = _multiply_rows(f._term_rows(), g._term_rows(), chart)
-        elif type(f) is list:
-            terms = f
         else:
+            a, f = part
             loss |= f._loss
             if a == 1 and not out:  # a leading series is copied as it is
                 out.update(f.terms)
@@ -785,16 +810,33 @@ def compose(f: GradedSeries, images: Mapping[str, GradedSeries],
     return _substitution(images, f.chart, into_chart)(f)
 
 
+def _linear_split(images: Mapping[str, GradedSeries], keyed: ChartSpec,
+                  values_on: ChartSpec) -> tuple[list, dict, int]:
+    """An image map split at the origin: its Jacobian (one row per
+    ``keyed`` coordinate, one column per ``values_on`` coordinate), its
+    nonlinear part (each image's terms of total degree >= 2, with the
+    image's loss) and the loss of all the images together."""
+    width = len(values_on.names)
+    linear = [Monomial(int(i == j) for j in range(width)) for i in range(width)]
+    jacobian = [[images[k].terms.get(m, 0) for m in linear]
+                for k in keyed.names]
+    nonlinear = {k: _built(values_on, {m: c for m, c in images[k].terms.items()
+                                       if sum(m) > 1}, images[k]._loss)
+                 for k in keyed.names}
+    loss = reduce(or_, (images[k]._loss for k in keyed.names), 0)
+    return jacobian, nonlinear, loss
+
+
 def _substitution(images: Mapping[str, GradedSeries], keyed: ChartSpec,
                   into_chart: ChartSpec):
     """`compose` through one image map, unchecked: a change's maps were
-    checked by ``make``, and a Picard iterate or the map sending a pivot to
-    zero is valid by construction.  The returned function takes series on
+    checked by ``make``, and an inversion iterate or the map sending a pivot
+    to zero is valid by construction.  The returned function takes series on
     ``keyed`` and shares one power cache across them.
 
     Powers and partial products are row lists multiplied by
-    `_multiply_rows`, and `_accumulate` sums each term's row list, so no
-    series is built but the result."""
+    `_multiply_rows`, and `_accumulate` sums each term's row list as it
+    is, so no series is built but the result."""
     image_loss = reduce(or_, (img._loss for img in images.values()), 0)
     unit = into_chart.unit_monomial
     pow_cache: dict[tuple[int, int], list[tuple]] = {}
@@ -827,8 +869,7 @@ def _substitution(images: Mapping[str, GradedSeries], keyed: ChartSpec,
     def substitute(f: GradedSeries) -> GradedSeries:
         if f.chart != keyed:
             raise ChartError("series does not live on the chart the images key")
-        return _accumulate(into_chart,
-                           ((1, term(m, c)) for m, c in f.terms.items()),
+        return _accumulate(into_chart, map(term, f.terms, f.terms.values()),
                            f._loss | image_loss)
 
     return substitute

@@ -1,5 +1,6 @@
 """Shared test utilities: standard charts, seeded random data, the
-brute-force transposition oracle for the product sign, and the
+brute-force transposition oracle for the product sign, the Picard loop
+that is the reference for inverting a coordinate change, and the
 membership-based reference for certificate verification."""
 
 from collections import Counter
@@ -14,13 +15,17 @@ from znfrob import (
     DependentAtPoint,
     Distribution,
     GradedSeries,
+    InternalInconsistency,
+    JacobianSingular,
     Monomial,
     Rank,
     VectorField,
     certified_part,
+    compose,
     membership,
     pushforward,
     rank_of,
+    rational_inverse,
 )
 
 
@@ -250,3 +255,35 @@ def reference_verify_adapted(D, cert):
     return AdaptedReport(all(tolerated) and rank_ok and reverse_ok,
                          tuple(residual_orders), rank_ok, reverse_ok,
                          base_loss, j_loss)
+
+
+def reference_invert_map(images, keyed, values_on):
+    """Inverse substitution of ``images`` (``keyed`` coordinates written on
+    ``values_on``) by the whole-map Picard loop: from ``u = 0``, repeat
+    ``u <- u + A^{-1}(k - images(u))`` until a pass changes nothing, with
+    ``A`` the Jacobian at the origin and every substitution through the
+    public, checked `compose`.  The reference that
+    ``CoordinateChange.make``, which iterates only the nonlinear part, must
+    match term by term and flag by flag.  Returns the inverse images and
+    the number of passes."""
+    linear = [next(iter(values_on.coordinate(v).terms))
+              for v in values_on.names]
+    ainv = rational_inverse([[images[k].coefficient(m) for m in linear]
+                             for k in keyed.names])
+    if ainv is None:
+        raise JacobianSingular("singular Jacobian at the base point")
+    current = {u: keyed.zero() for u in values_on.names}
+    for passes in range(1, keyed.j_order + keyed.base_order + 3):
+        error = {k: keyed.coordinate(k) - compose(images[k], current, keyed)
+                 for k in keyed.names}
+        new = {}
+        for u, row in zip(values_on.names, ainv):
+            total = current[u]
+            for a, k in zip(row, keyed.names):
+                if a:
+                    total = total + error[k] * a
+            new[u] = total
+        if all(new[u].terms == current[u].terms for u in new):
+            return new, passes
+        current = new
+    raise InternalInconsistency("inverse substitution did not stabilise")

@@ -14,6 +14,7 @@ from helpers import (
     field_of,
     random_centered_change,
     random_field,
+    reference_invert_map,
     series_of,
     standard_chart,
 )
@@ -22,9 +23,11 @@ from znfrob import (
     CoordinateChange,
     GradedMatrix,
     HomogeneityError,
+    InternalInconsistency,
     JacobianSingular,
     UnknownCoordinateError,
     VectorField,
+    antiderivative,
     bracket,
     compose,
     compose_changes,
@@ -339,7 +342,9 @@ def test_substitution_multiply_counts(monkeypatch):
     # work counts, not timings: powers are built once per image map and a
     # term starts from its scaled first power (200 and 172 calls when each
     # compose rebuilt its powers from a constant series); substitution
-    # multiplies term rows, so the count is taken at the row product
+    # multiplies term rows, so the count is taken at the row product.  The
+    # inversion in make substitutes only the nonlinear images, from the
+    # linear inverse on (62 when it began with a pass through the zero map)
     chart = standard_chart()
     rng = random.Random(3)
     a = random_centered_change(rng, chart, extra_terms=2)
@@ -357,7 +362,7 @@ def test_substitution_multiply_counts(monkeypatch):
     assert calls == 112
     calls = 0
     CoordinateChange.make(chart, chart, b.images)
-    assert calls == 62
+    assert calls == 60
 
 
 def test_change_maps_are_checked_once(monkeypatch):
@@ -385,6 +390,130 @@ def test_change_maps_are_checked_once(monkeypatch):
     assert calls == 0
     compose(chart.coordinate("x"), a.images, chart)
     assert calls == 1
+
+
+INVERSION_CHARTS = {
+    "j4b6": standard_chart(),
+    "j3b4": standard_chart(j_order=3, base_order=4),
+    "extra_base": standard_chart(extra_base=True),
+}
+
+
+def lossy_variants(change):
+    """The change's forward images, and the same images plus an
+    antiderivative that drops a term: base loss on the image of ``x``, J
+    loss on the image of ``t1``, and both."""
+    chart = change.source
+    x, t2, e = (chart.coordinate(n) for n in ("x", "t2", "e"))
+    base_drop = antiderivative(x ** 2 + x ** chart.base_order, "x")
+    j_drop = antiderivative(x * t2 + t2 * e ** (chart.j_order - 1), "e")
+    assert (base_drop.base_loss, j_drop.j_loss) == (True, True)
+    for extra in ({}, {"x": base_drop}, {"t1": j_drop},
+                  {"x": base_drop, "t1": j_drop}):
+        yield {k: img + extra[k] if k in extra else img
+               for k, img in change.images.items()}
+
+
+def changes_to_invert(chart, seeds=range(2)):
+    for seed in seeds:
+        rng = random.Random(seed)
+        for mix in (False, True):
+            for max_total in (2, 3):
+                change = random_centered_change(
+                    rng, chart, extra_terms=2, max_total=max_total,
+                    mix_linear=mix)
+                yield from lossy_variants(change)
+
+
+def assert_same_images(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].terms == want[name].terms, name
+        assert got[name].base_loss == want[name].base_loss, name
+        assert got[name].j_loss == want[name].j_loss, name
+
+
+@pytest.mark.parametrize("name", sorted(INVERSION_CHARTS))
+def test_inverse_matches_picard_reference(name):
+    chart = INVERSION_CHARTS[name]
+    for images in changes_to_invert(chart):
+        change = CoordinateChange.make(chart, chart, images)
+        want, _ = reference_invert_map(images, chart, chart)
+        assert_same_images(change.inverse_images, want)
+
+
+@pytest.mark.parametrize("name", sorted(INVERSION_CHARTS))
+def test_inverse_round_trips_through_compose(name):
+    # the defining direction holds exactly; the other can differ only at
+    # total degree past the base order, where a dropped pure-base tail
+    # folds back into the window (see test_change_round_trip_random)
+    chart = INVERSION_CHARTS[name]
+    for images in changes_to_invert(chart, seeds=[2]):
+        change = CoordinateChange.make(chart, chart, images)
+        for k in chart.names:
+            assert compose(images[k], change.inverse_images, chart) == \
+                chart.coordinate(k), k
+            back = compose(change.inverse_images[k], images, chart)
+            assert all(m.total_degree > chart.base_order
+                       for m in (back - chart.coordinate(k)).terms), k
+
+
+def count_substitutions(monkeypatch):
+    calls = [0]
+    real = znfrob.fields._substitution
+
+    def counted(images, keyed, into_chart):
+        calls[0] += 1
+        return real(images, keyed, into_chart)
+
+    monkeypatch.setattr(znfrob.fields, "_substitution", counted)
+    return calls
+
+
+def test_linear_change_takes_no_substitution(monkeypatch):
+    chart = standard_chart(extra_base=True)
+    rng = random.Random(8)
+    linear = [random_centered_change(rng, chart, extra_terms=0).images
+              for _ in range(4)]
+    x = chart.coordinate("x")
+    lossy = dict(linear[0], x=linear[0]["x"]
+                 + antiderivative(x ** chart.base_order, "x"))
+    assert lossy["x"].base_loss and lossy["x"] == linear[0]["x"]
+    calls = count_substitutions(monkeypatch)
+    for images in [*linear, lossy]:
+        change = CoordinateChange.make(chart, chart, images)
+        assert calls[0] == 0
+        want, passes = reference_invert_map(images, chart, chart)
+        assert passes == 2
+        assert_same_images(change.inverse_images, want)
+
+
+def test_nonlinear_change_takes_one_pass_fewer(monkeypatch):
+    calls = count_substitutions(monkeypatch)
+    for chart in INVERSION_CHARTS.values():
+        for images in changes_to_invert(chart, seeds=[3]):
+            calls[0] = 0
+            CoordinateChange.make(chart, chart, images)
+            _, passes = reference_invert_map(images, chart, chart)
+            assert calls[0] == passes - 1
+
+
+def test_wrong_linear_inverse_is_refused(monkeypatch):
+    # the fixed point solves images(u) = k only when A^{-1} inverts A, so a
+    # wrong linear inverse must raise, not return a wrong inverse
+    chart = standard_chart()
+    rng = random.Random(4)
+    nonlinear = random_centered_change(rng, chart, extra_terms=2).images
+    linear = random_centered_change(rng, chart, extra_terms=0).images
+    real = znfrob.fields.rational_inverse
+
+    def doubled(rows):
+        return [[2 * a for a in row] for row in real(rows)]
+
+    monkeypatch.setattr(znfrob.fields, "rational_inverse", doubled)
+    for images in (nonlinear, linear):
+        with pytest.raises(InternalInconsistency):
+            CoordinateChange.make(chart, chart, images)
 
 
 def test_change_loss_flags_pinned():
