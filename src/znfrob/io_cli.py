@@ -46,19 +46,17 @@ from .frobenius import (
     verify_adapted,
 )
 from .grading import DegreeVector
-from .series import (ChartSpec, Coefficient, GradedSeries, certified_part,
-                     collect_truncation_drops)
+from .series import (ChartSpec, Coefficient, GradedSeries, _accumulate,
+                     _product, certified_part, collect_truncation_drops)
 
 
 # ---------------------------------------------------------------------------
 # tokenizer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str       # "int", "ident", or the operator character itself
-    text: str
-    offset: int
+# a token is a tuple (kind, text, offset): kind is "int", "ident", the
+# operator character itself, or "end" for the one token after the last
+_Token = tuple[str, str, int]
 
 
 def _line_col(src: str, offset: int) -> tuple[int, int]:
@@ -83,23 +81,23 @@ def _tokenize(src: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
+        start = i
         if c.isdigit():
-            start = i
+            i += 1
             while i < n and src[i].isdigit():
                 i += 1
-            tokens.append(_Token("int", src[start:i], start))
-            continue
-        if c.isalpha() or c == "_":
-            start = i
+            tokens.append(("int", src[start:i], start))
+        elif c.isalpha() or c == "_":
+            i += 1
             while i < n and (src[i].isalnum() or src[i] == "_"):
                 i += 1
-            tokens.append(_Token("ident", src[start:i], start))
-            continue
-        if c in "+-*^/()":
-            tokens.append(_Token(c, c, i))
+            tokens.append(("ident", src[start:i], start))
+        elif c in "+-*^/()":
+            tokens.append((c, c, i))
             i += 1
-            continue
-        raise _syntax_error(src, i, f"unexpected character {c!r}")
+        else:
+            raise _syntax_error(src, i, f"unexpected character {c!r}")
+    tokens.append(("end", "", n))
     return tokens
 
 
@@ -107,8 +105,9 @@ def _tokenize(src: str) -> list[_Token]:
 # recursive-descent parser, evaluating straight into the chart ring
 # ---------------------------------------------------------------------------
 
-# each '(' or unary '-' costs up to four Python frames; this bound keeps the
-# deepest accepted input far below the default recursion limit of 1000
+# each '(' costs six Python frames (expr, term, _product, factors, factor,
+# atom) and each unary '-' one; this bound keeps the deepest accepted input
+# well below the default recursion limit of 1000
 _MAX_NESTING = 100
 
 
@@ -125,125 +124,147 @@ def _printable(value: Coefficient) -> bool:
 
 
 class _Parser:
+    """An atom or factor is a coefficient, a pair ``(i, k)`` for the k-th
+    power of coordinate i, or a series.  A term folds its factors into one
+    series (``series._product``) and an expression sums its terms in one
+    map; a parenthesis, a unary minus on anything but a number, and a power
+    of a number or of a series take series arithmetic."""
+
     def __init__(self, src: str, chart: ChartSpec):
         self.src = src
         self.chart = chart
         self.tokens = _tokenize(src)
         self.pos = 0
         self.depth = 0
+        # the coordinate powers this parse has worked out, as `_product`
+        # keeps them
+        self.powers: dict = {}
 
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
-    def next(self) -> Optional[_Token]:
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
+    def next(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
         return tok
 
     def error(self, message: str) -> ExpressionSyntaxError:
-        tok = self.peek()
-        offset = tok.offset if tok is not None else len(self.src)
-        return _syntax_error(self.src, offset, message)
+        return _syntax_error(self.src, self.peek()[2], message)
+
+    def series(self, value) -> GradedSeries:
+        """An atom's or factor's value as a series."""
+        return _product(self.chart, (value,), self.powers)
 
     def parse(self) -> GradedSeries:
         value = self.expr()
-        if self.peek() is not None:
-            raise self.error(f"unexpected token {self.peek().text!r}")
+        kind, text, _ = self.peek()
+        if kind != "end":
+            raise self.error(f"unexpected token {text!r}")
         if not all(map(_printable, value.terms.values())):
             raise self.error("coefficient too large to print")
         return value
 
     def integer(self) -> int:
-        tok = self.next()
+        _, text, offset = self.next()
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError:  # a digit int() refuses, or too many digits
-            raise _syntax_error(self.src, tok.offset,
-                                f"unreadable integer {tok.text[:20]!r}") from None
+            raise _syntax_error(self.src, offset,
+                                f"unreadable integer {text[:20]!r}") from None
 
-    def expr(self) -> GradedSeries:
-        value = self.term()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind not in ("+", "-"):
-                return value
-            self.next()
-            rhs = self.term()
-            value = value + rhs if tok.kind == "+" else value - rhs
-
-    def term(self) -> GradedSeries:
-        value = self.factor()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "*":
-                return value
-            self.next()
-            value = value * self.factor()
-
-    def factor(self) -> GradedSeries:
-        value = self.atom()
-        tok = self.peek()
-        if tok is not None and tok.kind == "^":
-            self.next()
-            exp = self.peek()
-            if exp is None or exp.kind != "int":
-                raise self.error("expected a natural number after '^'")
-            exponent = self.integer()
-            # the constant term of a power is the power of the constant
-            # term, so a huge one is refused before it is computed
-            c = value.constant_term
-            if abs(c) not in (0, 1) and exponent * math.log10(
-                    max(abs(c.numerator), c.denominator)) >= _max_digits():
-                raise _syntax_error(self.src, exp.offset,
-                                    "coefficient too large to print")
-            value = value ** exponent
+    def expr(self, nested: bool = False) -> GradedSeries:
+        parts = [(1, self.term())]
+        while self.peek()[0] in ("+", "-"):
+            scale = 1 if self.next()[0] == "+" else -1
+            parts.append((scale, self.term()))
+        if len(parts) == 1:
+            return parts[0][1]
+        if not nested:
+            return _accumulate(self.chart, parts)
+        # a product may take a sum in parentheses further, and its drops
+        # follow the sum's term order, which adding one term at a time
+        # keeps: a monomial that cancels and comes back goes last
+        value = parts[0][1]
+        for scale, term in parts[1:]:
+            value = value + term if scale == 1 else value - term
         return value
 
-    def atom(self) -> GradedSeries:
-        tok = self.peek()
-        if tok is None:
+    def term(self) -> GradedSeries:
+        return _product(self.chart, self.factors(), self.powers)
+
+    def factors(self):
+        # a generator, so that each factor is parsed, and notes its drops,
+        # after the product of the factors before it
+        yield self.factor()
+        while self.peek()[0] == "*":
+            self.next()
+            yield self.factor()
+
+    def factor(self):
+        value = self.atom()
+        if self.peek()[0] != "^":
+            return value
+        self.next()
+        exp = self.peek()
+        if exp[0] != "int":
+            raise self.error("expected a natural number after '^'")
+        exponent = self.integer()
+        if type(value) is tuple:
+            return value[0], exponent
+        value = self.series(value)
+        # the constant term of a power is the power of the constant term,
+        # so a huge one is refused before it is computed
+        c = value.constant_term
+        if abs(c) not in (0, 1) and exponent * math.log10(
+                max(abs(c.numerator), c.denominator)) >= _max_digits():
+            raise _syntax_error(self.src, exp[2],
+                                "coefficient too large to print")
+        return value ** exponent
+
+    def atom(self):
+        kind, text, offset = self.peek()
+        if kind == "end":
             raise self.error("unexpected end of expression")
-        if tok.kind in ("-", "("):
+        if kind in ("-", "("):
             # a failed parse discards the parser, so no unwinding on errors
             if self.depth == _MAX_NESTING:
                 raise self.error(
                     f"expression nested deeper than {_MAX_NESTING} levels")
             self.depth += 1
             self.next()
-            if tok.kind == "-":
-                value = -self.atom()
+            if kind == "-":
+                value = self.atom()
+                value = (-value if isinstance(value, (int, Fraction))
+                         else -self.series(value))
             else:
-                value = self.expr()
-                closing = self.peek()
-                if closing is None or closing.kind != ")":
+                value = self.expr(nested=True)
+                if self.peek()[0] != ")":
                     raise self.error("expected ')'")
                 self.next()
             self.depth -= 1
             return value
-        if tok.kind == "int":
+        if kind == "int":
             numerator = self.integer()
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "/":
+            if self.peek()[0] == "/":
                 self.next()
                 den = self.peek()
-                if den is None or den.kind != "int":
+                if den[0] != "int":
                     raise self.error("expected a positive integer denominator")
                 denominator = self.integer()
                 if denominator == 0:
-                    raise _syntax_error(self.src, den.offset,
+                    raise _syntax_error(self.src, den[2],
                                         "denominator must be positive")
-                return self.chart.constant(Fraction(numerator, denominator))
-            return self.chart.constant(numerator)
-        if tok.kind == "ident":
+                return Fraction(numerator, denominator)
+            return numerator
+        if kind == "ident":
             self.next()
             try:
-                return self.chart.coordinate(tok.text)
+                return self.chart.index(text), 1
             except UnknownCoordinateError:
                 raise _syntax_error(
-                    self.src, tok.offset,
-                    f"unknown identifier {tok.text!r}") from None
-        raise self.error(f"unexpected token {tok.text!r}")
+                    self.src, offset,
+                    f"unknown identifier {text!r}") from None
+        raise self.error(f"unexpected token {text!r}")
 
 
 def parse_expression(src: str, chart: ChartSpec,

@@ -30,8 +30,9 @@ and caches: ``(monomial, coefficient, J-degree, base degree, odd-support
 mask, odd-exponent mask, sign mask)``, where bit ``i`` of the sign mask is
 ``sum_{j<i} (e_j mod 2) <deg_j, deg_i> mod 2``.  A product term's degrees
 and masks are the sums and XORs of its factors', so a product's rows come
-out of the product itself, and a substitution multiplies rows without
-building a series per power or partial product.  A series' ``terms`` are
+out of the product itself, and a substitution, like the parser's product
+of atoms (`_product`), multiplies rows without building a series per
+power or partial product.  A series' ``terms`` are
 never changed after construction (a lint in the tests checks this), or
 its cached rows would go stale.
 """
@@ -158,8 +159,7 @@ class ChartSpec:
     def _degree_codes(self) -> tuple[tuple[int, ...], dict[int, DegreeVector]]:
         # each coordinate's degree as an int whose bit k is component k, and
         # the degree vector of each code read so far (`_degree_vector`)
-        return (tuple(sum(b << k for k, b in enumerate(deg.bits))
-                      for deg in self.degrees), {})
+        return tuple(map(self._code_of, self.degrees)), {}
 
     @cached_property
     def zero_degree(self) -> DegreeVector:
@@ -179,6 +179,14 @@ class ChartSpec:
 
     def degree_of(self, name: str) -> DegreeVector:
         return self.degrees[self.index(name)]
+
+    def _code_of(self, degree: DegreeVector) -> int:
+        """A degree vector of this chart's length as an int whose bit k is
+        component k."""
+        if degree.n != self.n:
+            raise DimensionError(
+                f"degree length mismatch: {degree.n} vs {self.n}")
+        return sum(b << k for k, b in enumerate(degree.bits))
 
     def _degree_code(self, mon: "Monomial") -> int:
         """The degree of a monomial as an int: the XOR of the codes of its
@@ -405,21 +413,7 @@ class GradedSeries:
     def _term_rows(self) -> list[tuple]:
         """The cached term rows (see the module docstring)."""
         if self._rows is None:
-            odd_mask, later = self.chart._row_masks
-            base = self.chart.base_indices
-            self._rows = []
-            for mon, c in self.terms.items():
-                par = sign = b = 0
-                for i, e in enumerate(mon):
-                    if e & 1:
-                        par |= 1 << i
-                        sign ^= later[i]
-                for i in base:
-                    b += mon[i]
-                # an odd coordinate's exponent is 0 or 1, so its odd-exponent
-                # bit is its support bit
-                self._rows.append((mon, c, sum(mon) - b, b, par & odd_mask,
-                                   par, sign))
+            self._rows = _rows_of(self.chart, self.terms.items())
         return self._rows
 
     # -- ring operations ------------------------------------------------------
@@ -560,6 +554,26 @@ def _built(chart: ChartSpec, terms: Mapping[Monomial, Coefficient],
     return object.__new__(GradedSeries)._fill(chart, terms, loss, rows)
 
 
+def _rows_of(chart: ChartSpec, terms: Iterable[tuple]) -> list[tuple]:
+    """The rows (see the module docstring) of ``(monomial, coefficient)``
+    pairs."""
+    odd_mask, later = chart._row_masks
+    base = chart.base_indices
+    rows = []
+    for mon, c in terms:
+        par = sign = b = 0
+        for i, e in enumerate(mon):
+            if e & 1:
+                par |= 1 << i
+                sign ^= later[i]
+        for i in base:
+            b += mon[i]
+        # an odd coordinate's exponent is 0 or 1, so its odd-exponent bit is
+        # its support bit
+        rows.append((mon, c, sum(mon) - b, b, par & odd_mask, par, sign))
+    return rows
+
+
 def _accumulate(chart: ChartSpec, parts: Iterable[tuple],
                 loss: int = 0) -> GradedSeries:
     """``sum a*f`` and ``sum a*f*g`` over the parts ``(a, f)`` and
@@ -662,6 +676,66 @@ def _multiply_rows(rows1: list[tuple], rows2: list[tuple],
                     del out[mon]
     return [(m, _canonical(c), j, b, o, p, s)
             for m, (c, j, b, o, p, s) in out.items()]
+
+
+def _product(chart: ChartSpec, factors: Iterable,
+             powers: dict[tuple[int, int], list[tuple]]) -> GradedSeries:
+    """The product of ``factors``, taken one at a time, as one series.
+
+    A factor is a series, a coefficient, or a pair ``(i, k)`` for the k-th
+    power of coordinate i.  Each factor's rows are folded into the product
+    so far by `_multiply_rows`, so the products, and the drops they note in
+    their order, are those of chained `multiply` calls; a lone series
+    factor is returned as it is.  ``powers`` is the caller's cache of
+    coordinate powers (see `_power_rows`)."""
+    rows = first = None
+    loss = 0
+    for count, factor in enumerate(factors):
+        if type(factor) is tuple:
+            got = _power_rows(chart, factor, powers)
+        elif isinstance(factor, GradedSeries):
+            loss |= factor._loss
+            got = factor._term_rows()
+        else:
+            got = ([(chart.unit_monomial, _canonical(factor), 0, 0, 0, 0, 0)]
+                   if factor else [])
+        if rows is None:
+            rows, first = got, factor
+        else:
+            rows = _multiply_rows(rows, got, chart)
+    if not count and isinstance(first, GradedSeries):
+        return first
+    return _built(chart, {row[0]: row[1] for row in rows}, loss, rows)
+
+
+def _power_rows(chart: ChartSpec, power: tuple[int, int],
+                powers: dict[tuple[int, int], list[tuple]]) -> list[tuple]:
+    """The rows of ``u^k`` for ``power = (i, k)``, u the i-th coordinate:
+    ``u`` times itself until the first empty product, which notes the
+    drop that `GradedSeries.__pow__` notes, the first power past the window
+    with coefficient 1.  ``powers`` keeps the powers inside the window, so a
+    power past it is worked out, and noted, again at each use."""
+    got = powers.get(power)
+    if got is not None:
+        return got
+    i, k = power
+    if not k:
+        return [(chart.unit_monomial, 1, 0, 0, 0, 0, 0)]
+    base = powers.get((i, 1))
+    if base is None:
+        exps = [0] * len(chart.coordinates)
+        exps[i] = 1
+        base = powers[(i, 1)] = _rows_of(chart, ((Monomial(exps), 1),))
+    got = base
+    for e in range(2, k + 1):
+        step = powers.get((i, e))
+        if step is None:
+            step = _multiply_rows(got, base, chart)
+            if not step:
+                return step
+            powers[(i, e)] = step
+        got = step
+    return got
 
 
 def derive(f: GradedSeries, name: str) -> GradedSeries:

@@ -1,9 +1,12 @@
 """Shared test utilities: standard charts, seeded random data, the
 brute-force transposition oracle for the product sign, the Picard loop
-that is the reference for inverting a coordinate change, and the
-membership-based reference for certificate verification."""
+that is the reference for inverting a coordinate change, the
+membership-based reference for certificate verification, and the parser
+that evaluates every atom, power and product in series arithmetic."""
 
+import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -27,6 +30,9 @@ from znfrob import (
     rank_of,
     rational_inverse,
 )
+from znfrob.errors import UnknownCoordinateError
+from znfrob.io_cli import _MAX_NESTING, _max_digits, _printable, _syntax_error
+from znfrob.series import collect_truncation_drops
 
 
 def standard_chart(j_order=4, base_order=6, extra_base=False):
@@ -287,3 +293,180 @@ def reference_invert_map(images, keyed, values_on):
             return new, passes
         current = new
     raise InternalInconsistency("inverse substitution did not stabilise")
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str       # "int", "ident", or the operator character itself
+    text: str
+    offset: int
+
+
+def _reference_tokenize(src):
+    tokens = []
+    i = 0
+    n = len(src)
+    while i < n:
+        c = src[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isdigit():
+            start = i
+            while i < n and src[i].isdigit():
+                i += 1
+            tokens.append(_Token("int", src[start:i], start))
+            continue
+        if c.isalpha() or c == "_":
+            start = i
+            while i < n and (src[i].isalnum() or src[i] == "_"):
+                i += 1
+            tokens.append(_Token("ident", src[start:i], start))
+            continue
+        if c in "+-*^/()":
+            tokens.append(_Token(c, c, i))
+            i += 1
+            continue
+        raise _syntax_error(src, i, f"unexpected character {c!r}")
+    return tokens
+
+
+class _ReferenceParser:
+    """Recursive descent in series arithmetic: every atom is a series, every
+    ``^`` a `GradedSeries.__pow__`, every ``*`` a product and every ``+``
+    a sum of the value so far and the next term."""
+
+    def __init__(self, src, chart):
+        self.src = src
+        self.chart = chart
+        self.tokens = _reference_tokenize(src)
+        self.pos = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is not None:
+            self.pos += 1
+        return tok
+
+    def error(self, message):
+        tok = self.peek()
+        offset = tok.offset if tok is not None else len(self.src)
+        return _syntax_error(self.src, offset, message)
+
+    def parse(self):
+        value = self.expr()
+        if self.peek() is not None:
+            raise self.error(f"unexpected token {self.peek().text!r}")
+        if not all(map(_printable, value.terms.values())):
+            raise self.error("coefficient too large to print")
+        return value
+
+    def integer(self):
+        tok = self.next()
+        try:
+            return int(tok.text)
+        except ValueError:
+            raise _syntax_error(self.src, tok.offset,
+                                f"unreadable integer {tok.text[:20]!r}") from None
+
+    def expr(self):
+        value = self.term()
+        while True:
+            tok = self.peek()
+            if tok is None or tok.kind not in ("+", "-"):
+                return value
+            self.next()
+            rhs = self.term()
+            value = value + rhs if tok.kind == "+" else value - rhs
+
+    def term(self):
+        value = self.factor()
+        while True:
+            tok = self.peek()
+            if tok is None or tok.kind != "*":
+                return value
+            self.next()
+            value = value * self.factor()
+
+    def factor(self):
+        value = self.atom()
+        tok = self.peek()
+        if tok is not None and tok.kind == "^":
+            self.next()
+            exp = self.peek()
+            if exp is None or exp.kind != "int":
+                raise self.error("expected a natural number after '^'")
+            exponent = self.integer()
+            c = value.constant_term
+            if abs(c) not in (0, 1) and exponent * math.log10(
+                    max(abs(c.numerator), c.denominator)) >= _max_digits():
+                raise _syntax_error(self.src, exp.offset,
+                                    "coefficient too large to print")
+            value = value ** exponent
+        return value
+
+    def atom(self):
+        tok = self.peek()
+        if tok is None:
+            raise self.error("unexpected end of expression")
+        if tok.kind in ("-", "("):
+            if self.depth == _MAX_NESTING:
+                raise self.error(
+                    f"expression nested deeper than {_MAX_NESTING} levels")
+            self.depth += 1
+            self.next()
+            if tok.kind == "-":
+                value = -self.atom()
+            else:
+                value = self.expr()
+                closing = self.peek()
+                if closing is None or closing.kind != ")":
+                    raise self.error("expected ')'")
+                self.next()
+            self.depth -= 1
+            return value
+        if tok.kind == "int":
+            numerator = self.integer()
+            nxt = self.peek()
+            if nxt is not None and nxt.kind == "/":
+                self.next()
+                den = self.peek()
+                if den is None or den.kind != "int":
+                    raise self.error("expected a positive integer denominator")
+                denominator = self.integer()
+                if denominator == 0:
+                    raise _syntax_error(self.src, den.offset,
+                                        "denominator must be positive")
+                return self.chart.constant(Fraction(numerator, denominator))
+            return self.chart.constant(numerator)
+        if tok.kind == "ident":
+            self.next()
+            try:
+                return self.chart.coordinate(tok.text)
+            except UnknownCoordinateError:
+                raise _syntax_error(
+                    self.src, tok.offset,
+                    f"unknown identifier {tok.text!r}") from None
+        raise self.error(f"unexpected token {tok.text!r}")
+
+
+def reference_parse(src, chart, warnings=None):
+    """`parse_expression` through series arithmetic alone: the reference
+    that the parser, which folds each product of atoms into one series and
+    sums an expression in one map, must match term by term, flag by flag
+    and warning by warning, and error by error on refused input."""
+    with collect_truncation_drops() as drops:
+        value = _ReferenceParser(src, chart).parse()
+    if not all(_printable(coeff) for _, coeff in drops):
+        raise _syntax_error(src, len(src),
+                            "dropped coefficient too large to print")
+    if warnings is not None:
+        for mon, coeff in drops:
+            warnings.append(
+                f"dropped {coeff}*{mon.label(chart)}: beyond truncation "
+                f"(j_order={chart.j_order}, base_order={chart.base_order})")
+    return value

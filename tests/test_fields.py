@@ -21,6 +21,8 @@ from helpers import (
 from znfrob import (
     ChartSpec,
     CoordinateChange,
+    DegreeVector,
+    DimensionError,
     GradedMatrix,
     HomogeneityError,
     InternalInconsistency,
@@ -652,3 +654,31 @@ def test_sums_build_one_series_per_result(chart, monkeypatch):
     fills = derives = 0
     assert not bracket(X, Y).is_zero
     assert derives and fills == derives + len(chart.names)
+
+
+def test_pushforward_builds_no_degree_vector(chart, monkeypatch):
+    # a coefficient's degree is checked as an int code against the vectors
+    # the chart keeps per code, so a warm pushforward builds none
+    rng = random.Random(11)
+    change = random_centered_change(rng, chart)
+    X = random_field(rng, chart, degree=chart.degree_of("e"), terms=3)
+    want = pushforward(change, X)
+    assert want.coefficients
+    built = 0
+    real_post_init = DegreeVector.__post_init__
+
+    def counted_post_init(self):
+        nonlocal built
+        built += 1
+        real_post_init(self)
+
+    monkeypatch.setattr(DegreeVector, "__post_init__", counted_post_init)
+    assert pushforward(change, X) == want
+    assert built == 0
+
+
+def test_field_degree_of_wrong_length_is_refused(chart):
+    with pytest.raises(DimensionError, match="degree length mismatch: 3 vs 2"):
+        VectorField(chart, DegreeVector.of(0, 0, 0), {"x": chart.one()})
+    with pytest.raises(HomogeneityError, match=r"degree \(0,1\)"):
+        VectorField(chart, chart.zero_degree, {"t1": chart.coordinate("x")})

@@ -11,8 +11,11 @@ import io
 import json
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import reference_parse
+from znfrob import ChartSpec, ZnError, parse_expression
 from znfrob.io_cli import main
 
 COORDINATES = [("x", [0, 0]), ("y", [0, 0]), ("t1", [0, 1]), ("t2", [1, 0]),
@@ -97,6 +100,43 @@ def test_fuzzed_expressions_end_in_one_json_report(tmp_path):
         assert elapsed < 2.0, problem
 
     check()
+
+
+# -- the parser against series arithmetic ---------------------------------------
+
+def _outcome(parse, src, chart):
+    """What a parse gives: the terms, both loss flags and the warnings in
+    order, or the refusal's type, message and offset."""
+    warnings = []
+    try:
+        value = parse(src, chart, warnings)
+    except ZnError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    return value.terms, value.base_loss, value.j_loss, warnings
+
+
+def test_parser_matches_series_arithmetic_reference():
+    @settings(max_examples=400, derandomize=True, deadline=None,
+              database=None)
+    @given(src=st.one_of(_base, _mixed, _soup), j_order=st.integers(1, 3),
+           base_order=st.integers(1, 4))
+    def check(src, j_order, base_order):
+        chart = ChartSpec.build(2, COORDINATES, j_order, base_order)
+        assert (_outcome(parse_expression, src, chart)
+                == _outcome(reference_parse, src, chart)), src
+
+    check()
+
+
+@pytest.mark.parametrize("src", [
+    "2\u00b2", "x\u00b2", "x^\u00b2", "\u00bd", "x\u00bd*x", "3\u00bd",
+    "\u0663*x", "x^\u0663", "x\u00a0+\u00a0t1", "\u00a0", "_x", "x_2 + 1",
+])
+def test_parser_matches_reference_on_unicode_text(src):
+    # str.isdigit / isalnum and re's \d / \w differ on these characters
+    chart = ChartSpec.build(2, COORDINATES + [("x\u00bd", [0, 0])], 4, 6)
+    assert (_outcome(parse_expression, src, chart)
+            == _outcome(reference_parse, src, chart))
 
 
 # -- problem-JSON structure ---------------------------------------------------

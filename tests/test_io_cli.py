@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_series, standard_chart
+from helpers import random_series, reference_parse, standard_chart
 import znfrob
+import znfrob.series
 from znfrob import (
     ExpressionSyntaxError,
     ProblemFormatError,
@@ -66,6 +67,45 @@ def test_parse_overflow_warns(chart):
     f = parse_expression("x^7 + x", chart, warnings)
     assert f == chart.coordinate("x")
     assert len(warnings) == 1 and "x^7" in warnings[0]
+
+
+@pytest.mark.parametrize("src, value, dropped", [
+    # recorded before products of atoms were folded into one series: a
+    # coordinate power notes only its first power past the window, with
+    # coefficient 1, even when a factor before it is zero or is a number
+    ("3*x^7*t1 + x", "x", ["1*x^7"]),
+    ("x^3*x^4", "0", ["1*x^7"]),
+    ("0*e^1000000*t1", "0", ["1*e^5"]),
+    ("t1^2*x", "0", []),
+    ("t1^0", "1", []),
+    ("-x^7*e + x^7", "0", ["-1*x^7", "1*x^7"]),
+    ("1/2*e^2*3*e^3", "0", ["3/2*e^5"]),
+    ("x^6*x*(e^4*e)", "0", ["1*x^7", "1*e^5"]),
+    ("(x^3 + x^2 - x^3 + x^3)*x^5", "0", ["1*x^7", "1*x^8"]),
+])
+def test_power_drop_notes_in_products_pinned(chart, src, value, dropped):
+    warnings = []
+    assert str(parse_expression(src, chart, warnings)) == value
+    assert warnings == [f"dropped {d}: beyond truncation (j_order=4, "
+                        "base_order=6)" for d in dropped]
+
+
+def test_parse_builds_one_series_per_term(chart, monkeypatch):
+    # with no parentheses, each term is one product and the sum one more
+    src = ("-1/2*e^2 + 3*x^2*t1*t2 - x*t1*t2*e + 7 + 2/3*x^4*e^2*x"
+           " - t1*t1 + x^9*e")
+    want = reference_parse(src, chart)
+    built = 0
+    real_fill = znfrob.series.GradedSeries._fill
+
+    def counted_fill(self, *args):
+        nonlocal built
+        built += 1
+        return real_fill(self, *args)
+
+    monkeypatch.setattr(znfrob.series.GradedSeries, "_fill", counted_fill)
+    assert parse_expression(src, chart) == want
+    assert built <= 7 + 1
 
 
 def test_round_trip_fixpoint(chart):
