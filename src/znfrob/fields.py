@@ -19,7 +19,7 @@ chart in the target coordinates.
 ``make`` checks the forward images (``series.check_images``); the inverse
 and every later substitution through a change's maps are valid by
 construction and run unchecked.  Where one image map substitutes several
-series, its powers are built once, as term rows (``series._substitution``):
+series, each image's powers form one chain of rows (``series._substitution``):
 each pass of the inversion substitutes every nonlinear image part into
 the current inverse, ``then`` substitutes each direction through one map,
 and ``pushforward`` substitutes every coefficient into the inverse images.

@@ -105,9 +105,9 @@ def _tokenize(src: str) -> list[_Token]:
 # recursive-descent parser, evaluating straight into the chart ring
 # ---------------------------------------------------------------------------
 
-# each '(' costs six Python frames (expr, term, _product, factors, factor,
-# atom) and each unary '-' one; this bound keeps the deepest accepted input
-# well below the default recursion limit of 1000
+# each '(' costs seven Python frames (expr, term, _product, _fold, factors,
+# factor, atom) and each unary '-' one; this bound keeps the deepest
+# accepted input below the default recursion limit of 1000
 _MAX_NESTING = 100
 
 
@@ -126,9 +126,9 @@ def _printable(value: Coefficient) -> bool:
 class _Parser:
     """An atom or factor is a coefficient, a pair ``(i, k)`` for the k-th
     power of coordinate i, or a series.  A term folds its factors into one
-    series (``series._product``) and an expression sums its terms in one
-    map; a parenthesis, a unary minus on anything but a number, and a power
-    of a number or of a series take series arithmetic."""
+    series (``series._product``), a unary minus on anything but a number
+    with them, and an expression, in parentheses too, sums its terms in one
+    map; only a power of a series takes series arithmetic."""
 
     def __init__(self, src: str, chart: ChartSpec):
         self.src = src
@@ -136,9 +136,8 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.pos = 0
         self.depth = 0
-        # the coordinate powers this parse has worked out, as `_product`
-        # keeps them
-        self.powers: dict = {}
+        # this parse's chains of coordinate powers (see `_product`)
+        self.chains: dict = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -150,10 +149,6 @@ class _Parser:
 
     def error(self, message: str) -> ExpressionSyntaxError:
         return _syntax_error(self.src, self.peek()[2], message)
-
-    def series(self, value) -> GradedSeries:
-        """An atom's or factor's value as a series."""
-        return _product(self.chart, (value,), self.powers)
 
     def parse(self) -> GradedSeries:
         value = self.expr()
@@ -172,25 +167,15 @@ class _Parser:
             raise _syntax_error(self.src, offset,
                                 f"unreadable integer {text[:20]!r}") from None
 
-    def expr(self, nested: bool = False) -> GradedSeries:
+    def expr(self) -> GradedSeries:
         parts = [(1, self.term())]
         while self.peek()[0] in ("+", "-"):
             scale = 1 if self.next()[0] == "+" else -1
             parts.append((scale, self.term()))
-        if len(parts) == 1:
-            return parts[0][1]
-        if not nested:
-            return _accumulate(self.chart, parts)
-        # a product may take a sum in parentheses further, and its drops
-        # follow the sum's term order, which adding one term at a time
-        # keeps: a monomial that cancels and comes back goes last
-        value = parts[0][1]
-        for scale, term in parts[1:]:
-            value = value + term if scale == 1 else value - term
-        return value
+        return parts[0][1] if len(parts) == 1 else _accumulate(self.chart, parts)
 
     def term(self) -> GradedSeries:
-        return _product(self.chart, self.factors(), self.powers)
+        return _product(self.chart, self.factors(), self.chains)
 
     def factors(self):
         # a generator, so that each factor is parsed, and notes its drops,
@@ -210,11 +195,10 @@ class _Parser:
             raise self.error("expected a natural number after '^'")
         exponent = self.integer()
         if type(value) is tuple:
-            return value[0], exponent
-        value = self.series(value)
+            return (value[0], exponent) if exponent else 1
         # the constant term of a power is the power of the constant term,
         # so a huge one is refused before it is computed
-        c = value.constant_term
+        c = value.constant_term if isinstance(value, GradedSeries) else value
         if abs(c) not in (0, 1) and exponent * math.log10(
                 max(abs(c.numerator), c.denominator)) >= _max_digits():
             raise _syntax_error(self.src, exp[2],
@@ -235,9 +219,9 @@ class _Parser:
             if kind == "-":
                 value = self.atom()
                 value = (-value if isinstance(value, (int, Fraction))
-                         else -self.series(value))
+                         else _product(self.chart, (-1, value), self.chains))
             else:
-                value = self.expr(nested=True)
+                value = self.expr()
                 if self.peek()[0] != ")":
                     raise self.error("expected ')'")
                 self.next()
@@ -289,9 +273,6 @@ def parse_expression(src: str, chart: ChartSpec,
 # ---------------------------------------------------------------------------
 # problem files
 # ---------------------------------------------------------------------------
-
-TASKS = ("bracket", "rank", "involutive", "straighten", "frobenius", "verify")
-
 
 @dataclass
 class ProblemSpec:
@@ -572,9 +553,9 @@ def _error_report(spec: ProblemSpec, exc: ZnError) -> dict:
     return report
 
 
-def run(spec: ProblemSpec) -> tuple[dict, int]:
-    """Execute the task; returns the JSON report and the exit code."""
-    handlers = {
+def _handlers() -> dict:
+    """Each task's runner, read from the module when the task runs."""
+    return {
         "bracket": _run_bracket,
         "rank": _run_rank,
         "involutive": _run_involutive,
@@ -582,9 +563,16 @@ def run(spec: ProblemSpec) -> tuple[dict, int]:
         "frobenius": _run_frobenius,
         "verify": _run_verify,
     }
+
+
+TASKS = tuple(_handlers())
+
+
+def run(spec: ProblemSpec) -> tuple[dict, int]:
+    """Execute the task; returns the JSON report and the exit code."""
     try:
         try:
-            report, code = handlers[spec.task](spec)
+            report, code = _handlers()[spec.task](spec)
         except (ProblemFormatError, ExpressionSyntaxError):
             raise
         except ZnError as exc:

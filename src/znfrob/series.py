@@ -30,11 +30,11 @@ and caches: ``(monomial, coefficient, J-degree, base degree, odd-support
 mask, odd-exponent mask, sign mask)``, where bit ``i`` of the sign mask is
 ``sum_{j<i} (e_j mod 2) <deg_j, deg_i> mod 2``.  A product term's degrees
 and masks are the sums and XORs of its factors', so a product's rows come
-out of the product itself, and a substitution, like the parser's product
-of atoms (`_product`), multiplies rows without building a series per
-power or partial product.  A series' ``terms`` are
-never changed after construction (a lint in the tests checks this), or
-its cached rows would go stale.
+out of the product itself.  One chain of powers (`_extend`) and one
+product fold (`_fold`) serve `multiply`, ``**``, substitution and the
+parser (`_product`), with no series built per power or partial product.
+A series' ``terms`` are never changed after construction (a lint in the
+tests checks this), or its cached rows would go stale.
 """
 
 from __future__ import annotations
@@ -246,7 +246,7 @@ class ChartSpec:
                  coefficient: Rational = 1) -> "GradedSeries":
         exps = [0] * len(self.coordinates)
         for name, e in exponents.items():
-            exps[self.index(name)] = int(e)
+            exps[self.index(name)] = e
         return GradedSeries(self, {Monomial(tuple(exps)): coefficient})
 
 
@@ -339,7 +339,12 @@ class GradedSeries:
                  terms: Mapping[Monomial, Rational],
                  declared_degree: Optional[DegreeVector] = None):
         kept = {}
+        width = len(chart.coordinates)
         for mon, raw in terms.items():
+            if len(mon) != width:
+                raise DimensionError(f"monomial {mon} needs {width} exponents")
+            if not all(isinstance(e, int) and e >= 0 for e in mon):
+                raise ValueError(f"monomial {mon} needs nonnegative int exponents")
             coeff = Fraction(raw)
             if not coeff:
                 continue
@@ -471,19 +476,16 @@ class GradedSeries:
             raise ValueError("series powers take a nonnegative integer")
         # binomial sum over self = c + n: the constant c is a central scalar
         # and n is centered, so n^k vanishes past the window's total degree
-        # and the loop stops there whatever the exponent
+        # and the chain of powers stops there whatever the exponent
         chart = self.chart
         c = self.constant_term
-        n = self - c
-        result = chart.constant(c ** exponent)
-        n_k = chart.one()
-        for k in range(1, exponent + 1):
-            n_k = multiply(n_k, n)
-            if n_k.is_zero:
-                break
-            if c or k == exponent:  # else the binomial term is zero
-                result += n_k * (comb(exponent, k) * c ** (exponent - k))
-        return _built(chart, result.terms, self._loss if exponent else 0)
+        chain = [(self - c)._term_rows()]
+        _extend(chain, exponent, chart)  # extends nothing for exponent 0
+        parts = [(c ** exponent, [(chart.unit_monomial, 1, 0, 0, 0, 0, 0)])]
+        parts += [(comb(exponent, k) * c ** (exponent - k), rows)
+                  for k, rows in enumerate(chain[:exponent], 1)
+                  if c or k == exponent]  # else the binomial term is zero
+        return _accumulate(chart, parts, self._loss if exponent else 0)
 
     def __eq__(self, other):
         if not isinstance(other, GradedSeries):
@@ -580,16 +582,15 @@ def _accumulate(chart: ChartSpec, parts: Iterable[tuple],
     ``(a, f, g)`` in one coefficient map, built as one series carrying
     ``loss`` and every factor's loss.  A product is `_multiply_rows` on
     cached rows in factor order (the Koszul sign depends on it), skipped
-    with its loss when a factor is zero.  A part may also be a bare row
-    list, added as it is with no loss of its own, as substitution makes a
-    term.  A scale of 1 or -1 adds or subtracts without multiplying.
-    Callers check the charts."""
+    with its loss when a factor is zero.  In ``(a, f)``, ``f`` may also be
+    a row list, which carries no loss of its own.  A monomial that cancels
+    is deleted, so one that comes back goes last, as adding the parts one
+    at a time puts it.  A scale of 1 or -1 adds or subtracts without
+    multiplying.  Callers check the charts."""
     out: dict[Monomial, Coefficient] = {}
     get = out.get
     for part in parts:
-        if type(part) is list:
-            a, terms = 1, part
-        elif len(part) == 3:
+        if len(part) == 3:
             a, f, g = part
             if not f.terms or not g.terms:
                 continue
@@ -597,25 +598,41 @@ def _accumulate(chart: ChartSpec, parts: Iterable[tuple],
             terms = _multiply_rows(f._term_rows(), g._term_rows(), chart)
         else:
             a, f = part
-            loss |= f._loss
-            if a == 1 and not out:  # a leading series is copied as it is
-                out.update(f.terms)
-                continue
-            terms = f.terms.items()
+            if type(f) is not list:
+                loss |= f._loss
+                if a == 1 and not out:  # a leading series is copied as it is
+                    out.update(f.terms)
+                    continue
+            terms = f if type(f) is list else f.terms.items()
         # a new monomial takes its coefficient as it is: 0 + c would take
         # Fraction's slow reverse-operator path
         if a == 1:
             for t in terms:
                 got = get(t[0])
-                out[t[0]] = t[1] if got is None else got + t[1]
+                if got is None:
+                    out[t[0]] = t[1]
+                elif got := got + t[1]:
+                    out[t[0]] = got
+                else:
+                    del out[t[0]]
         elif a == -1:
             for t in terms:
                 got = get(t[0])
-                out[t[0]] = -t[1] if got is None else got - t[1]
+                if got is None:
+                    out[t[0]] = -t[1]
+                elif got := got - t[1]:
+                    out[t[0]] = got
+                else:
+                    del out[t[0]]
         else:
             for t in terms:
                 got = get(t[0])
-                out[t[0]] = a * t[1] if got is None else got + a * t[1]
+                if got is None:
+                    out[t[0]] = a * t[1]
+                elif got := got + a * t[1]:
+                    out[t[0]] = got
+                else:
+                    del out[t[0]]
     return _built(chart, out, loss)
 
 
@@ -633,12 +650,10 @@ def multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     ``(-1)^{<deg_i, deg_j>}``, so the pair's sign is
     ``(-1)^{popcount(par1 & sign2)}`` on the term rows, and the pair is an
     odd square exactly when ``osup1 & osup2`` is nonzero.  The product is
-    `_multiply_rows` on the cached rows; its rows are cached on the result.
+    the `_fold` of the two series' cached rows; its rows are cached on the
+    result.
     """
-    chart = _same_chart(f, g)
-    rows = _multiply_rows(f._term_rows(), g._term_rows(), chart)
-    return _built(chart, {row[0]: row[1] for row in rows},
-                  f._loss | g._loss, rows)
+    return _product(_same_chart(f, g), (f, g), {})
 
 
 def _multiply_rows(rows1: list[tuple], rows2: list[tuple],
@@ -678,64 +693,72 @@ def _multiply_rows(rows1: list[tuple], rows2: list[tuple],
             for m, (c, j, b, o, p, s) in out.items()]
 
 
-def _product(chart: ChartSpec, factors: Iterable,
-             powers: dict[tuple[int, int], list[tuple]]) -> GradedSeries:
-    """The product of ``factors``, taken one at a time, as one series.
+def _extend(chain: list[list[tuple]], k: int, chart: ChartSpec) -> list[tuple]:
+    """``u^k`` from the chain ``[u, u^2, ...]`` of a row list's powers,
+    extended by `_multiply_rows` of its last power by ``u`` until it holds
+    ``u^k`` or ends in an empty power; ``[]`` past the first empty power."""
+    while len(chain) < k and chain[-1]:
+        chain.append(_multiply_rows(chain[-1], chain[0], chart))
+    return chain[k - 1] if k <= len(chain) else []
 
-    A factor is a series, a coefficient, or a pair ``(i, k)`` for the k-th
-    power of coordinate i.  Each factor's rows are folded into the product
-    so far by `_multiply_rows`, so the products, and the drops they note in
-    their order, are those of chained `multiply` calls; a lone series
-    factor is returned as it is.  ``powers`` is the caller's cache of
-    coordinate powers (see `_power_rows`)."""
-    rows = first = None
-    loss = 0
-    for count, factor in enumerate(factors):
+
+def _scaled(rows: list[tuple], a: Coefficient) -> list[tuple]:
+    """``a`` times a row list: scaling keeps every degree and mask."""
+    if a == 1:
+        return rows
+    return [(m, _canonical(c * a), j, b, o, p, s)
+            for m, c, j, b, o, p, s in rows] if a else []
+
+
+def _fold(chart: ChartSpec, factors: Iterable, power) -> tuple[list[tuple], int]:
+    """The rows and the loss of the product of ``factors``, taken one at a
+    time and all of them, so a lazy caller parses each factor after the
+    product of the factors before it.
+
+    A factor is a coefficient, a pair ``(i, k)`` whose rows ``power(i, k)``
+    gives, or a series, which brings its cached rows and its loss.  A
+    coefficient scales the product so far, or is held until the first rows
+    arrive; every other factor is multiplied into the product so far by
+    `_multiply_rows`, so the drops are noted in the order of the factors."""
+    rows, held, loss = None, 1, 0
+    for factor in factors:
         if type(factor) is tuple:
-            got = _power_rows(chart, factor, powers)
+            got = power(*factor)
         elif isinstance(factor, GradedSeries):
             loss |= factor._loss
             got = factor._term_rows()
         else:
-            got = ([(chart.unit_monomial, _canonical(factor), 0, 0, 0, 0, 0)]
-                   if factor else [])
-        if rows is None:
-            rows, first = got, factor
-        else:
-            rows = _multiply_rows(rows, got, chart)
-    if not count and isinstance(first, GradedSeries):
-        return first
-    return _built(chart, {row[0]: row[1] for row in rows}, loss, rows)
+            if rows is not None:
+                rows = _scaled(rows, factor)
+            else:  # 1 * c would take Fraction's slow reverse-operator path
+                held = factor if held == 1 else held * factor
+            continue
+        rows = _scaled(got, held) if rows is None else _multiply_rows(
+            rows, got, chart)
+    if rows is None:
+        rows = _scaled([(chart.unit_monomial, 1, 0, 0, 0, 0, 0)], held)
+    return rows, loss
 
 
-def _power_rows(chart: ChartSpec, power: tuple[int, int],
-                powers: dict[tuple[int, int], list[tuple]]) -> list[tuple]:
-    """The rows of ``u^k`` for ``power = (i, k)``, u the i-th coordinate:
-    ``u`` times itself until the first empty product, which notes the
-    drop that `GradedSeries.__pow__` notes, the first power past the window
-    with coefficient 1.  ``powers`` keeps the powers inside the window, so a
-    power past it is worked out, and noted, again at each use."""
-    got = powers.get(power)
-    if got is not None:
+def _product(chart: ChartSpec, factors: Iterable,
+             chains: dict[int, list[list[tuple]]]) -> GradedSeries:
+    """The `_fold` of ``factors`` as one series.  A pair ``(i, k)`` is the
+    k-th power of coordinate i, from the caller's chain of its powers
+    (`_extend`).  An empty tail is dropped after each use, so a power past
+    the window is worked out, and noted, again at each use, as series
+    arithmetic notes it."""
+    def power(i: int, k: int) -> list[tuple]:
+        chain = chains.get(i)
+        if chain is None:
+            u = Monomial(int(j == i) for j in range(len(chart.coordinates)))
+            chain = chains[i] = [_rows_of(chart, ((u, 1),))]
+        got = _extend(chain, k, chart)
+        if not chain[-1]:
+            chain.pop()
         return got
-    i, k = power
-    if not k:
-        return [(chart.unit_monomial, 1, 0, 0, 0, 0, 0)]
-    base = powers.get((i, 1))
-    if base is None:
-        exps = [0] * len(chart.coordinates)
-        exps[i] = 1
-        base = powers[(i, 1)] = _rows_of(chart, ((Monomial(exps), 1),))
-    got = base
-    for e in range(2, k + 1):
-        step = powers.get((i, e))
-        if step is None:
-            step = _multiply_rows(got, base, chart)
-            if not step:
-                return step
-            powers[(i, e)] = step
-        got = step
-    return got
+
+    rows, loss = _fold(chart, factors, power)
+    return _built(chart, {row[0]: row[1] for row in rows}, loss, rows)
 
 
 def derive(f: GradedSeries, name: str) -> GradedSeries:
@@ -906,39 +929,26 @@ def _substitution(images: Mapping[str, GradedSeries], keyed: ChartSpec,
     """`compose` through one image map, unchecked: a change's maps were
     checked by ``make``, and an inversion iterate or the map sending a pivot
     to zero is valid by construction.  The returned function takes series on
-    ``keyed`` and shares one power cache across them.
+    ``keyed`` and shares the image powers across them: each image keeps one
+    chain of its powers (`_extend`), so an image power, empty or not, is
+    worked out and noted once per map.
 
-    Powers and partial products are row lists multiplied by
-    `_multiply_rows`, and `_accumulate` sums each term's row list as it
-    is, so no series is built but the result."""
+    Each term is the `_fold` of its coefficient and its image powers, and
+    `_accumulate` sums the terms' row lists as they are, so no series is
+    built but the result."""
     image_loss = reduce(or_, (img._loss for img in images.values()), 0)
-    unit = into_chart.unit_monomial
-    pow_cache: dict[tuple[int, int], list[tuple]] = {}
+    chains: dict[int, list[list[tuple]]] = {}
 
     def power(i: int, e: int) -> list[tuple]:
-        got = pow_cache.get((i, e))
-        if got is None:
-            img = images[keyed.names[i]]._term_rows()
-            got = img if e == 1 else _multiply_rows(power(i, e - 1), img, into_chart)
-            pow_cache[(i, e)] = got
-        return got
+        chain = chains.get(i)
+        if chain is None:
+            chain = chains[i] = [images[keyed.names[i]]._term_rows()]
+        return _extend(chain, e, into_chart)
 
-    def term(mon: Monomial, coeff: Coefficient) -> list[tuple]:
-        """The rows of ``coeff * mon`` with every coordinate substituted."""
-        acc = None
-        for i, e in enumerate(mon):
-            if not e:
-                continue
-            if acc is None:
-                acc = power(i, e)
-                if coeff != 1:
-                    acc = [(m, _canonical(c * coeff), j, b, o, p, s)
-                           for m, c, j, b, o, p, s in acc]
-            else:
-                acc = _multiply_rows(acc, power(i, e), into_chart)
-            if not acc:
-                break
-        return [(unit, coeff, 0, 0, 0, 0, 0)] if acc is None else acc
+    def term(mon: Monomial, coeff: Coefficient) -> tuple:
+        """``coeff * mon`` with every coordinate substituted, as a part."""
+        pairs = [(i, e) for i, e in enumerate(mon) if e]
+        return 1, _fold(into_chart, (coeff, *pairs), power)[0]
 
     def substitute(f: GradedSeries) -> GradedSeries:
         if f.chart != keyed:

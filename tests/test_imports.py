@@ -215,9 +215,10 @@ IMAGE_CHECKERS = {
 }
 
 
-def image_checks(source: str, allowed=frozenset()) -> list[str]:
-    """References to ``check_images`` (a call, an alias or an attribute)
-    outside the ``(class, function)`` scopes in ``allowed``."""
+def image_checks(source: str, allowed=frozenset(),
+                 name="check_images") -> list[str]:
+    """References to ``name`` (a call, an alias or an attribute) outside
+    the ``(class, function)`` scopes in ``allowed``."""
     found = []
 
     def visit(node, scope):
@@ -225,9 +226,8 @@ def image_checks(source: str, allowed=frozenset()) -> list[str]:
             scope = (node.name, None)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = (scope[0], node.name)
-        named = ((isinstance(node, ast.Name) and node.id == "check_images")
-                 or (isinstance(node, ast.Attribute)
-                     and node.attr == "check_images"))
+        named = ((isinstance(node, ast.Name) and node.id == name)
+                 or (isinstance(node, ast.Attribute) and node.attr == name))
         if named and scope not in allowed:
             found.append((node.lineno, ast.unparse(node)))
         for child in ast.iter_child_nodes(node):
@@ -264,6 +264,41 @@ def test_image_check_is_caught():
         "line 2: check_images", "line 4: check_images",
         "line 6: series.check_images", "line 9: check_images",
         "line 11: check_images"]
+
+
+# the functions that multiply term rows: a sum of products, a chain of
+# powers and a fold of factors; every other product, `multiply` included,
+# goes through one of them, so the kernel keeps one loop per algorithm
+ROW_MULTIPLIERS = {(None, "_accumulate"), (None, "_extend"), (None, "_fold")}
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py")))
+def test_rows_are_multiplied_by_the_one_loop(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    allowed = ROW_MULTIPLIERS if module == "series.py" else frozenset()
+    assert image_checks(source, allowed, "_multiply_rows") == []
+
+
+def test_row_multiplication_is_caught():
+    source = ("def _fold(chart, factors, power):\n"
+              "    return _multiply_rows(rows, got, chart)\n"
+              "def multiply(f, g):\n"
+              "    return _multiply_rows(f, g, chart)\n"
+              "def _power_rows(chart, power, powers):\n"
+              "    return _multiply_rows(got, base, chart)\n"
+              "def _substitution(images, keyed, chart):\n"
+              "    def term(mon, coeff):\n"
+              "        step = series._multiply_rows\n"
+              "class GradedSeries:\n"
+              "    def __pow__(self, k):\n"
+              "        check_images(images, keyed, chart)\n")
+    assert image_checks(source, ROW_MULTIPLIERS, "_multiply_rows") == [
+        "line 4: _multiply_rows", "line 6: _multiply_rows",
+        "line 9: series._multiply_rows"]
+    assert image_checks(source, name="_multiply_rows") == [
+        "line 2: _multiply_rows", "line 4: _multiply_rows",
+        "line 6: _multiply_rows", "line 9: series._multiply_rows"]
 
 
 # the attributes holding a kernel value's contents, each with the functions

@@ -19,7 +19,7 @@ from znfrob import (
     parse_expression,
     run,
 )
-from znfrob.io_cli import main
+from znfrob.io_cli import _MAX_NESTING, main
 
 
 @pytest.fixture
@@ -422,6 +422,18 @@ def test_main_deep_nesting_is_a_syntax_error(tmp_path, capsys, expr):
     code = main(["--input", write_problem(tmp_path, data)])
     out = json.loads(capsys.readouterr().out)
     assert code == 2 and out["error_kind"] == "ExpressionSyntaxError"
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * _MAX_NESTING + "1 + x" + ")" * _MAX_NESTING,
+    "(-" * (_MAX_NESTING // 2) + "1 + x" + ")" * (_MAX_NESTING // 2)],
+    ids=["parentheses", "mixed"])
+def test_main_deepest_accepted_nesting_is_parsed(tmp_path, capsys, expr):
+    data = problem_dict()
+    data["fields"][0]["coefficients"]["x"] = expr
+    code = main(["--input", write_problem(tmp_path, data)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["involutive"] is True
 
 
 @pytest.mark.parametrize("cert", [

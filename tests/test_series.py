@@ -16,6 +16,7 @@ from znfrob import (
     ChartError,
     ChartSpec,
     DegreeVector,
+    DimensionError,
     GradedSeries,
     HomogeneityError,
     Monomial,
@@ -224,6 +225,21 @@ def test_truncation_window_at_construction(chart):
     assert chart.monomial({"t1": 2}).is_zero
 
 
+def test_constructor_refuses_malformed_monomials(chart):
+    # the README chart x, t1, t2, e: a monomial has four exponents, each a
+    # nonnegative int
+    for exps in [(1, 0, 0, 0, 0), (1, 0)]:
+        with pytest.raises(DimensionError):
+            GradedSeries(chart, {Monomial(exps): 1})
+    for exps in [(-1, 0, 0, 0), (1.0, 0, 0, 0), ("1", 0, 0, 0)]:
+        with pytest.raises(ValueError):
+            GradedSeries(chart, {Monomial(exps): 1})
+    with pytest.raises(ValueError):
+        chart.monomial({"x": -2})
+    assert GradedSeries(chart, {Monomial((1, 0, 0, 2)): 3}) == series_of(
+        chart, "3*x*e^2")
+
+
 def test_even_nonzero_generator_not_nilpotent(chart):
     e = chart.coordinate("e")
     assert not (e * e).is_zero
@@ -313,6 +329,36 @@ def test_compose_drop_notes_pinned():
         ("x^5", 4), ("x^5", 2), ("x^6", 1), ("x^5*t1", 60), ("x^5*t2", -2)]
     assert out.constant_term == 7
     assert out.coefficient(Monomial((4, 1, 0, 0))) == 100
+
+
+def test_substitution_notes_each_image_power_once(monkeypatch):
+    # recorded before substitution kept its image powers as chains: x^2
+    # leaves the window and is used by two terms, t2 goes to zero, and each
+    # image power, empty or not, is worked out and noted once per map
+    import znfrob.series
+    chart = ChartSpec.build(2, [("t1", (0, 1)), ("t2", (1, 0)),
+                                ("e", (1, 1)), ("x", (0, 0))],
+                            j_order=2, base_order=4)
+    images = {"t1": series_of(chart, "t1 + x*t1"), "t2": chart.zero(),
+              "e": series_of(chart, "e + 2*t1*t2"),
+              "x": series_of(chart, "x^3")}
+    f = series_of(chart, "2*e*x^2 - 3*t1*x^2 + 5*t1*t2 + t2 + e^2"
+                         " + t1*e*x + 1/2*x + 7")
+    calls = 0
+    real = znfrob.series._multiply_rows
+
+    def counted(rows1, rows2, chart):
+        nonlocal calls
+        calls += 1
+        return real(rows1, rows2, chart)
+
+    monkeypatch.setattr(znfrob.series, "_multiply_rows", counted)
+    with collect_truncation_drops() as sink:
+        out = compose(f, images, chart)
+    assert [(mon.label(chart), coeff) for mon, coeff in sink] == [
+        ("x^6", 1), ("t1*t2*e", 2), ("t1*t2*e", 2)]
+    assert str(out) == "7 + e^2 + 1/2*x^3 + t1*e*x^3 + t1*e*x^4"
+    assert calls == 7
 
 
 def test_power_with_constant_term_matches_chained_products(chart):
