@@ -13,8 +13,9 @@ the obstruction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import ChartError, DependentAtPoint
 from .fields import VectorField, bracket
@@ -65,15 +66,13 @@ class _Normalized:
     distribution: Distribution          # recombined generators
     pivots: tuple[str, ...]             # pivot coordinate per generator
     transform: GradedMatrix             # inverse pivot block: new = S @ old
-    permutation: tuple[str, ...]        # pivots first, then the rest
 
 
 def _normalize(D: Distribution) -> _Normalized:
     chart = D.chart
     gens = D.generators
     if not gens:
-        identity = GradedMatrix.identity(chart, ())
-        return _Normalized(D, (), identity, tuple(chart.names))
+        return _Normalized(D, (), GradedMatrix.identity(chart, ()))
 
     # pivot selection: eliminate earlier rows, then take the first
     # coordinate in chart order whose constant entry survives
@@ -92,36 +91,26 @@ def _normalize(D: Distribution) -> _Normalized:
         [gen.coefficient(p) for p in pivots] for gen in gens
     ])
     s = invert_mod_J(block)
-    new_gens = [
-        VectorField(chart, degree, {
-            name: _accumulate(chart, [(1, entry, gen.coefficient(name))
-                                      for entry, gen in zip(row, gens)])
-            for name in chart.names})
-        for degree, row in zip(degrees, s.entries)]
-    rest = tuple(n for n in chart.names if n not in pivots)
-    return _Normalized(
-        Distribution(chart, new_gens),
-        tuple(pivots),
-        s,
-        tuple(pivots) + rest,
-    )
+    old = GradedMatrix(chart, degrees, chart.degrees, [
+        [gen.coefficient(name) for name in chart.names] for gen in gens])
+    new_gens = [VectorField(chart, degree, dict(zip(chart.names, row)))
+                for degree, row in zip(degrees, (s @ old).entries)]
+    return _Normalized(Distribution(chart, new_gens), tuple(pivots), s)
 
 
 def rank_of(D: Distribution) -> Rank:
     """Per-degree generator count; the normalization pass certifies
     independence at the base point."""
-    norm = D.normalized()
-    counts: dict[DegreeVector, int] = {}
-    for g in norm.distribution.generators:
-        counts[g.degree] = counts.get(g.degree, 0) + 1
-    return Rank.of(counts)
+    gens = D.normalized().distribution.generators
+    return Rank.of(Counter(g.degree for g in gens))
 
 
 def normalize_generators(D: Distribution) -> tuple[Distribution, tuple[str, ...]]:
     """Recombined generators in pivot form plus the column permutation that
     lists the pivot coordinates first."""
     norm = D.normalized()
-    return norm.distribution, norm.permutation
+    rest = tuple(n for n in D.chart.names if n not in norm.pivots)
+    return norm.distribution, norm.pivots + rest
 
 
 @dataclass(frozen=True)
@@ -163,11 +152,10 @@ def membership(X: VectorField, D: Distribution) -> MembershipResult:
     if not decisive:
         # translate to coefficients on the original generators: f = f' S
         s = norm.transform
-        coeffs = [_accumulate(D.chart, [(1, f, row[j])
-                                        for f, row in zip(forced, s.entries)])
-                  for j in range(len(gens))]
+        (coeffs,) = (GradedMatrix(D.chart, (X.degree,), s.row_degrees,
+                                  [forced]) @ s).entries
         leftover = residual if not residual.is_zero else None
-        return MembershipResult(True, tuple(coeffs), leftover, None, None)
+        return MembershipResult(True, coeffs, leftover, None, None)
     first = next(name for name in D.chart.names if name in decisive)
     order = min(
         m.total_degree for series in decisive.values() for m in series.terms
@@ -186,16 +174,23 @@ class InvolutivityResult:
         return self.involutive
 
 
+def _bracket_pairs(fields: Sequence[VectorField]) -> Iterator[tuple[int, int]]:
+    """The pairs (i, j) whose bracket can be nonzero: i < j, and i == j for
+    an odd field (an even field's self-bracket cancels term by term)."""
+    for i, X in enumerate(fields):
+        for j in range(i if X.degree.is_odd else i + 1, len(fields)):
+            yield i, j
+
+
 def is_involutive(D: Distribution) -> InvolutivityResult:
-    """Check closure under the graded bracket for every generator pair
-    (including a generator with itself: odd squares matter)."""
+    """Check closure under the graded bracket for every `_bracket_pairs`
+    pair of generators."""
     gens = D.generators
-    for i in range(len(gens)):
-        for j in range(i, len(gens)):
-            b = bracket(gens[i], gens[j])
-            if b.is_zero:
-                continue
-            got = membership(b, D)
-            if not got.contained:
-                return InvolutivityResult(False, (i, j), b, got)
+    for i, j in _bracket_pairs(gens):
+        b = bracket(gens[i], gens[j])
+        if b.is_zero:
+            continue
+        got = membership(b, D)
+        if not got.contained:
+            return InvolutivityResult(False, (i, j), b, got)
     return InvolutivityResult(True, None, None, None)

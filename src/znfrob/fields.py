@@ -112,12 +112,9 @@ class VectorField:
     def __add__(self, other: "VectorField") -> "VectorField":
         self._check_compatible(other)
         degree = other.degree if self.is_zero else self.degree
-        out: dict[str, GradedSeries] = {}
-        for name in self.chart.names:
-            s = self.coefficient(name) + other.coefficient(name)
-            if not s.is_zero:
-                out[name] = s
-        return VectorField(self.chart, degree, out)
+        return VectorField(self.chart, degree, {
+            name: self.coefficient(name) + other.coefficient(name)
+            for name in self.chart.names})
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         return self + (-other)
@@ -189,13 +186,10 @@ def bracket(X: VectorField, Y: VectorField) -> VectorField:
         raise ChartError("fields live on different charts")
     chart = X.chart
     sign = 1 if scalar_product(X.degree, Y.degree) else -1
-    out: dict[str, GradedSeries] = {}
-    for name in chart.names:
-        c = _accumulate(chart, _applied(X, Y.coefficients.get(name), 1)
-                        + _applied(Y, X.coefficients.get(name), sign))
-        if not c.is_zero:
-            out[name] = c
-    return VectorField(chart, X.degree + Y.degree, out)
+    return VectorField(chart, X.degree + Y.degree, {
+        name: _accumulate(chart, _applied(X, Y.coefficients.get(name), 1)
+                          + _applied(Y, X.coefficients.get(name), sign))
+        for name in chart.names})
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from functools import reduce
 from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
-from .distribution import Distribution, Rank, is_involutive
+from .distribution import Distribution, Rank, _bracket_pairs, is_involutive
 from .errors import (
     DegenerateAtPoint,
     DependentAtPoint,
@@ -59,7 +59,7 @@ from .linalg import GradedMatrix
 from .series import (
     ChartSpec,
     GradedSeries,
-    _substitution,
+    _free_of,
     antiderivative,
     certified_part,
     derive,
@@ -85,15 +85,14 @@ def _compose_steps(chart: ChartSpec, steps: Sequence[Step]) -> CoordinateChange:
     return reduce(CoordinateChange.then, changes)
 
 
-def _noncommuting_pair(fields: Sequence[VectorField], diagonal: bool
+def _noncommuting_pair(fields: Sequence[VectorField]
                        ) -> Optional[tuple[int, int]]:
-    """First pair (i, j) with i < j (i <= j with ``diagonal``) whose bracket
-    keeps a residual inside the certified window; None when all vanish."""
-    for i in range(len(fields)):
-        for j in range(i if diagonal else i + 1, len(fields)):
-            b = bracket(fields[i], fields[j])
-            if any(certified_part(s).terms for s in b.coefficients.values()):
-                return i, j
+    """First of the `_bracket_pairs` whose bracket keeps a residual inside
+    the certified window; None when all vanish."""
+    for i, j in _bracket_pairs(fields):
+        b = bracket(fields[i], fields[j])
+        if any(certified_part(s).terms for s in b.coefficients.values()):
+            return i, j
     return None
 
 
@@ -128,7 +127,7 @@ def _j_linear_step(X: VectorField, pivot: str) -> Optional[CoordinateChange]:
     by a frame eta = g * zeta, where g solves dg/d(pivot) = -g b, g = I on
     the pivot hyperplane."""
     chart = X.chart
-    nz = chart.nonzero_names()
+    nz = [chart.names[i] for i in chart.nonzero_indices]
     if not nz:
         return None
     # b[rho][tau]: coefficient of tau in the J-linear part of X's rho entry
@@ -197,23 +196,19 @@ def _straighten_steps(X: VectorField) -> tuple[list[Step], VectorField, str]:
                   and value_at_origin(X.coefficient(name))), None)
     if pivot is None:
         raise DegenerateAtPoint("field vanishes at the base point")
-    if degree.is_odd and _noncommuting_pair([X], diagonal=True) is not None:
+    if _noncommuting_pair([X]) is not None:
         raise OddSquareNonzero(
             "odd field with nonzero self-bracket cannot be straightened")
 
     # the frame, from the inverse direction: each old coordinate is its new
     # value (none for the pivot) plus the pivot times a slice of its
     # coefficient, invertible because the pivot's slice is nonzero
-    if degree.is_zero:
-        label = "linear_frame"
+    label = "linear_frame" if degree.is_zero else "pivot_frame"
 
-        def slice_of(s: GradedSeries) -> GradedSeries:
+    def slice_of(s: GradedSeries) -> GradedSeries:
+        if degree.is_zero:
             return chart.constant(value_at_origin(s))
-    else:
-        label = "pivot_frame"
-        slice_of = _substitution({
-            name: chart.zero() if name == pivot else chart.coordinate(name)
-            for name in chart.names}, chart, chart)
+        return _free_of(s, pivot)
     pivot_series = chart.coordinate(pivot)
     frame = CoordinateChange.from_inverse_images(chart, chart, {
         name: (chart.zero() if name == pivot else chart.coordinate(name))
@@ -311,7 +306,7 @@ def commuting_triangular(fields: Sequence[VectorField]) -> CoordinateChange:
     for X in fields:
         if not X.degree.is_zero:
             raise NonzeroDegree("triangularization needs degree-zero fields")
-    pair = _noncommuting_pair(fields, diagonal=False)
+    pair = _noncommuting_pair(fields)
     if pair is not None:
         raise NotCommuting(
             f"fields {pair[0]} and {pair[1]} do not commute", pair=pair)
@@ -459,7 +454,7 @@ def adapted_coordinates(D: Distribution) -> FrobeniusCertificate:
     gens = list(norm.distribution.generators)
     pivots = list(norm.pivots)
 
-    if _noncommuting_pair(gens, diagonal=True) is not None:
+    if _noncommuting_pair(gens) is not None:
         involutive = is_involutive(D)
         if not involutive:
             i, j = involutive.witness_pair

@@ -277,8 +277,7 @@ def parse_expression(src: str, chart: ChartSpec,
 @dataclass
 class ProblemSpec:
     chart: ChartSpec
-    fields: dict[str, VectorField]
-    field_order: tuple[str, ...]
+    fields: dict[str, VectorField]      # in file order
     task: str
     args: dict
     warnings: list[str] = field(default_factory=list)
@@ -339,7 +338,6 @@ def load_problem(data: dict,
 
     warnings: list[str] = []
     fields: dict[str, VectorField] = {}
-    order: list[str] = []
     fields_data = data.get("fields", [])
     if not isinstance(fields_data, list):
         raise ProblemFormatError("problem.fields must be a list")
@@ -369,7 +367,6 @@ def load_problem(data: dict,
             fields[name] = VectorField(chart, degree, coeffs)
         except ZnError as exc:
             raise ProblemFormatError(f"{where}: {exc}") from exc
-        order.append(name)
 
     task = task_override if task_override is not None else data.get("task")
     if task not in TASKS:
@@ -378,8 +375,8 @@ def load_problem(data: dict,
     args = data.get("args", {})
     if not isinstance(args, dict):
         raise ProblemFormatError("problem.args must be an object")
-    return ProblemSpec(chart=chart, fields=fields, field_order=tuple(order),
-                       task=task, args=args, warnings=warnings)
+    return ProblemSpec(chart=chart, fields=fields, task=task, args=args,
+                       warnings=warnings)
 
 
 def _infer_field_degree(chart: ChartSpec, coeffs: dict[str, GradedSeries],
@@ -395,7 +392,7 @@ def _infer_field_degree(chart: ChartSpec, coeffs: dict[str, GradedSeries],
 
 
 def _selected_fields(spec: ProblemSpec) -> list[VectorField]:
-    names = spec.args.get("generators", list(spec.field_order))
+    names = spec.args.get("generators", list(spec.fields))
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
         raise ProblemFormatError("args.generators must be a list of field names")
     out = []
@@ -432,7 +429,7 @@ def _witness_json(result) -> dict:
 def _run_bracket(spec: ProblemSpec) -> tuple[dict, int]:
     names = spec.args.get("fields")
     if names is None:
-        names = list(spec.field_order[:2])
+        names = list(spec.fields)[:2]
     if (not isinstance(names, list) or len(names) != 2 or not all(
             isinstance(n, str) and n in spec.fields for n in names)):
         raise ProblemFormatError("bracket needs args.fields = [left, right]")
@@ -457,8 +454,8 @@ def _run_involutive(spec: ProblemSpec) -> tuple[dict, int]:
 
 def _run_straighten(spec: ProblemSpec) -> tuple[dict, int]:
     name = spec.args.get("field")
-    if name is None and len(spec.field_order) == 1:
-        name = spec.field_order[0]
+    if name is None and len(spec.fields) == 1:
+        (name,) = spec.fields
     if not isinstance(name, str) or name not in spec.fields:
         raise ProblemFormatError("straighten needs args.field")
     steps, _, pivot = _straighten_steps(spec.fields[name])

@@ -180,16 +180,6 @@ class GradedMatrix:
             for i in range(n)
         ])
 
-    @classmethod
-    def from_rationals(cls, chart: ChartSpec,
-                       row_degrees: Sequence[DegreeVector],
-                       col_degrees: Sequence[DegreeVector],
-                       values: Sequence[Sequence[Coefficient]]) -> "GradedMatrix":
-        return cls(chart, row_degrees, col_degrees, [
-            [chart.constant(v) if v else chart.zero() for v in row]
-            for row in values
-        ])
-
     def entry(self, i: int, j: int) -> GradedSeries:
         return self.entries[i][j]
 
@@ -262,7 +252,8 @@ def invert_mod_J(matrix: GradedMatrix) -> GradedMatrix:
     s0 = rational_inverse(t0)
     if s0 is None:
         raise NotInvertibleModJ("matrix is singular at the base point")
-    s = GradedMatrix.from_rationals(chart, degrees, degrees, s0)
+    s = GradedMatrix(chart, degrees, degrees, [
+        [chart.constant(v) if v else chart.zero() for v in row] for row in s0])
     x = (s @ matrix) - GradedMatrix.identity(chart, degrees)
     total = GradedMatrix.identity(chart, degrees)
     power = GradedMatrix.identity(chart, degrees)

@@ -207,9 +207,6 @@ class ChartSpec:
                 tuple((code >> k) & 1 for k in range(self.n)))
         return got
 
-    def nonzero_names(self) -> tuple[str, ...]:
-        return tuple(self.names[i] for i in self.nonzero_indices)
-
     def with_truncation(self, j_order: Optional[int] = None,
                         base_order: Optional[int] = None) -> "ChartSpec":
         return ChartSpec(
@@ -585,8 +582,9 @@ def _accumulate(chart: ChartSpec, parts: Iterable[tuple],
     with its loss when a factor is zero.  In ``(a, f)``, ``f`` may also be
     a row list, which carries no loss of its own.  A monomial that cancels
     is deleted, so one that comes back goes last, as adding the parts one
-    at a time puts it.  A scale of 1 or -1 adds or subtracts without
-    multiplying.  Callers check the charts."""
+    at a time puts it.  Each part's terms are scaled first, a -1 part by
+    negation, so a plain sum multiplies no coefficient, and one loop merges
+    them.  Callers check the charts."""
     out: dict[Monomial, Coefficient] = {}
     get = out.get
     for part in parts:
@@ -604,35 +602,20 @@ def _accumulate(chart: ChartSpec, parts: Iterable[tuple],
                     out.update(f.terms)
                     continue
             terms = f if type(f) is list else f.terms.items()
+        if a == -1:
+            terms = [(t[0], -t[1]) for t in terms]
+        elif a != 1:
+            terms = [(t[0], a * t[1]) for t in terms]
         # a new monomial takes its coefficient as it is: 0 + c would take
         # Fraction's slow reverse-operator path
-        if a == 1:
-            for t in terms:
-                got = get(t[0])
-                if got is None:
-                    out[t[0]] = t[1]
-                elif got := got + t[1]:
-                    out[t[0]] = got
-                else:
-                    del out[t[0]]
-        elif a == -1:
-            for t in terms:
-                got = get(t[0])
-                if got is None:
-                    out[t[0]] = -t[1]
-                elif got := got - t[1]:
-                    out[t[0]] = got
-                else:
-                    del out[t[0]]
-        else:
-            for t in terms:
-                got = get(t[0])
-                if got is None:
-                    out[t[0]] = a * t[1]
-                elif got := got + a * t[1]:
-                    out[t[0]] = got
-                else:
-                    del out[t[0]]
+        for t in terms:
+            got = get(t[0])
+            if got is None:
+                out[t[0]] = t[1]
+            elif got := got + t[1]:
+                out[t[0]] = got
+            else:
+                del out[t[0]]
     return _built(chart, out, loss)
 
 
@@ -843,6 +826,14 @@ def certified_part(f: GradedSeries) -> GradedSeries:
     return _built(f.chart, terms, f._loss)
 
 
+def _free_of(f: GradedSeries, name: str) -> GradedSeries:
+    """The terms of ``f`` free of a coordinate, with ``f``'s loss: ``f``
+    with that coordinate set to zero."""
+    k = f.chart.index(name)
+    return _built(f.chart, {m: c for m, c in f.terms.items() if not m[k]},
+                  f._loss)
+
+
 def reduce_series(f: GradedSeries, mode: str):
     """``mod_J`` deletes every monomial touching J; ``at_point`` also sets
     the base coordinates to zero and returns the rational value."""
@@ -927,11 +918,11 @@ def _linear_split(images: Mapping[str, GradedSeries], keyed: ChartSpec,
 def _substitution(images: Mapping[str, GradedSeries], keyed: ChartSpec,
                   into_chart: ChartSpec):
     """`compose` through one image map, unchecked: a change's maps were
-    checked by ``make``, and an inversion iterate or the map sending a pivot
-    to zero is valid by construction.  The returned function takes series on
-    ``keyed`` and shares the image powers across them: each image keeps one
-    chain of its powers (`_extend`), so an image power, empty or not, is
-    worked out and noted once per map.
+    checked by ``make``, and an inversion iterate is valid by construction.
+    The returned function takes series on ``keyed`` and shares the image
+    powers across them: each image keeps one chain of its powers
+    (`_extend`), so an image power, empty or not, is worked out and noted
+    once per map.
 
     Each term is the `_fold` of its coefficient and its image powers, and
     `_accumulate` sums the terms' row lists as they are, so no series is

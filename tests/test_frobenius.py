@@ -504,10 +504,46 @@ def test_one_pass_verdict_agrees_with_is_involutive():
             gens[k] = gens[k] + dgen(chart, w).scaled_by(m)
         D = Distribution(chart, [pushforward(sigma, g) for g in gens])
         one_pass = _noncommuting_pair(
-            D.normalized().distribution.generators, diagonal=True) is None
+            D.normalized().distribution.generators) is None
         assert bool(is_involutive(D)) == one_pass, (i, names)
         verdicts[one_pass] += 1
     assert verdicts[True] >= 10 and verdicts[False] >= 10, verdicts
+
+
+def test_only_odd_fields_are_bracketed_with_themselves(monkeypatch):
+    # [X, X] = XX - XX cancels term by term for an even X, so neither the
+    # pipeline nor the involutivity test takes it; an odd square need not
+    # vanish, so every odd generator is still bracketed with itself
+    import znfrob.distribution
+    import znfrob.frobenius
+    from znfrob import is_involutive
+    real = znfrob.fields.bracket
+    selves = []
+
+    def guarded(X, Y):
+        if X is Y:
+            assert X.degree.is_odd, "an even field bracketed with itself"
+            selves.append(X)
+        return real(X, Y)
+
+    for module in (znfrob.frobenius, znfrob.distribution):
+        monkeypatch.setattr(module, "bracket", guarded)
+    chart = standard_chart(j_order=3, base_order=4, extra_base=True)
+    sigma = random_centered_change(random.Random(31), chart)
+    for names, odd in ((("x", "y", "e"), 0), (("x", "t1", "t2", "e"), 2)):
+        D = Distribution(chart, [pushforward(sigma, dgen(chart, u))
+                                 for u in names])
+        selves.clear()
+        assert is_involutive(D)
+        assert [id(X) for X in selves] == [
+            id(g) for g in D.generators if g.degree.is_odd]
+        selves.clear()
+        cert = adapted_coordinates(D)
+        assert len(cert.adapted) == len(names)
+        norm = [g for g in D.normalized().distribution.generators
+                if g.degree.is_odd]
+        assert len(norm) == odd
+        assert all(any(X is g for X in selves) for g in norm)
 
 
 def test_adapted_never_asks_is_involutive_on_involutive_input(monkeypatch):

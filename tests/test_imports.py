@@ -374,3 +374,40 @@ def test_value_write_is_caught():
         "line 13: change.inverse_images[u][m]",
         "line 14: X.coefficients.setdefault('x', 0)",
         "line 15: X.coefficients"]
+
+
+# the scopes that substitute through an image map: composition, and the
+# places where coordinates change; a slice or a filter of one series is no
+# substitution and must not pay for one
+SUBSTITUTION_USERS = {
+    "series.py": {(None, "compose")},
+    "fields.py": {(None, "_invert_map"), ("CoordinateChange", "then"),
+                  ("CoordinateChange", "pull_back"),
+                  ("CoordinateChange", "push_series"), (None, "pushforward")},
+}
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py")))
+def test_substitution_stays_where_coordinates_change(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    allowed = SUBSTITUTION_USERS.get(module, frozenset())
+    assert image_checks(source, allowed, "_substitution") == []
+
+
+def test_substitution_use_is_caught():
+    source = ("def _straighten_steps(X):\n"
+              "    slice_of = _substitution(zeroed, chart, chart)\n"
+              "def pushforward(change, X):\n"
+              "    push = _substitution(change.inverse_images, s, t)\n"
+              "class CoordinateChange:\n"
+              "    def then(self, nxt):\n"
+              "        forward = series._substitution\n"
+              "    def is_identity(self):\n"
+              "        return _substitution(self.images, s, t)\n")
+    assert image_checks(source, SUBSTITUTION_USERS["fields.py"],
+                        "_substitution") == [
+        "line 2: _substitution", "line 9: _substitution"]
+    assert image_checks(source, name="_substitution") == [
+        "line 2: _substitution", "line 4: _substitution",
+        "line 7: series._substitution", "line 9: _substitution"]

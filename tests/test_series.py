@@ -560,6 +560,35 @@ def lossy_operands(chart):
     return operands
 
 
+@pytest.mark.parametrize("bits", [(0, 0), (1, 1), (0, 1)],
+                         ids=["zero", "even", "odd"])
+def test_pivot_free_part_is_the_zero_image_substitution(chart, bits):
+    # the pivot frame's slice of a coefficient: its terms free of the pivot,
+    # as substituting zero for the pivot gives them, with the series' loss
+    from znfrob.series import _free_of, _substitution
+    rng = random.Random(2 * bits[0] + bits[1])
+    losses = [chart.zero(),
+              antiderivative(series_of(chart, "x^6"), "x"),   # x^7 drops
+              antiderivative(series_of(chart, "e^3"), "e")]   # e^4 drops
+    losses.append(losses[1] + losses[2])
+    assert [(s.base_loss, s.j_loss) for s in losses] == [
+        (False, False), (True, False), (False, True), (True, True)]
+    kept = 0
+    for k in range(12):
+        f = random_series(rng, chart, DegreeVector(bits), terms=5)
+        f = f + losses[k % 4]
+        for pivot in chart.names:
+            zero_image = _substitution({
+                n: chart.zero() if n == pivot else chart.coordinate(n)
+                for n in chart.names}, chart, chart)(f)
+            got = _free_of(f, pivot)
+            assert got.terms == zero_image.terms
+            assert (got.base_loss, got.j_loss) == (zero_image.base_loss,
+                                                   zero_image.j_loss)
+            kept += 0 < len(got.terms) < len(f.terms)
+    assert kept
+
+
 @pytest.mark.parametrize("arity, operation", [
     (2, lambda f, g: f + g),
     (2, lambda f, g: f - g),
