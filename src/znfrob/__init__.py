@@ -78,7 +78,6 @@ from .series import (
     multiply,
     reduce_mod_j,
     reduce_series,
-    value_at_origin,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -21,8 +21,7 @@ from .errors import ChartError, DependentAtPoint
 from .fields import VectorField, bracket
 from .grading import DegreeVector
 from .linalg import GradedMatrix, RowSpan, invert_mod_J
-from .series import (ChartSpec, GradedSeries, _accumulate, certified_part,
-                     value_at_origin)
+from .series import ChartSpec, GradedSeries, _accumulate, certified_part
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ def _normalize(D: Distribution) -> _Normalized:
     span = RowSpan(width)
     pivots: list[str] = []
     for gen in gens:
-        if not span.try_add([value_at_origin(gen.coefficient(name))
+        if not span.try_add([gen.coefficient(name).constant_term
                              for name in chart.names]):
             raise DependentAtPoint(
                 "generators are linearly dependent at the base point")

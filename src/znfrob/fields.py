@@ -63,20 +63,19 @@ class VectorField:
         self.chart = chart
         self.degree = degree
         coeffs: dict[str, GradedSeries] = {}
-        code = None
+        code = chart._code_of(degree)
         for name, series in coefficients.items():
             idx = chart.index(name)  # raises for unknown names
             if series.chart != chart:
                 raise ChartError(f"coefficient on {name!r} lives on another chart")
             if series.is_zero:
                 continue
-            if code is None:
-                code = chart._code_of(degree)
-            # degrees add as codes XOR; the chart keeps one vector per code
-            want = chart._degree_vector(code ^ chart._degree_codes[0][idx])
-            if not series.is_homogeneous_of(want):
+            # degrees add as codes XOR
+            want = code ^ chart._degree_codes[idx]
+            if not series._is_of_code(want):
                 raise HomogeneityError(
-                    f"coefficient on {name!r} must be homogeneous of degree {want}")
+                    f"coefficient on {name!r} must be homogeneous of degree "
+                    f"{chart._degree_vector(want)}")
             coeffs[name] = series
         self.coefficients = coeffs
 

@@ -3,8 +3,8 @@
 One routine straightens a homogeneous field of any degree, as in the
 paper's proof, one field at a time:
 
-* the pivot is the first coordinate of the field's degree whose
-  coefficient is nonzero at the origin;
+* the pivot is the first coordinate whose coefficient is nonzero at the
+  origin; it has the field's degree;
 * a frame change, built from its inverse images, sends the field to the
   pivot direction: each old coordinate is its new value (zero for the
   pivot) plus the pivot times a slice of its coefficient, the value at
@@ -65,7 +65,6 @@ from .series import (
     derive,
     multiply,
     reduce_mod_j,
-    value_at_origin,
 )
 
 Step = tuple[str, CoordinateChange]
@@ -191,9 +190,11 @@ def _straighten_steps(X: VectorField) -> tuple[list[Step], VectorField, str]:
     field, and the pivot."""
     chart = X.chart
     degree = X.degree
+    # a coefficient is homogeneous, so one with a nonzero constant term
+    # lies on a coordinate of the field's degree
     pivot = next((name for name in chart.names
-                  if chart.degree_of(name) == degree
-                  and value_at_origin(X.coefficient(name))), None)
+                  if (a := X.coefficients.get(name)) is not None
+                  and a.constant_term), None)
     if pivot is None:
         raise DegenerateAtPoint("field vanishes at the base point")
     if _noncommuting_pair([X]) is not None:
@@ -207,7 +208,7 @@ def _straighten_steps(X: VectorField) -> tuple[list[Step], VectorField, str]:
 
     def slice_of(s: GradedSeries) -> GradedSeries:
         if degree.is_zero:
-            return chart.constant(value_at_origin(s))
+            return chart.constant(s.constant_term)
         return _free_of(s, pivot)
     pivot_series = chart.coordinate(pivot)
     frame = CoordinateChange.from_inverse_images(chart, chart, {
@@ -446,10 +447,6 @@ def adapted_coordinates(D: Distribution) -> FrobeniusCertificate:
     witness that ``NotInvolutive`` carries.
     """
     chart = D.chart
-    if not D.generators:
-        return FrobeniusCertificate(change=CoordinateChange.identity(chart),
-                                    adapted=(), residuals=(), steps=())
-
     norm = D.normalized()
     gens = list(norm.distribution.generators)
     pivots = list(norm.pivots)

@@ -259,7 +259,12 @@ def parse_expression(src: str, chart: ChartSpec,
     monomial is appended to ``warnings`` when a list is supplied.
     """
     with collect_truncation_drops() as drops:
-        value = _Parser(src, chart).parse()
+        parser = _Parser(src, chart)
+        try:
+            value = parser.parse()
+        except RecursionError:
+            raise parser.error("expression nested too deeply for the "
+                               "caller's stack") from None
     if not all(_printable(coeff) for _, coeff in drops):
         raise _syntax_error(src, len(src), "dropped coefficient too large to print")
     if warnings is not None:
@@ -391,7 +396,9 @@ def _infer_field_degree(chart: ChartSpec, coeffs: dict[str, GradedSeries],
         f"{where}: zero field needs an explicit degree")
 
 
-def _selected_fields(spec: ProblemSpec) -> list[VectorField]:
+def _distribution(spec: ProblemSpec) -> Distribution:
+    """The distribution of the fields that ``args.generators`` names, or of
+    every field."""
     names = spec.args.get("generators", list(spec.fields))
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
         raise ProblemFormatError("args.generators must be a list of field names")
@@ -400,7 +407,7 @@ def _selected_fields(spec: ProblemSpec) -> list[VectorField]:
         if name not in spec.fields:
             raise ProblemFormatError(f"unknown field {name!r} in args.generators")
         out.append(spec.fields[name])
-    return out
+    return Distribution(spec.chart, out)
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +445,11 @@ def _run_bracket(spec: ProblemSpec) -> tuple[dict, int]:
 
 
 def _run_rank(spec: ProblemSpec) -> tuple[dict, int]:
-    D = Distribution(spec.chart, _selected_fields(spec))
-    return {"task": "rank", "rank": rank_of(D).to_json()}, 0
+    return {"task": "rank", "rank": rank_of(_distribution(spec)).to_json()}, 0
 
 
 def _run_involutive(spec: ProblemSpec) -> tuple[dict, int]:
-    D = Distribution(spec.chart, _selected_fields(spec))
-    result = is_involutive(D)
+    result = is_involutive(_distribution(spec))
     report: dict = {"task": "involutive", "involutive": result.involutive}
     if result.involutive:
         return report, 0
@@ -465,9 +470,7 @@ def _run_straighten(spec: ProblemSpec) -> tuple[dict, int]:
 
 
 def _run_frobenius(spec: ProblemSpec) -> tuple[dict, int]:
-    generators = _selected_fields(spec)
-    D = Distribution(spec.chart, generators)
-    cert = adapted_coordinates(D)
+    cert = adapted_coordinates(_distribution(spec))
     report = {"task": "frobenius", "verified": True}
     report.update(cert.to_json_dict())
     return report, 0
@@ -531,8 +534,7 @@ def _run_verify(spec: ProblemSpec) -> tuple[dict, int]:
     if not isinstance(path, str):
         raise ProblemFormatError("verify needs args.certificate = <path>")
     cert, inverse_ok = _load_certificate(spec, path)
-    D = Distribution(spec.chart, _selected_fields(spec))
-    report = verify_adapted(D, cert)
+    report = verify_adapted(_distribution(spec), cert)
     body = {"task": "verify"}
     body.update(report.to_json_dict())
     body["inverse_consistent"] = inverse_ok

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .grading import DegreeVector
 from .series import (ChartSpec, Coefficient, GradedSeries, _accumulate,
-                     _canonical, value_at_origin)
+                     _canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ class GradedMatrix:
         return all(e.is_zero for row in self.entries for e in row)
 
     def value_at_origin(self) -> list[list[Coefficient]]:
-        return [[value_at_origin(e) for e in row] for row in self.entries]
+        return [[e.constant_term for e in row] for row in self.entries]
 
     def __eq__(self, other):
         if not isinstance(other, GradedMatrix):
@@ -239,9 +239,9 @@ class GradedMatrix:
 def invert_mod_J(matrix: GradedMatrix) -> GradedMatrix:
     """Two-sided inverse of a square graded matrix, exact in the window.
 
-    With S the rational inverse of the matrix at the origin, the error
-    X = S*T - I vanishes at the origin, so X^k dies once k exceeds
-    j_order + base_order and the alternating geometric sum times S is the
+    With S the rational inverse of the matrix at the origin, Y = I - S*T
+    vanishes at the origin, so Y^k dies once k exceeds j_order +
+    base_order and the geometric sum of the powers of Y times S is the
     inverse.
     """
     if matrix.row_degrees != matrix.col_degrees:
@@ -254,16 +254,13 @@ def invert_mod_J(matrix: GradedMatrix) -> GradedMatrix:
         raise NotInvertibleModJ("matrix is singular at the base point")
     s = GradedMatrix(chart, degrees, degrees, [
         [chart.constant(v) if v else chart.zero() for v in row] for row in s0])
-    x = (s @ matrix) - GradedMatrix.identity(chart, degrees)
-    total = GradedMatrix.identity(chart, degrees)
-    power = GradedMatrix.identity(chart, degrees)
-    sign = -1
+    total = power = GradedMatrix.identity(chart, degrees)
+    y = total - s @ matrix
     for _ in range(chart.j_order + chart.base_order):
-        power = power @ x
+        power = power @ y
         if power.is_zero:
             break
-        total = (total + power) if sign > 0 else (total - power)
-        sign = -sign
+        total = total + power
     return total @ s
 
 

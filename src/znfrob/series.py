@@ -130,16 +130,12 @@ class ChartSpec:
         return tuple(deg.is_odd for deg in self.degrees)
 
     @cached_property
-    def base_flags(self) -> tuple[bool, ...]:
-        return tuple(deg.is_zero for deg in self.degrees)
-
-    @cached_property
     def base_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, f in enumerate(self.base_flags) if f)
+        return tuple(i for i, d in enumerate(self.degrees) if d.is_zero)
 
     @cached_property
     def nonzero_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, f in enumerate(self.base_flags) if not f)
+        return tuple(i for i, d in enumerate(self.degrees) if not d.is_zero)
 
     @cached_property
     def pair_table(self) -> tuple[tuple[int, ...], ...]:
@@ -156,10 +152,9 @@ class ChartSpec:
                       for j, row in enumerate(self.pair_table)))
 
     @cached_property
-    def _degree_codes(self) -> tuple[tuple[int, ...], dict[int, DegreeVector]]:
-        # each coordinate's degree as an int whose bit k is component k, and
-        # the degree vector of each code read so far (`_degree_vector`)
-        return tuple(map(self._code_of, self.degrees)), {}
+    def _degree_codes(self) -> tuple[int, ...]:
+        # each coordinate's degree as an int whose bit k is component k
+        return tuple(map(self._code_of, self.degrees))
 
     @cached_property
     def zero_degree(self) -> DegreeVector:
@@ -191,7 +186,7 @@ class ChartSpec:
     def _degree_code(self, mon: "Monomial") -> int:
         """The degree of a monomial as an int: the XOR of the codes of its
         odd-exponent coordinates, since even powers have degree zero."""
-        codes = self._degree_codes[0]
+        codes = self._degree_codes
         code = 0
         for i, e in enumerate(mon):
             if e & 1:
@@ -199,13 +194,8 @@ class ChartSpec:
         return code
 
     def _degree_vector(self, code: int) -> DegreeVector:
-        """The degree vector of a code, built once per chart and code."""
-        vectors = self._degree_codes[1]
-        got = vectors.get(code)
-        if got is None:
-            got = vectors[code] = DegreeVector(
-                tuple((code >> k) & 1 for k in range(self.n)))
-        return got
+        """The degree vector of a code, built where a degree is read."""
+        return DegreeVector(tuple((code >> k) & 1 for k in range(self.n)))
 
     def with_truncation(self, j_order: Optional[int] = None,
                         base_order: Optional[int] = None) -> "ChartSpec":
@@ -215,10 +205,6 @@ class ChartSpec:
             j_order=self.j_order if j_order is None else j_order,
             base_order=self.base_order if base_order is None else base_order,
         )
-
-    def same_frame(self, other: "ChartSpec") -> bool:
-        """Same coordinates and degrees, truncation orders may differ."""
-        return self.n == other.n and self.coordinates == other.coordinates
 
     # -- series factories -----------------------------------------------------
 
@@ -320,8 +306,6 @@ def _note_drop(mon: Monomial, coeff: Coefficient) -> None:
 # series
 # ---------------------------------------------------------------------------
 
-_UNSET = object()
-
 # the bits of a series' truncation loss
 _BASE_LOSS = 1
 _J_LOSS = 2
@@ -330,7 +314,7 @@ _J_LOSS = 2
 class GradedSeries:
     """Element of the truncated chart ring with exact rational coefficients."""
 
-    __slots__ = ("chart", "terms", "_degree", "_rows", "_loss")
+    __slots__ = ("chart", "terms", "_rows", "_loss")
 
     def __init__(self, chart: ChartSpec,
                  terms: Mapping[Monomial, Rational],
@@ -355,8 +339,9 @@ class GradedSeries:
             kept[mon] = coeff
         self._fill(chart, kept, 0, None)
         if declared_degree is not None:
+            code = chart._code_of(declared_degree)
             for mon in self.terms:
-                if mon.degree(chart) != declared_degree:
+                if chart._degree_code(mon) != code:
                     raise HomogeneityError(
                         f"monomial {mon.label(chart)} has degree "
                         f"{mon.degree(chart)}, declared {declared_degree}"
@@ -369,7 +354,6 @@ class GradedSeries:
         self.terms: dict[Monomial, Coefficient] = {
             m: _canonical(c) for m, c in terms.items() if c}
         self._loss = loss
-        self._degree = _UNSET
         self._rows = rows
         return self
 
@@ -390,16 +374,16 @@ class GradedSeries:
     @property
     def degree(self) -> Optional[DegreeVector]:
         """Common degree of the terms, or None when the series is zero or
-        inhomogeneous; worked out from the terms on first read."""
-        if self._degree is _UNSET:
-            chart = self.chart
-            codes = {chart._degree_code(mon) for mon in self.terms}
-            self._degree = (chart._degree_vector(codes.pop())
-                            if len(codes) == 1 else None)
-        return self._degree
+        inhomogeneous."""
+        codes = set(map(self.chart._degree_code, self.terms))
+        return self.chart._degree_vector(codes.pop()) if len(codes) == 1 else None
 
     def is_homogeneous_of(self, degree: DegreeVector) -> bool:
-        return not self.terms or self.degree == degree
+        return self._is_of_code(self.chart._code_of(degree))
+
+    def _is_of_code(self, code: int) -> bool:
+        """Every term has the degree whose code is ``code``."""
+        return all(self.chart._degree_code(m) == code for m in self.terms)
 
     @property
     def constant_term(self) -> Coefficient:
@@ -496,7 +480,7 @@ class GradedSeries:
 
     def truncated_to(self, chart: ChartSpec) -> "GradedSeries":
         """Re-truncate onto a chart with the same frame but lower orders."""
-        if not self.chart.same_frame(chart):
+        if (self.chart.n, self.chart.coordinates) != (chart.n, chart.coordinates):
             raise ChartError("truncation target must share the coordinate frame")
         terms = {
             m: c for m, c in self.terms.items()
@@ -511,31 +495,21 @@ class GradedSeries:
         return {m.label(self.chart): str(c) for m, c in self.sorted_terms()}
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
+        out = ""
         for mon, coeff in self.sorted_terms():
-            sign = "-" if coeff < 0 else "+"
-            mag = -coeff if coeff < 0 else coeff
+            mag = abs(coeff)
+            if out:
+                out += " - " if coeff < 0 else " + "
+            elif coeff < 0:
+                # a leading "-e^2" would reparse as (-e)^2: unary minus binds
+                # tighter than '^', so spell the unit coefficient out
+                out = "-1*" if mag == 1 and not mon.is_unit else "-"
             if mon.is_unit:
-                body = str(mag)
-            elif mag == 1:
-                body = mon.label(self.chart)
+                out += str(mag)
             else:
-                body = f"{mag}*{mon.label(self.chart)}"
-            pieces.append((sign, mag, mon, body))
-        first_sign, first_mag, first_mon, first_body = pieces[0]
-        if first_sign == "-":
-            # a leading "-e^2" would reparse as (-e)^2: unary minus binds
-            # tighter than '^', so spell the unit coefficient out
-            if first_mag == 1 and not first_mon.is_unit:
-                first_body = f"1*{first_body}"
-            out = "-" + first_body
-        else:
-            out = first_body
-        for sign, _, _, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+                label = mon.label(self.chart)
+                out += label if mag == 1 else f"{mag}*{label}"
+        return out or "0"
 
     def __repr__(self) -> str:
         return f"GradedSeries({self})"
@@ -777,7 +751,7 @@ def antiderivative(f: GradedSeries, name: str) -> GradedSeries:
     if chart.odd_flags[k]:
         raise OddIntegrationError(
             f"cannot integrate along odd coordinate {name!r}")
-    is_base = chart.base_flags[k]
+    is_base = chart.degrees[k].is_zero
     pair_k = chart.pair_table[k]
     out: dict[Monomial, Coefficient] = {}
     loss = f._loss
@@ -848,10 +822,6 @@ def reduce_series(f: GradedSeries, mode: str):
 
 def reduce_mod_j(f: GradedSeries) -> GradedSeries:
     return reduce_series(f, "mod_J")
-
-
-def value_at_origin(f: GradedSeries) -> Coefficient:
-    return reduce_series(f, "at_point")
 
 
 def check_images(images: Mapping[str, GradedSeries], keyed: ChartSpec,

@@ -1,8 +1,10 @@
 """Shared test utilities: standard charts, seeded random data, the
 brute-force transposition oracle for the product sign, the Picard loop
-that is the reference for inverting a coordinate change, the
-membership-based reference for certificate verification, and the parser
-that evaluates every atom, power and product in series arithmetic."""
+that is the reference for inverting a coordinate change, the alternating
+sum that is the reference for inverting a graded matrix, the Lie series
+that is the reference for straightening a field, the membership-based
+reference for certificate verification, and the parser that evaluates
+every atom, power and product in series arithmetic."""
 
 import math
 from collections import Counter
@@ -17,10 +19,12 @@ from znfrob import (
     DegreeVector,
     DependentAtPoint,
     Distribution,
+    GradedMatrix,
     GradedSeries,
     InternalInconsistency,
     JacobianSingular,
     Monomial,
+    NotInvertibleModJ,
     Rank,
     VectorField,
     certified_part,
@@ -32,7 +36,7 @@ from znfrob import (
 )
 from znfrob.errors import UnknownCoordinateError
 from znfrob.io_cli import _MAX_NESTING, _max_digits, _printable, _syntax_error
-from znfrob.series import collect_truncation_drops
+from znfrob.series import _free_of, collect_truncation_drops
 
 
 def standard_chart(j_order=4, base_order=6, extra_base=False):
@@ -293,6 +297,55 @@ def reference_invert_map(images, keyed, values_on):
             return new, passes
         current = new
     raise InternalInconsistency("inverse substitution did not stabilise")
+
+
+def reference_invert_mod_J(matrix):
+    """`invert_mod_J` as an alternating sum: with ``S`` the rational
+    inverse at the origin and ``X = S*T - I``, the inverse is
+    ``sum_k (-1)^k X^k S``, each power added or subtracted by its sign.
+    The reference that `invert_mod_J`, which sums the powers of
+    ``I - S*T``, must match entry by entry, term by term and flag by
+    flag."""
+    chart = matrix.chart
+    degrees = matrix.row_degrees
+    s0 = rational_inverse(matrix.value_at_origin())
+    if s0 is None:
+        raise NotInvertibleModJ("matrix is singular at the base point")
+    s = GradedMatrix(chart, degrees, degrees, [
+        [chart.constant(v) if v else chart.zero() for v in row] for row in s0])
+    x = (s @ matrix) - GradedMatrix.identity(chart, degrees)
+    total = GradedMatrix.identity(chart, degrees)
+    power = GradedMatrix.identity(chart, degrees)
+    sign = -1
+    for _ in range(chart.j_order + chart.base_order):
+        power = power @ x
+        if power.is_zero:
+            break
+        total = (total + power) if sign > 0 else (total - power)
+        sign = -sign
+    return total @ s
+
+
+def reference_lie_series(X):
+    """The straightening of ``X`` as the flow of ``X`` from the slice
+    ``p = 0``, with ``p`` the first coordinate whose coefficient has a
+    nonzero constant term: each old coordinate ``u`` is
+    ``sum_k (1/k!) p^k (X^k u)|_{p=0}`` in the new coordinates, with
+    ``p^k`` on the left.  The sum stops once ``X^k u`` or ``p^k`` is zero.
+    The reference that `straighten_deg0` and `straighten_nonzero` must
+    match on the certified window, and term by term when they carry no
+    loss flag."""
+    chart = X.chart
+    p = next(n for n in chart.names if X.coefficient(n).constant_term)
+    inverse = {}
+    for u in chart.names:
+        total = chart.zero()
+        xk, pk, k = chart.coordinate(u), chart.one(), 0
+        while not xk.is_zero and not pk.is_zero:
+            total = total + pk * _free_of(xk, p) * Fraction(1, math.factorial(k))
+            xk, pk, k = X.apply(xk), pk * chart.coordinate(p), k + 1
+        inverse[u] = total
+    return CoordinateChange.from_inverse_images(chart, chart, inverse)
 
 
 @dataclass(frozen=True)

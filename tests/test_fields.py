@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from znfrob import (
     invert_change,
     pushforward,
     scalar_product,
+    straighten_nonzero,
     substitute,
 )
 
@@ -682,3 +684,25 @@ def test_field_degree_of_wrong_length_is_refused(chart):
         VectorField(chart, DegreeVector.of(0, 0, 0), {"x": chart.one()})
     with pytest.raises(HomogeneityError, match=r"degree \(0,1\)"):
         VectorField(chart, chart.zero_degree, {"t1": chart.coordinate("x")})
+
+
+def test_field_degree_of_wrong_length_is_refused_without_coefficients(chart):
+    for coefficients in ({}, {"x": chart.zero()}):
+        with pytest.raises(DimensionError,
+                           match="degree length mismatch: 3 vs 2"):
+            VectorField(chart, DegreeVector.of(0, 0, 0), coefficients)
+
+
+def test_reading_degrees_leaves_the_chart_as_built():
+    # a degree is compared as an int code, and a vector is built only to be
+    # returned, so reading degrees of codes not seen before changes nothing
+    chart = ChartSpec.build(3, [("x", (0, 0, 0)), ("a", (1, 0, 0)),
+                                ("b", (0, 1, 0)), ("c", (0, 0, 1))])
+    straighten_nonzero(VectorField.coordinate_derivation(chart, "a"))
+    built = copy.deepcopy(vars(chart))
+    a, b, c = (chart.coordinate(name) for name in "abc")
+    assert (a * b).degree == DegreeVector.of(1, 1, 0)
+    assert (b * c).is_homogeneous_of(DegreeVector.of(0, 1, 1))
+    assert VectorField(chart, DegreeVector.of(1, 1, 0),
+                       {"c": a * b * c}).coefficients
+    assert vars(chart) == built

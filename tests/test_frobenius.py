@@ -7,6 +7,7 @@ from helpers import (
     base_chart,
     field_of,
     random_centered_change,
+    reference_lie_series,
     series_of,
     standard_chart,
 )
@@ -25,6 +26,7 @@ from znfrob import (
     ZeroDegree,
     ZnError,
     adapted_coordinates,
+    certified_part,
     commuting_triangular,
     pushforward,
     straighten_deg0,
@@ -369,6 +371,58 @@ def test_certificate_truncation_coherence_full_pipeline():
                 == c_low.change.images[name], (i, name)
             assert c_high.change.inverse_images[name].truncated_to(low) \
                 == c_low.change.inverse_images[name], (i, name)
+
+
+def _straightened(X):
+    return (straighten_deg0 if X.degree.is_zero else straighten_nonzero)(X)
+
+
+def _differences(got, want):
+    """Per coordinate, image minus image and inverse image minus inverse
+    image of two changes on the same charts."""
+    return [got_map[u] - want_map[u]
+            for got_map, want_map in ((got.images, want.images),
+                                      (got.inverse_images, want.inverse_images))
+            for u in got.source.names]
+
+
+def test_straightening_is_the_lie_series():
+    # d/du pushed through a random change, for u of each degree class
+    rng = random.Random(7)
+    for j_order, base_order in [(5, 4), (3, 4), (2, 3), (4, 6), (3, 5)]:
+        chart = standard_chart(j_order=j_order, base_order=base_order)
+        for _ in range(6):
+            sigma = random_centered_change(rng, chart)
+            for u in ("x", "e", "t1", "t2"):
+                X = pushforward(sigma, dgen(chart, u))
+                got = _straightened(X)
+                diffs = _differences(got, reference_lie_series(X))
+                where = (j_order, base_order, u)
+                assert not any(certified_part(d).terms for d in diffs), where
+                if not (got.base_loss or got.j_loss):
+                    assert all(d.is_zero for d in diffs), where
+
+
+def test_straightening_is_coherent_in_the_base_order():
+    # a substitution can fold a tail that the low chart dropped back in at
+    # total degree past its base order, and no loss flag marks that, so an
+    # unflagged low result may still differ there
+    rng = random.Random(11)
+    for j_order, high_b, low_b in [(3, 6, 4), (4, 5, 3), (2, 5, 2), (5, 4, 3),
+                                   (3, 4, 2), (4, 6, 5), (2, 3, 1)]:
+        high = standard_chart(j_order=j_order, base_order=high_b)
+        low = standard_chart(j_order=j_order, base_order=low_b)
+        for _ in range(5):
+            sigma = random_centered_change(rng, high)
+            for u in ("x", "e", "t1", "t2"):
+                X = pushforward(sigma, dgen(high, u))
+                want = _straightened(X.truncated_to(low))
+                diffs = _differences(_straightened(X).truncated_to(low, low), want)
+                where = (j_order, high_b, low_b, u)
+                assert not any(certified_part(d).terms for d in diffs), where
+                if not (want.base_loss or want.j_loss):
+                    assert all(m.total_degree > low_b
+                               for d in diffs for m in d.terms), where
 
 
 def test_adapted_random_soundness_small():

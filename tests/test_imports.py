@@ -411,3 +411,65 @@ def test_substitution_use_is_caught():
     assert image_checks(source, name="_substitution") == [
         "line 2: _substitution", "line 4: _substitution",
         "line 7: series._substitution", "line 9: _substitution"]
+
+
+# the public functions that only hand their own parameters to one call under
+# another name: the contract names that tests import, and no others
+RENAME_WRAPPERS = {"compose_changes", "invert_change", "reduce_mod_j",
+                   "scalar_product", "substitute"}
+
+
+def rename_wrappers(source: str) -> list[str]:
+    """Module-level public functions whose body, after an optional
+    docstring, is one ``return`` of a call whose callee is a name or an
+    attribute of a parameter and whose every argument is a parameter of
+    the function or a constant."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        body = node.body
+        if (isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)):
+            body = body[1:]
+        if not (len(body) == 1 and isinstance(body[0], ast.Return)
+                and isinstance(body[0].value, ast.Call)):
+            continue
+        call = body[0].value
+        params = {a.arg for a in (*node.args.posonlyargs, *node.args.args,
+                                  *node.args.kwonlyargs)}
+
+        def is_param(expr):
+            return isinstance(expr, ast.Name) and expr.id in params
+
+        callee = call.func
+        if not (isinstance(callee, ast.Name) or (
+                isinstance(callee, ast.Attribute) and is_param(callee.value))):
+            continue
+        if all(isinstance(arg, ast.Constant) or is_param(arg)
+               for arg in (*call.args, *(k.value for k in call.keywords))):
+            found.append(node.name)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py")))
+def test_no_new_rename_wrappers(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert [name for name in rename_wrappers(source)
+            if name not in RENAME_WRAPPERS] == []
+
+
+def test_rename_wrapper_is_caught():
+    source = ('def renamed(f, g):\n    """Doc."""\n    return other(f, g)\n'
+              "def method(change):\n    return change.inverted()\n"
+              "def constant(f):\n    return reduce_series(f, 'mod_J')\n"
+              "def keyword(f, *, mode):\n    return other(f, mode=mode)\n"
+              "def _private(f):\n    return other(f)\n"
+              "def computed(f, g):\n    return other(f, helper(g))\n"
+              "def two_lines(f):\n    g = f\n    return other(g)\n"
+              "def foreign(f):\n    return module.other(f)\n"
+              "def no_call(f):\n    return f\n")
+    assert rename_wrappers(source) == ["renamed", "method", "constant",
+                                       "keyword"]

@@ -424,6 +424,28 @@ def test_main_deep_nesting_is_a_syntax_error(tmp_path, capsys, expr):
     assert code == 2 and out["error_kind"] == "ExpressionSyntaxError"
 
 
+@pytest.mark.parametrize("headroom", [40, 100, 300])
+def test_deep_caller_gets_a_syntax_error(chart, headroom):
+    # the deepest accepted nesting needs about 700 frames below the caller
+    src = "(" * _MAX_NESTING + "x" + ")" * _MAX_NESTING
+
+    def depth():
+        frame, frames = sys._getframe(), 0
+        while frame is not None:
+            frame, frames = frame.f_back, frames + 1
+        return frames
+
+    def call_at(frames):
+        if frames > 0:
+            return call_at(frames - 1)
+        return parse_expression(src, chart)
+
+    with pytest.raises(ExpressionSyntaxError,
+                       match="nested too deeply for the caller's stack"):
+        call_at(sys.getrecursionlimit() - headroom - depth())
+    assert znfrob.series._DROP_SINK.get() is None
+
+
 @pytest.mark.parametrize("expr", [
     "(" * _MAX_NESTING + "1 + x" + ")" * _MAX_NESTING,
     "(-" * (_MAX_NESTING // 2) + "1 + x" + ")" * (_MAX_NESTING // 2)],

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_series, series_of, standard_chart
+from helpers import (
+    random_series,
+    reference_invert_mod_J,
+    series_of,
+    standard_chart,
+)
 from znfrob import (
     DegreeVector,
     DependentAtPoint,
@@ -11,6 +16,7 @@ from znfrob import (
     HomogeneityError,
     NotInvertibleModJ,
     TangentVector,
+    antiderivative,
     complete_basis,
     invert_mod_J,
     rational_inverse,
@@ -76,6 +82,44 @@ def test_invert_random_graded_matrices(chart):
         I = GradedMatrix.identity(chart, row)
         assert Ti @ T == I
         assert T @ Ti == I
+
+
+def test_invert_matches_the_alternating_sum(chart):
+    # degree-zero factors whose antiderivative dropped a term: x^4 leaves
+    # the base window, e^3 the J window
+    lossy = [antiderivative(series_of(chart, "x + x^4"), "x"),
+             antiderivative(series_of(chart, "e + e^3"), "e")]
+    assert lossy[0].base_loss and lossy[1].j_loss
+    rng = random.Random(31)
+    degrees = list(dict.fromkeys(chart.degrees))
+    compared = flagged = 0
+    for _ in range(20):
+        size = rng.randint(1, 3)
+        row = tuple(rng.choice(degrees) for _ in range(size))
+        entries = []
+        for i in range(size):
+            line = []
+            for j in range(size):
+                s = random_series(rng, chart, degree=row[i] + row[j],
+                                  terms=rng.randint(1, 2),
+                                  allow_constant=False)
+                if rng.random() < 0.4:
+                    s = s * rng.choice(lossy)
+                if i == j:
+                    s = s + chart.constant(rng.choice([1, -1, 2]))
+                line.append(s)
+            entries.append(line)
+        T = GradedMatrix(chart, row, row, entries)
+        if rational_inverse(T.value_at_origin()) is None:
+            continue
+        got, want = invert_mod_J(T), reference_invert_mod_J(T)
+        for got_row, want_row in zip(got.entries, want.entries):
+            for a, b in zip(got_row, want_row):
+                assert (a.terms, a.base_loss, a.j_loss) == (
+                    b.terms, b.base_loss, b.j_loss)
+                flagged += a.base_loss or a.j_loss
+        compared += 1
+    assert compared >= 10 and flagged
 
 
 def test_graded_matrix_validation(chart):
