@@ -21,7 +21,7 @@ from .errors import ChartError, DependentAtPoint
 from .fields import VectorField, bracket
 from .grading import DegreeVector
 from .linalg import GradedMatrix, RowSpan, invert_mod_J
-from .series import ChartSpec, GradedSeries, _accumulate, certified_part
+from .series import ChartSpec, GradedSeries, _accumulate, _certified
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,6 @@ class _Normalized:
 def _normalize(D: Distribution) -> _Normalized:
     chart = D.chart
     gens = D.generators
-    if not gens:
-        return _Normalized(D, (), GradedMatrix.identity(chart, ()))
-
     # pivot selection: eliminate earlier rows, then take the first
     # coordinate in chart order whose constant entry survives
     width = len(chart.names)
@@ -142,12 +139,7 @@ def membership(X: VectorField, D: Distribution) -> MembershipResult:
         name: _accumulate(X.chart, [(1, X.coefficient(name)), *(
             (-1, f, g.coefficient(name)) for f, g in zip(forced, gens))])
         for name in X.chart.names})
-    decisive = {
-        name: series for name, series in (
-            (n, certified_part(residual.coefficient(n)))
-            for n in D.chart.names
-        ) if not series.is_zero
-    }
+    decisive = _certified(residual.coefficients)
     if not decisive:
         # translate to coefficients on the original generators: f = f' S
         s = norm.transform
@@ -155,7 +147,8 @@ def membership(X: VectorField, D: Distribution) -> MembershipResult:
                                   [forced]) @ s).entries
         leftover = residual if not residual.is_zero else None
         return MembershipResult(True, coeffs, leftover, None, None)
-    first = next(name for name in D.chart.names if name in decisive)
+    # the residual is built in chart order
+    first = next(iter(decisive))
     order = min(
         m.total_degree for series in decisive.values() for m in series.terms
     )

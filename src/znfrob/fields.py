@@ -376,10 +376,5 @@ def pushforward(change: CoordinateChange, X: VectorField) -> VectorField:
     if X.chart != change.source:
         raise ChartError("field does not live on the source chart")
     push = _substitution(change.inverse_images, change.source, change.target)
-    out: dict[str, GradedSeries] = {}
-    for v in change.target.names:
-        w = X.apply(change.images[v])
-        if w.is_zero:
-            continue
-        out[v] = push(w)
-    return VectorField(change.target, X.degree, out)
+    return VectorField(change.target, X.degree, {
+        v: push(X.apply(change.images[v])) for v in change.target.names})

@@ -26,7 +26,9 @@ Corrections whose antiderivative is not representable are dropped with a
 loss flag.  Verification is decisive on the certified window (J-degree
 below j_order, base degree below base_order, total degree at most
 base_order): residuals there refute a certificate, leftovers on the
-truncation boundary are reported but tolerated.  One normalization of the
+truncation boundary are reported but tolerated.  The series reader
+``_certified`` makes that call for every check here: the bracket pass,
+the straightening check and both inclusions.  One normalization of the
 pushed family gives both the rank and the reverse inclusion.
 """
 
@@ -59,9 +61,9 @@ from .linalg import GradedMatrix
 from .series import (
     ChartSpec,
     GradedSeries,
+    _certified,
     _free_of,
     antiderivative,
-    certified_part,
     derive,
     multiply,
     reduce_mod_j,
@@ -74,10 +76,6 @@ Step = tuple[str, CoordinateChange]
 # helpers
 # ---------------------------------------------------------------------------
 
-def _identity_images(chart: ChartSpec) -> dict[str, GradedSeries]:
-    return {name: chart.coordinate(name) for name in chart.names}
-
-
 def _compose_steps(chart: ChartSpec, steps: Sequence[Step]) -> CoordinateChange:
     """The steps composed in order, folded from the first one."""
     changes = [step for _, step in steps] or [CoordinateChange.identity(chart)]
@@ -89,8 +87,7 @@ def _noncommuting_pair(fields: Sequence[VectorField]
     """First of the `_bracket_pairs` whose bracket keeps a residual inside
     the certified window; None when all vanish."""
     for i, j in _bracket_pairs(fields):
-        b = bracket(fields[i], fields[j])
-        if any(certified_part(s).terms for s in b.coefficients.values()):
+        if _certified(bracket(fields[i], fields[j]).coefficients):
             return i, j
     return None
 
@@ -108,15 +105,6 @@ def _straightness_error(X: VectorField, pivot: str) -> dict[str, GradedSeries]:
     return err
 
 
-def _check_straight(X: VectorField, pivot: str) -> None:
-    for name, e in _straightness_error(X, pivot).items():
-        bad = list(certified_part(e).terms)
-        if bad:
-            raise InternalInconsistency(
-                f"straightening left residual {bad[0].label(X.chart)} on "
-                f"coordinate {name!r} inside the certified window")
-
-
 # ---------------------------------------------------------------------------
 # straightening one field
 # ---------------------------------------------------------------------------
@@ -127,8 +115,6 @@ def _j_linear_step(X: VectorField, pivot: str) -> Optional[CoordinateChange]:
     the pivot hyperplane."""
     chart = X.chart
     nz = [chart.names[i] for i in chart.nonzero_indices]
-    if not nz:
-        return None
     # b[rho][tau]: coefficient of tau in the J-linear part of X's rho entry
     b = [[reduce_mod_j(derive(X.coefficient(rho), tau)) for tau in nz]
          for rho in nz]
@@ -154,7 +140,7 @@ def _j_linear_step(X: VectorField, pivot: str) -> Optional[CoordinateChange]:
 
     zeta = GradedMatrix(chart, degrees, (chart.zero_degree,),
                         [[chart.coordinate(tau)] for tau in nz])
-    images = _identity_images(chart)
+    images = dict(CoordinateChange.identity(chart).images)
     for rho, (eta,) in zip(nz, (g @ zeta).entries):
         images[rho] = eta
     change = CoordinateChange.make(chart, chart, images)
@@ -170,7 +156,7 @@ def _integrate(X: VectorField, pivot: str, labels: Iterable[str],
     chart = X.chart
     steps: list[Step] = []
     for label in labels:
-        images = _identity_images(chart)
+        images = dict(CoordinateChange.identity(chart).images)
         moved = False
         for name, e in _straightness_error(X, pivot).items():
             corr = antiderivative(reduce_mod_j(e) if mod_j else e, pivot)
@@ -236,7 +222,12 @@ def _straighten_steps(X: VectorField) -> tuple[list[Step], VectorField, str]:
         corrections, X = _integrate(X, pivot, map(
             "j_correction_{}".format, range(first, chart.j_order + 1)))
         steps += corrections
-    _check_straight(X, pivot)
+    bad = next(iter(_certified(_straightness_error(X, pivot)).items()), None)
+    if bad is not None:
+        name, e = bad
+        raise InternalInconsistency(
+            f"straightening left residual {next(iter(e.terms)).label(chart)} "
+            f"on coordinate {name!r} inside the certified window")
     return steps, X, pivot
 
 
@@ -395,22 +386,13 @@ def verify_adapted(D: Distribution, cert: FrobeniusCertificate) -> AdaptedReport
     j_loss = cert.change.j_loss or any(a.j_loss for a in coefficients)
 
     adapted = set(cert.adapted)
-    residual_orders: list[Optional[int]] = []
-    tolerated: list[bool] = []
-    for Y in pushed:
-        orders = []
-        clean = True
-        for name in chart.names:
-            if name in adapted:
-                continue
-            series = Y.coefficient(name)
-            if series.is_zero:
-                continue
-            orders.extend(m.total_degree for m in series.terms)
-            if certified_part(series).terms:
-                clean = False
-        residual_orders.append(min(orders) if orders else None)
-        tolerated.append(clean)
+    off = [{n: a for n, a in Y.coefficients.items() if n not in adapted}
+           for Y in pushed]
+    residual_orders = tuple(
+        min((m.total_degree for a in rest.values() for m in a.terms),
+            default=None)
+        for rest in off)
+    forward_ok = not any(map(_certified, off))
 
     try:
         norm = Distribution(chart, pushed).normalized()
@@ -420,15 +402,14 @@ def verify_adapted(D: Distribution, cert: FrobeniusCertificate) -> AdaptedReport
         rank_ok = Rank.of(Counter(Y.degree for Y in pushed)) == adapted_rank
         by_pivot = dict(zip(norm.pivots, norm.distribution.generators))
         reverse_ok = all(
-            name in by_pivot and not any(
-                certified_part(e).terms
-                for e in _straightness_error(by_pivot[name], name).values())
+            name in by_pivot
+            and not _certified(_straightness_error(by_pivot[name], name))
             for name in cert.adapted)
 
     # the fields in order: ok, generator_residuals, rank_ok, reverse_ok,
     # base_loss, j_loss
-    return AdaptedReport(all(tolerated) and rank_ok and reverse_ok,
-                         tuple(residual_orders), rank_ok, reverse_ok,
+    return AdaptedReport(forward_ok and rank_ok and reverse_ok,
+                         residual_orders, rank_ok, reverse_ok,
                          base_loss, j_loss)
 
 

@@ -47,7 +47,7 @@ from .frobenius import (
 )
 from .grading import DegreeVector
 from .series import (ChartSpec, Coefficient, GradedSeries, _accumulate,
-                     _product, certified_part, collect_truncation_drops)
+                     _certified, _product, collect_truncation_drops)
 
 
 # ---------------------------------------------------------------------------
@@ -415,22 +415,20 @@ def _distribution(spec: ProblemSpec) -> Distribution:
 # ---------------------------------------------------------------------------
 
 def _witness_json(result) -> dict:
-    out: dict = {}
-    if result.witness_pair is not None:
-        out["pair"] = list(result.witness_pair)
-    if result.witness_bracket is not None:
-        out["bracket"] = result.witness_bracket.to_json_dict()
-    if result.obstruction is not None:
-        entry = {
-            "coordinate": result.obstruction.obstruction_coordinate,
-            "order": result.obstruction.residual_order,
-        }
-        residual = result.obstruction.residual
-        if residual is not None and entry["coordinate"] is not None:
-            entry["residual"] = residual.coefficient(
-                entry["coordinate"]).to_json_map()
-        out["obstruction"] = entry
-    return out
+    """The report of an `is_involutive` refusal, whose obstruction is a
+    refused membership."""
+    obstruction = result.obstruction
+    coordinate = obstruction.obstruction_coordinate
+    return {
+        "pair": list(result.witness_pair),
+        "bracket": result.witness_bracket.to_json_dict(),
+        "obstruction": {
+            "coordinate": coordinate,
+            "order": obstruction.residual_order,
+            "residual": obstruction.residual.coefficient(
+                coordinate).to_json_map(),
+        },
+    }
 
 
 def _run_bracket(spec: ProblemSpec) -> tuple[dict, int]:
@@ -510,13 +508,9 @@ def _load_certificate(spec: ProblemSpec, path: str
         # a map that is not a graded coordinate change is malformed input;
         # a singular Jacobian still fails the verification
         raise ProblemFormatError(f"certificate.change: {exc}") from exc
-    inverse_ok = set(inverse_stored) == set(chart.names)
-    if inverse_ok:
-        for name in chart.names:
-            diff = inverse_stored[name] - change.inverse_images[name]
-            if certified_part(diff).terms:
-                inverse_ok = False
-                break
+    inverse_ok = set(inverse_stored) == set(chart.names) and not _certified({
+        name: stored - change.inverse_images[name]
+        for name, stored in inverse_stored.items()})
     residuals = data.get("residuals", {})
     if not (isinstance(residuals, dict) and all(
             k.isascii() and k.isdecimal() and _is_int(v)

@@ -800,6 +800,15 @@ def certified_part(f: GradedSeries) -> GradedSeries:
     return _built(f.chart, terms, f._loss)
 
 
+def _certified(coefficients: Mapping[str, GradedSeries]
+               ) -> dict[str, GradedSeries]:
+    """The nonzero certified part of each coefficient, in the mapping's
+    order.  A residual refutes exactly when this is nonempty: the one
+    reader of the certified window for every verdict."""
+    return {name: part for name, f in coefficients.items()
+            if not (part := certified_part(f)).is_zero}
+
+
 def _free_of(f: GradedSeries, name: str) -> GradedSeries:
     """The terms of ``f`` free of a coordinate, with ``f``'s loss: ``f``
     with that coordinate set to zero."""

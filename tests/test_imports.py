@@ -473,3 +473,35 @@ def test_rename_wrapper_is_caught():
               "def no_call(f):\n    return f\n")
     assert rename_wrappers(source) == ["renamed", "method", "constant",
                                        "keyword"]
+
+
+# the one reader of the certified window: every refutation (membership, the
+# bracket checks, the straightening check, both inclusions of verification
+# and the certificate's inverse check) asks `_certified`; the re-export in
+# ``__init__`` is an import, not a reference
+CERTIFIED_READERS = {"series.py": {(None, "_certified")}}
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py")))
+def test_certified_window_has_one_reader(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    allowed = CERTIFIED_READERS.get(module, frozenset())
+    assert image_checks(source, allowed, "certified_part") == []
+
+
+def test_certified_window_reader_is_caught():
+    source = ("from .series import certified_part\n"
+              "def _certified(coefficients):\n"
+              "    return {n: certified_part(f) for n, f in coefficients}\n"
+              "def membership(X, D):\n"
+              "    decisive = [certified_part(s) for s in residual]\n"
+              "class Report:\n"
+              "    def check(self):\n"
+              "        part = series.certified_part\n")
+    assert image_checks(source, CERTIFIED_READERS["series.py"],
+                        "certified_part") == [
+        "line 5: certified_part", "line 8: series.certified_part"]
+    assert image_checks(source, name="certified_part") == [
+        "line 3: certified_part", "line 5: certified_part",
+        "line 8: series.certified_part"]

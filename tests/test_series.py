@@ -589,6 +589,40 @@ def test_pivot_free_part_is_the_zero_image_substitution(chart, bits):
     assert kept
 
 
+def test_certified_reader_keeps_the_nonempty_windows_in_order(chart):
+    # the one reader of the certified window (j-degree below 3, base degree
+    # below 6, total degree at most 6): each coefficient's terms inside it,
+    # with the coefficient's loss, and no entry where none is inside
+    from znfrob.series import _certified
+    losses = [chart.zero(),
+              antiderivative(series_of(chart, "x^6"), "x"),   # x^7 drops
+              antiderivative(series_of(chart, "e^3"), "e")]   # e^4 drops
+    losses.append(losses[1] + losses[2])
+    flags = [(False, False), (True, False), (False, True), (True, True)]
+    assert [(s.base_loss, s.j_loss) for s in losses] == flags
+    kinds = {
+        "zero": (chart.zero(), None),
+        "boundary": (series_of(chart, "x^6 + 2*t1*t2*e - e^3 + x^5*e^2"),
+                     None),
+        "interior": (series_of(chart, "1 + x^2 - 3*t1*t2 + e^2 + x^4*e^2"),
+                     "1 + x^2 - 3*t1*t2 + e^2 + x^4*e^2"),
+        "mixed": (series_of(chart, "x - x^6 + t1*e + e^3"), "x + t1*e"),
+    }
+    entries = [(f"{kind}/{k}", series + loss, inside, flags[k])
+               for kind, (series, inside) in kinds.items()
+               for k, loss in enumerate(losses)]
+    random.Random(5).shuffle(entries)
+    got = _certified({name: f for name, f, _, _ in entries})
+    kept = [(name, inside, flag) for name, _, inside, flag in entries
+            if inside is not None]
+    assert list(got) == [name for name, _, _ in kept]
+    assert len(kept) == 8
+    for name, inside, flag in kept:
+        assert got[name].terms == series_of(chart, inside).terms, name
+        assert (got[name].base_loss, got[name].j_loss) == flag, name
+    assert _certified({}) == {}
+
+
 @pytest.mark.parametrize("arity, operation", [
     (2, lambda f, g: f + g),
     (2, lambda f, g: f - g),
