@@ -3,12 +3,12 @@ the involutivity test.
 
 A distribution is a finite list of homogeneous generator fields whose
 tangent vectors at the origin are independent degree by degree.
-Normalization left-multiplies the generator family by the inverse of the
-square pivot block, after which generator i reads ``d/d(pivot_i) + tail``
-with tails supported away from the pivot columns.  Membership against a
-normalized family is then a forced solve: the candidate's pivot
-coefficients are the only possible combination, and the leftover field is
-the obstruction.
+Normalization is one row reduction of ``[coefficients | I]`` over the
+chart ring, after which generator i reads ``d/d(pivot_i) + tail`` with
+tails supported away from the pivot columns, and the right block is the
+inverse of the square pivot block.  Membership against a normalized
+family is then a forced solve: the candidate's pivot coefficients are the
+only possible combination, and the leftover field is the obstruction.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .errors import ChartError, DependentAtPoint
+from .errors import ChartError
 from .fields import VectorField, bracket
 from .grading import DegreeVector
-from .linalg import GradedMatrix, RowSpan, invert_mod_J
+from .linalg import _pivot_reduce
 from .series import ChartSpec, GradedSeries, _accumulate, _certified
 
 
@@ -64,34 +64,20 @@ class Distribution:
 class _Normalized:
     distribution: Distribution          # recombined generators
     pivots: tuple[str, ...]             # pivot coordinate per generator
-    transform: GradedMatrix             # inverse pivot block: new = S @ old
+    transform: tuple[tuple[GradedSeries, ...], ...]  # S: new = S @ old
 
 
 def _normalize(D: Distribution) -> _Normalized:
     chart = D.chart
-    gens = D.generators
-    # pivot selection: eliminate earlier rows, then take the first
-    # coordinate in chart order whose constant entry survives
     width = len(chart.names)
-    span = RowSpan(width)
-    pivots: list[str] = []
-    for gen in gens:
-        if not span.try_add([gen.coefficient(name).constant_term
-                             for name in chart.names]):
-            raise DependentAtPoint(
-                "generators are linearly dependent at the base point")
-        pivots.append(chart.names[span.pivots[-1]])
-
-    degrees = tuple(g.degree for g in gens)
-    block = GradedMatrix(chart, degrees, degrees, [
-        [gen.coefficient(p) for p in pivots] for gen in gens
-    ])
-    s = invert_mod_J(block)
-    old = GradedMatrix(chart, degrees, chart.degrees, [
-        [gen.coefficient(name) for name in chart.names] for gen in gens])
-    new_gens = [VectorField(chart, degree, dict(zip(chart.names, row)))
-                for degree, row in zip(degrees, (s @ old).entries)]
-    return _Normalized(Distribution(chart, new_gens), tuple(pivots), s)
+    pivots, reduced = _pivot_reduce(chart, [
+        [gen.coefficient(name) for name in chart.names]
+        for gen in D.generators])
+    new_gens = [VectorField(chart, gen.degree, dict(zip(chart.names, row)))
+                for gen, row in zip(D.generators, reduced)]
+    return _Normalized(Distribution(chart, new_gens),
+                       tuple(chart.names[p] for p in pivots),
+                       tuple(tuple(row[width:]) for row in reduced))
 
 
 def rank_of(D: Distribution) -> Rank:
@@ -142,9 +128,8 @@ def membership(X: VectorField, D: Distribution) -> MembershipResult:
     decisive = _certified(residual.coefficients)
     if not decisive:
         # translate to coefficients on the original generators: f = f' S
-        s = norm.transform
-        (coeffs,) = (GradedMatrix(D.chart, (X.degree,), s.row_degrees,
-                                  [forced]) @ s).entries
+        coeffs = tuple(_accumulate(X.chart, [(1, f, s) for f, s in zip(
+            forced, column)]) for column in zip(*norm.transform))
         leftover = residual if not residual.is_zero else None
         return MembershipResult(True, coeffs, leftover, None, None)
     # the residual is built in chart order

@@ -1,8 +1,10 @@
 """Matrices over the chart ring and exact linear algebra at the base point.
 
-Exact linear algebra over Q has one elimination, the reduced echelon form
-kept by ``RowSpan``: pivot selection, basis completion and the rational
-inverse (a reduction of ``[A | I]``) all run through it.
+There are two eliminations.  Over Q, the reduced echelon form kept by
+``RowSpan``: pivot selection, basis completion and the rational inverse (a
+reduction of ``[A | I]``) all run through it.  Over the chart ring,
+`_pivot_reduce`, the Gauss-Jordan reduction of ``[A | I]`` that puts a
+distribution's generators in pivot form.
 
 Invertibility of a graded matrix is decided by its value at the origin;
 the full inverse is then recovered from the finite geometric series, which
@@ -25,7 +27,7 @@ from .errors import (
 )
 from .grading import DegreeVector
 from .series import (ChartSpec, Coefficient, GradedSeries, _accumulate,
-                     _canonical)
+                     _canonical, _reciprocal, _sharing_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +264,43 @@ def invert_mod_J(matrix: GradedMatrix) -> GradedMatrix:
             break
         total = total + power
     return total @ s
+
+
+def _pivot_reduce(chart: ChartSpec, rows: Sequence[Sequence[GradedSeries]]
+                  ) -> tuple[list[int], list[list[GradedSeries]]]:
+    """The pivot columns of the rows of A, and ``[S A | S]`` with S the
+    inverse of A's square block T on them: Gauss-Jordan on ``[A | I]``.
+
+    Row i's pivot is the first column that its value at the origin leaves
+    nonzero after elimination by the rows before it.  The reduction applies
+    that same elimination to row i before scaling it, so its pivot entry is
+    a unit (`_reciprocal`) even where T(0) has a zero diagonal.  Rows are
+    scaled and cleared from the left, the scaled pivot entry is set to
+    exactly 1 and zero entries are skipped.  S is the unique inverse that
+    `invert_mod_J` sums.  Every entry carries the loss of every entry of
+    A: each flag of ``invert_mod_J(T) @ A`` is among them.
+    """
+    span = RowSpan(len(chart.names))
+    for row in rows:
+        if not span.try_add([f.constant_term for f in row]):
+            raise DependentAtPoint(
+                "generators are linearly dependent at the base point")
+    one, zero = chart.one(), chart.zero()
+    out = [[*row, *(one if i == j else zero for j in range(len(rows)))]
+           for i, row in enumerate(rows)]
+    for i, p in enumerate(span.pivots):
+        if out[i][p] != one:
+            unit = _reciprocal(out[i][p])
+            out[i] = [a if a.is_zero else _accumulate(chart, [(1, unit, a)])
+                      for a in out[i]]
+        row = out[i]
+        row[p] = one
+        for k, other in enumerate(out):
+            if k != i and not (f := other[p]).is_zero:
+                out[k] = [b if a.is_zero else
+                          _accumulate(chart, ((1, b), (-1, f, a)))
+                          for a, b in zip(row, other)]
+    return span.pivots, _sharing_loss(out, (a for row in rows for a in row))
 
 
 def complete_basis(vectors: Sequence[TangentVector],

@@ -817,6 +817,26 @@ def _free_of(f: GradedSeries, name: str) -> GradedSeries:
                   f._loss)
 
 
+def _reciprocal(f: GradedSeries) -> GradedSeries:
+    """``1/f`` for ``f = c + n`` with c a nonzero constant and n vanishing
+    at the origin: ``1/c`` times the sum of one chain of the powers
+    ``(-n/c)^k``, each of total degree at least k; with ``f``'s loss."""
+    chart = f.chart
+    inv = _canonical(Fraction(1) / f.constant_term)
+    chain = [_accumulate(chart, ((1, chart.one()), (-inv, f)))._term_rows()]
+    _extend(chain, chart.j_order + chart.base_order, chart)
+    return _accumulate(chart, [(inv, chart.one()), *(
+        (inv, rows) for rows in chain)], f._loss)
+
+
+def _sharing_loss(rows: list[list[GradedSeries]],
+                  sources: Iterable[GradedSeries]) -> list[list[GradedSeries]]:
+    """``rows`` with every entry also carrying the loss of each source."""
+    loss = reduce(or_, (f._loss for f in sources), 0)
+    return [[_built(f.chart, f.terms, f._loss | loss, f._rows)
+             if loss & ~f._loss else f for f in row] for row in rows]
+
+
 def reduce_series(f: GradedSeries, mode: str):
     """``mod_J`` deletes every monomial touching J; ``at_point`` also sets
     the base coordinates to zero and returns the rational value."""

@@ -1,10 +1,12 @@
 """Shared test utilities: standard charts, seeded random data, the
 brute-force transposition oracle for the product sign, the Picard loop
 that is the reference for inverting a coordinate change, the alternating
-sum that is the reference for inverting a graded matrix, the Lie series
-that is the reference for straightening a field, the membership-based
-reference for certificate verification, and the parser that evaluates
-every atom, power and product in series arithmetic."""
+sum that is the reference for inverting a graded matrix, the inverse
+pivot block and product that are the reference for normalizing a
+distribution, the Lie series that is the reference for straightening a
+field, the membership-based reference for certificate verification, and
+the parser that evaluates every atom, power and product in series
+arithmetic."""
 
 import math
 from collections import Counter
@@ -29,6 +31,7 @@ from znfrob import (
     VectorField,
     certified_part,
     compose,
+    invert_mod_J,
     membership,
     pushforward,
     rank_of,
@@ -36,6 +39,7 @@ from znfrob import (
 )
 from znfrob.errors import UnknownCoordinateError
 from znfrob.io_cli import _MAX_NESTING, _max_digits, _printable, _syntax_error
+from znfrob.linalg import RowSpan
 from znfrob.series import _free_of, collect_truncation_drops
 
 
@@ -324,6 +328,28 @@ def reference_invert_mod_J(matrix):
         total = (total + power) if sign > 0 else (total - power)
         sign = -sign
     return total @ s
+
+
+def reference_normalize(D):
+    """`Distribution.normalized` as an inverse and a product: the pivots
+    chosen by the same elimination of the values at the origin, ``S`` the
+    `invert_mod_J` of the square pivot block, and the recombined
+    coefficients ``S @ old``.  Returns the pivot names, ``S @ old`` and
+    ``S``: the reference that the one row reduction must match term by
+    term, keeping every flag this sets on a nonzero entry."""
+    chart, gens = D.chart, D.generators
+    span = RowSpan(len(chart.names))
+    for gen in gens:
+        if not span.try_add([gen.coefficient(name).constant_term
+                             for name in chart.names]):
+            raise DependentAtPoint("generators are dependent at the origin")
+    pivots = tuple(chart.names[p] for p in span.pivots)
+    degrees = tuple(g.degree for g in gens)
+    s = invert_mod_J(GradedMatrix(chart, degrees, degrees, [
+        [gen.coefficient(p) for p in pivots] for gen in gens]))
+    old = GradedMatrix(chart, degrees, chart.degrees, [
+        [gen.coefficient(name) for name in chart.names] for gen in gens])
+    return pivots, s @ old, s
 
 
 def reference_lie_series(X):

@@ -6,13 +6,17 @@ from helpers import (
     base_chart,
     field_of,
     random_centered_change,
+    random_series,
+    reference_normalize,
     series_of,
     standard_chart,
 )
 from znfrob import (
     DependentAtPoint,
     Distribution,
+    GradedMatrix,
     VectorField,
+    antiderivative,
     bracket,
     is_involutive,
     membership,
@@ -20,6 +24,7 @@ from znfrob import (
     pushforward,
     rank_of,
 )
+from znfrob import linalg
 
 
 @pytest.fixture
@@ -172,3 +177,95 @@ def test_normalized_involutive_generators_supercommute(chart):
             for j in range(i, len(norm.generators)):
                 b = bracket(norm.generators[i], norm.generators[j])
                 assert b.is_zero or boundary_only(b, chart)
+
+
+def zero_diagonal_family(ch):
+    """Two generators whose pivot block is ``[[1, 1], [1, 0]]`` at the
+    origin, a zero on its diagonal."""
+    return Distribution(ch, [
+        field_of(ch, (0, 0), {"x": "1 + y", "y": "1 - x*y"}),
+        field_of(ch, (0, 0), {"x": "1 + e^2", "y": "x^2"}),
+    ])
+
+
+def random_family(rng, ch, lossy):
+    """Zero to three generators of random degrees: random centered
+    coefficients, some times a lossy factor, plus random constants on the
+    coordinates of the generator's degree, so the pivot block at the
+    origin need not be the identity (or invertible)."""
+    degrees = list(dict.fromkeys(ch.degrees))
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        degree = rng.choice(degrees)
+        coeffs = {}
+        for name in ch.names:
+            want = degree + ch.degree_of(name)
+            s = random_series(rng, ch, degree=want, terms=rng.randint(0, 2),
+                              allow_constant=False)
+            if rng.random() < 0.3:
+                s = s * rng.choice(lossy)
+            if want.is_zero:
+                s = s + ch.constant(rng.choice([0, 1, -1, 2]))
+            if not s.is_zero:
+                coeffs[name] = s
+        gens.append(VectorField(ch, degree, coeffs))
+    return Distribution(ch, gens)
+
+
+def test_normalize_matches_the_inverse_block_reference():
+    ch = standard_chart(j_order=3, base_order=4, extra_base=True)
+    # degree-zero factors whose antiderivative dropped a term: x^4 leaves
+    # the base window, e^3 the J window
+    lossy = [antiderivative(series_of(ch, "x + x^4"), "x"),
+             antiderivative(series_of(ch, "e + e^3"), "e")]
+    assert lossy[0].base_loss and lossy[1].j_loss
+    rng = random.Random(47)
+    families = [zero_diagonal_family(ch)]
+    families += [random_family(rng, ch, lossy) for _ in range(150)]
+    sizes, compared, flagged = set(), 0, 0
+    for D in families:
+        try:
+            pivots, want_gens, want_s = reference_normalize(D)
+        except DependentAtPoint:
+            with pytest.raises(DependentAtPoint):
+                D.normalized()
+            continue
+        norm = D.normalized()
+        assert norm.pivots == pivots
+        got_gens = [[g.coefficient(name) for name in ch.names]
+                    for g in norm.distribution.generators]
+        for got_rows, want_rows in ((got_gens, want_gens.entries),
+                                    (norm.transform, want_s.entries)):
+            for got_row, want_row in zip(got_rows, want_rows, strict=True):
+                for got, want in zip(got_row, want_row, strict=True):
+                    assert got.terms == want.terms
+                    if not want.is_zero:
+                        assert got.base_loss >= want.base_loss
+                        assert got.j_loss >= want.j_loss
+                        flagged += want.base_loss or want.j_loss
+        sizes.add(len(D.generators))
+        compared += 1
+    assert compared >= 40 and sizes == {0, 1, 2, 3} and flagged
+
+
+def test_normalization_takes_no_matrix_inverse(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("normalization took a matrix inverse or product")
+
+    ch = standard_chart(j_order=3, base_order=4, extra_base=True)
+    lossy = antiderivative(series_of(ch, "x + x^4"), "x")
+    families = [
+        [field_of(ch, (0, 0), {"x": "2 + x", "e": "t1*t2"})],
+        [field_of(ch, (0, 0), {"x": "1 + x", "y": "x"}).scaled_by(lossy + 1),
+         field_of(ch, (0, 1), {"t1": "1 - x", "x": "3*t1"})],
+        zero_diagonal_family(ch).generators + (
+            field_of(ch, (1, 1), {"e": "2 + x", "x": "e"}),),
+    ]
+    monkeypatch.setattr(linalg, "invert_mod_J", refuse)
+    monkeypatch.setattr(GradedMatrix, "__matmul__", refuse)
+    for gens in families:
+        norm = Distribution(ch, gens).normalized()
+        for i, gen in enumerate(norm.distribution.generators):
+            for j, p in enumerate(norm.pivots):
+                assert gen.coefficient(p).terms == ({} if i != j else
+                                                    ch.one().terms)
