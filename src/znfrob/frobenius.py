@@ -9,13 +9,13 @@ paper's proof, one field at a time:
   pivot direction: each old coordinate is its new value (zero for the
   pivot) plus the pivot times a slice of its coefficient, the value at
   the origin for a degree-zero field and the pivot-free part otherwise;
-* corrections are then integrated along the pivot by one loop that
-  shifts the coordinates by the antiderivative of the current error, each
-  pass pushing the error one base layer (flow box, degree zero only) or
-  J-layer deeper until it leaves the truncation window; a degree-zero
-  field also has its J-linear layer conjugated away by a matrix ODE in
-  the pivot variable, and an odd field with zero self-bracket is exact
-  after the frame.
+* corrections are then shifts of the coordinates by the antiderivative
+  along the pivot of the current error, each pushing the error one base
+  layer (flow box, degree zero only) or J-layer deeper, until a shift
+  moves nothing; a degree-zero field also has its J-linear layer
+  conjugated away by a matrix ODE in the pivot variable, and an odd field
+  with zero self-bracket is exact after the frame.  One recorder pushes
+  the field through each step and records it.
 
 A distribution is involutive exactly when its normalized generators
 supercommute, because their brackets have no pivot components; the
@@ -37,8 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import repeat
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .distribution import Distribution, Rank, _bracket_pairs, is_involutive
 from .errors import (
@@ -147,28 +146,20 @@ def _j_linear_step(X: VectorField, pivot: str) -> Optional[CoordinateChange]:
     return None if change.is_identity else change
 
 
-def _integrate(X: VectorField, pivot: str, labels: Iterable[str],
-               mod_j: bool = False) -> tuple[list[Step], VectorField]:
-    """One step per label, each shifting the coordinates by minus the
-    antiderivative along the pivot of the straightness error (reduced mod J
-    when ``mod_j``); stops once no error term has a representable
-    antiderivative, so the labels may run to a truncation order."""
+def _shift(X: VectorField, pivot: str, mod_j: bool
+           ) -> Optional[CoordinateChange]:
+    """The change shifting the coordinates by minus the antiderivative along
+    the pivot of the straightness error (reduced mod J when ``mod_j``), or
+    None when no error term has a representable antiderivative."""
     chart = X.chart
-    steps: list[Step] = []
-    for label in labels:
-        images = dict(CoordinateChange.identity(chart).images)
-        moved = False
-        for name, e in _straightness_error(X, pivot).items():
-            corr = antiderivative(reduce_mod_j(e) if mod_j else e, pivot)
-            if not corr.is_zero:
-                images[name] = images[name] - corr
-                moved = True
-        if not moved:
-            break
-        step = CoordinateChange.make(chart, chart, images)
-        X = pushforward(step, X)
-        steps.append((label, step))
-    return steps, X
+    images = dict(CoordinateChange.identity(chart).images)
+    moved = False
+    for name, e in _straightness_error(X, pivot).items():
+        corr = antiderivative(reduce_mod_j(e) if mod_j else e, pivot)
+        if not corr.is_zero:
+            images[name] = images[name] - corr
+            moved = True
+    return CoordinateChange.make(chart, chart, images) if moved else None
 
 
 def _straighten_steps(X: VectorField) -> tuple[list[Step], VectorField, str]:
@@ -190,8 +181,6 @@ def _straighten_steps(X: VectorField) -> tuple[list[Step], VectorField, str]:
     # the frame, from the inverse direction: each old coordinate is its new
     # value (none for the pivot) plus the pivot times a slice of its
     # coefficient, invertible because the pivot's slice is nonzero
-    label = "linear_frame" if degree.is_zero else "pivot_frame"
-
     def slice_of(s: GradedSeries) -> GradedSeries:
         if degree.is_zero:
             return chart.constant(s.constant_term)
@@ -202,26 +191,29 @@ def _straighten_steps(X: VectorField) -> tuple[list[Step], VectorField, str]:
         + multiply(pivot_series, slice_of(X.coefficient(name)))
         for name in chart.names})
     steps: list[Step] = []
-    if not frame.is_identity:
-        X = pushforward(frame, X)
-        steps.append((label, frame))
 
+    def record(label: str, change: Optional[CoordinateChange]) -> bool:
+        nonlocal X
+        if change is None:
+            return False
+        X = pushforward(change, X)
+        steps.append((label, change))
+        return True
+
+    record("linear_frame" if degree.is_zero else "pivot_frame",
+           None if frame.is_identity else frame)
     if degree.is_zero:
         # flow-box of the reduced field, one base layer per pass
-        flow, X = _integrate(
-            X, pivot, repeat("flow_box", chart.base_order + 1), mod_j=True)
-        steps += flow
-        ode = _j_linear_step(X, pivot)
-        if ode is not None:
-            X = pushforward(ode, X)
-            steps.append(("j_linear", ode))
+        for _ in range(chart.base_order + 1):
+            if not record("flow_box", _shift(X, pivot, mod_j=True)):
+                break
+        record("j_linear", _j_linear_step(X, pivot))
     # an odd field with zero self-bracket is exact after the frame; the
     # J-linear step has already cleared layer 1 of a degree-zero field
     if not degree.is_odd:
-        first = 2 if degree.is_zero else 1
-        corrections, X = _integrate(X, pivot, map(
-            "j_correction_{}".format, range(first, chart.j_order + 1)))
-        steps += corrections
+        for k in range(2 if degree.is_zero else 1, chart.j_order + 1):
+            if not record(f"j_correction_{k}", _shift(X, pivot, mod_j=False)):
+                break
     bad = next(iter(_certified(_straightness_error(X, pivot)).items()), None)
     if bad is not None:
         name, e = bad

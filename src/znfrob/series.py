@@ -324,7 +324,7 @@ class GradedSeries:
         for mon, raw in terms.items():
             if len(mon) != width:
                 raise DimensionError(f"monomial {mon} needs {width} exponents")
-            if not all(isinstance(e, int) and e >= 0 for e in mon):
+            if not all(type(e) is int and e >= 0 for e in mon):
                 raise ValueError(f"monomial {mon} needs nonnegative int exponents")
             coeff = Fraction(raw)
             if not coeff:
@@ -552,21 +552,21 @@ def _accumulate(chart: ChartSpec, parts: Iterable[tuple],
     """``sum a*f`` and ``sum a*f*g`` over the parts ``(a, f)`` and
     ``(a, f, g)`` in one coefficient map, built as one series carrying
     ``loss`` and every factor's loss.  A product is `_multiply_rows` on
-    cached rows in factor order (the Koszul sign depends on it), skipped
-    with its loss when a factor is zero.  In ``(a, f)``, ``f`` may also be
-    a row list, which carries no loss of its own.  A monomial that cancels
-    is deleted, so one that comes back goes last, as adding the parts one
-    at a time puts it.  Each part's terms are scaled first, a -1 part by
-    negation, so a plain sum multiplies no coefficient, and one loop merges
-    them.  Callers check the charts."""
+    cached rows in factor order (the Koszul sign depends on it); one with
+    a zero factor is skipped, keeping its loss.  In ``(a, f)``, ``f`` may
+    also be a row list, which carries no loss of its own.  A monomial that
+    cancels is deleted, so one that comes back goes last, as adding the
+    parts one at a time puts it.  Each part's terms are scaled first, a -1
+    part by negation, so a plain sum multiplies no coefficient, and one
+    loop merges them.  Callers check the charts."""
     out: dict[Monomial, Coefficient] = {}
     get = out.get
     for part in parts:
         if len(part) == 3:
             a, f, g = part
+            loss |= f._loss | g._loss
             if not f.terms or not g.terms:
                 continue
-            loss |= f._loss | g._loss
             terms = _multiply_rows(f._term_rows(), g._term_rows(), chart)
         else:
             a, f = part
@@ -718,25 +718,27 @@ def _product(chart: ChartSpec, factors: Iterable,
     return _built(chart, {row[0]: row[1] for row in rows}, loss, rows)
 
 
+def _moved_terms(f: GradedSeries, k: int, step: int) -> Iterable[tuple]:
+    """Each term ``c*m`` of ``f`` whose exponent of coordinate k can move by
+    ``step`` (+-1), as ``(m', c, n)``: m with it moved, and the larger
+    exponent times the Koszul sign of passing m's factors before k."""
+    pair_k = f.chart.pair_table[k]
+    signed = [j for j in range(k) if pair_k[j]]
+    for mon, coeff in f.terms.items():
+        e = mon[k] + step
+        if e >= 0:
+            n = mon[k] if step < 0 else e
+            for j in signed:
+                if mon[j] & 1:
+                    n = -n
+            yield Monomial((*mon[:k], e, *mon[k + 1:])), coeff, n
+
+
 def derive(f: GradedSeries, name: str) -> GradedSeries:
     """Graded left partial derivative along a chart coordinate."""
-    chart = f.chart
-    k = chart.index(name)
-    pair_k = chart.pair_table[k]
-    out: dict[Monomial, Coefficient] = {}
-    for mon, coeff in f.terms.items():
-        e = mon.exps
-        if not e[k]:
-            continue
-        sign_exp = sum(e[j] * pair_k[j] for j in range(k) if e[j])
-        c = coeff * e[k]
-        if sign_exp % 2:
-            c = -c
-        new = list(e)
-        new[k] -= 1
-        # lowering one exponent maps distinct monomials to distinct ones
-        out[Monomial(new)] = c
-    return _built(chart, out, f._loss)
+    moved = _moved_terms(f, f.chart.index(name), -1)
+    # lowering one exponent maps distinct monomials to distinct ones
+    return _built(f.chart, {m: n * c for m, c, n in moved}, f._loss)
 
 
 def antiderivative(f: GradedSeries, name: str) -> GradedSeries:
@@ -751,30 +753,19 @@ def antiderivative(f: GradedSeries, name: str) -> GradedSeries:
     if chart.odd_flags[k]:
         raise OddIntegrationError(
             f"cannot integrate along odd coordinate {name!r}")
-    is_base = chart.degrees[k].is_zero
-    pair_k = chart.pair_table[k]
+    # raising an exponent can leave the window only through its own layer
+    if chart.degrees[k].is_zero:
+        layer, order, flag = chart.base_indices, chart.base_order, _BASE_LOSS
+    else:
+        layer, order, flag = chart.nonzero_indices, chart.j_order, _J_LOSS
     out: dict[Monomial, Coefficient] = {}
     loss = f._loss
-    for mon, coeff in f.terms.items():
-        e = mon.exps
-        new = list(e)
-        new[k] += 1
-        key = Monomial(new)
-        if is_base:
-            if key.base_degree(chart) > chart.base_order:
-                _note_drop(key, coeff)
-                loss |= _BASE_LOSS
-                continue
+    for mon, coeff, n in _moved_terms(f, k, 1):
+        if sum(mon[i] for i in layer) > order:
+            _note_drop(mon, coeff)
+            loss |= flag
         else:
-            if key.j_degree(chart) > chart.j_order:
-                _note_drop(key, coeff)
-                loss |= _J_LOSS
-                continue
-        sign_exp = sum(e[j] * pair_k[j] for j in range(k) if e[j])
-        c = Fraction(coeff) / (e[k] + 1)
-        if sign_exp % 2:
-            c = -c
-        out[key] = c
+            out[mon] = Fraction(coeff, n)
     return _built(chart, out, loss)
 
 

@@ -36,6 +36,21 @@ def test_rational_inverse():
                              [Fraction(2), Fraction(4)]]) is None
 
 
+def test_matrix_product_keeps_the_loss_of_a_zero_factor():
+    # products carry the union of their operands' flags, a zero one too
+    chart = standard_chart()
+    x = chart.coordinate("x")
+    z = antiderivative(x ** chart.base_order, "x")  # x^7 drops
+    assert z.is_zero and z.base_loss
+    zero = chart.zero_degree
+    row = GradedMatrix(chart, (zero,), (zero, zero), [[z, chart.one()]])
+    column = GradedMatrix(chart, (zero, zero), (zero,), [[1 + x], [x ** 2]])
+    ((entry,),) = (row @ column).entries
+    by_hand = z * (1 + x) + x ** 2
+    assert entry == by_hand == x ** 2
+    assert entry.base_loss and by_hand.base_loss and not entry.j_loss
+
+
 def test_invert_examples(chart):
     zero = chart.zero_degree
     one_plus_e = series_of(chart, "1 + e")

@@ -102,6 +102,18 @@ def test_antiderivative_loss_flags(chart):
     assert out_j.is_zero and out_j.j_loss and not out_j.base_loss
 
 
+def test_antiderivative_drop_notes_pinned(chart):
+    # d/de passes t1 and t2 with sign -1; a dropped term is noted with the
+    # integrand's coefficient, unsigned and undivided, in term order
+    f = series_of(chart, "3*t1*e^2 - 2/3*t2*e^2 + 4*t1*e + e^3 + x*e")
+    with collect_truncation_drops() as sink:
+        out = antiderivative(f, "e")
+    assert [(mon.label(chart), coeff) for mon, coeff in sink] == [
+        ("t1*e^3", 3), ("t2*e^3", Fraction(-2, 3)), ("e^4", 1)]
+    assert str(out) == "-2*t1*e^2 + 1/2*x*e^2"
+    assert out.j_loss and not out.base_loss
+
+
 def test_reduce_examples(chart):
     f = series_of(chart, "3 + 2*x + t1*t2")
     assert reduce_series(f, "mod_J") == series_of(chart, "3 + 2*x")
@@ -231,11 +243,13 @@ def test_constructor_refuses_malformed_monomials(chart):
     for exps in [(1, 0, 0, 0, 0), (1, 0)]:
         with pytest.raises(DimensionError):
             GradedSeries(chart, {Monomial(exps): 1})
-    for exps in [(-1, 0, 0, 0), (1.0, 0, 0, 0), ("1", 0, 0, 0)]:
+    for exps in [(-1, 0, 0, 0), (1.0, 0, 0, 0), ("1", 0, 0, 0),
+                 (True, 0, 0, 0)]:
         with pytest.raises(ValueError):
             GradedSeries(chart, {Monomial(exps): 1})
-    with pytest.raises(ValueError):
-        chart.monomial({"x": -2})
+    for exponents in [{"x": -2}, {"x": True}]:
+        with pytest.raises(ValueError):
+            chart.monomial(exponents)
     assert GradedSeries(chart, {Monomial((1, 0, 0, 2)): 3}) == series_of(
         chart, "3*x*e^2")
 
