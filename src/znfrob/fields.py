@@ -260,18 +260,15 @@ class CoordinateChange:
         self.images = images
         self.inverse_images = inverse_images
 
-    # a substitution carries the flags of every image into each result, so
-    # the flags of a composite are those of its parts
+    # both directions carry the same flags: an inverse image carries those
+    # of all the images, and `then` those of both parts in each direction
     @property
     def base_loss(self) -> bool:
-        return any(s.base_loss for s in self._all_series())
+        return any(s.base_loss for s in self.images.values())
 
     @property
     def j_loss(self) -> bool:
-        return any(s.j_loss for s in self._all_series())
-
-    def _all_series(self):
-        return (*self.images.values(), *self.inverse_images.values())
+        return any(s.j_loss for s in self.images.values())
 
     @classmethod
     def make(cls, source: ChartSpec, target: ChartSpec,

@@ -29,7 +29,7 @@ base_order): residuals there refute a certificate, leftovers on the
 truncation boundary are reported but tolerated.  The series reader
 ``_certified`` makes that call for every check here: the bracket pass,
 the straightening check and both inclusions.  One normalization of the
-pushed family gives both the rank and the reverse inclusion.
+rows ``X(phi_v)`` gives both the rank and the reverse inclusion.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from typing import Optional, Sequence
 
 from .distribution import Distribution, Rank, _bracket_pairs, is_involutive
 from .errors import (
+    ChartError,
     DegenerateAtPoint,
     DependentAtPoint,
     InternalInconsistency,
@@ -358,28 +359,33 @@ class AdaptedReport:
 
 
 def verify_adapted(D: Distribution, cert: FrobeniusCertificate) -> AdaptedReport:
-    """Push every generator through the certificate's change and check both
-    inclusions between the distribution and the adapted span; only residuals
-    inside the certified window refute the certificate.
-
-    An adapted name off the target chart is refused.  One normalization of
-    the pushed family settles the rest.  The change is invertible at the
-    origin and keeps degrees, so that family is independent exactly when
-    ``D`` is, with the same count per degree.  ``d/da`` lies in its span
-    exactly when ``a`` is a pivot whose normalized generator is ``d/da`` on
-    the certified window.  A dependent family fails the rank, and contains
-    the adapted span only when that span is empty.
+    """Check both inclusions between the distribution and the adapted span
+    after the change, on one chart; residuals refute only in the certified
+    window.  Nothing is pushed: ``phi_* X`` has coefficient
+    ``X(phi_v) o phi^-1`` on ``v``, and substituting the centered,
+    degree-preserving ``phi^-1`` keeps a series' value at the origin, its
+    least total degree (the linear part keeps each layer of J-degree and
+    base degree) and whether it has a certified term (no term's total or
+    J-degree falls, and one off the window of J-degree 0 and total degree
+    ``base_order`` meets only the linear part, which keeps its base
+    degree).  The rows ``X(phi_v)`` therefore give the pushed family's
+    residual orders, ranks and pivots, and, normalized, push to its
+    normalized generators: ``d/da`` is in its span exactly when ``a`` is a
+    pivot whose normalized row is ``d/da`` on the certified window.
     """
-    chart = cert.change.target
+    chart, change = D.chart, cert.change
+    if not chart == change.source == change.target:
+        raise ChartError("certificate and distribution live on different charts")
     adapted_rank = Rank.of(Counter(chart.degree_of(n) for n in cert.adapted))
-    pushed = [pushforward(cert.change, g) for g in D.generators]
-    coefficients = [a for Y in pushed for a in Y.coefficients.values()]
-    base_loss = cert.change.base_loss or any(a.base_loss for a in coefficients)
-    j_loss = cert.change.j_loss or any(a.j_loss for a in coefficients)
+    rows = [VectorField(chart, g.degree, {v: g.apply(change.images[v])
+                                          for v in chart.names})
+            for g in D.generators]
+    coefficients = [a for Y in rows for a in Y.coefficients.values()]
+    base_loss = change.base_loss or any(a.base_loss for a in coefficients)
+    j_loss = change.j_loss or any(a.j_loss for a in coefficients)
 
-    adapted = set(cert.adapted)
-    off = [{n: a for n, a in Y.coefficients.items() if n not in adapted}
-           for Y in pushed]
+    off = [{n: a for n, a in Y.coefficients.items() if n not in cert.adapted}
+           for Y in rows]
     residual_orders = tuple(
         min((m.total_degree for a in rest.values() for m in a.terms),
             default=None)
@@ -387,11 +393,11 @@ def verify_adapted(D: Distribution, cert: FrobeniusCertificate) -> AdaptedReport
     forward_ok = not any(map(_certified, off))
 
     try:
-        norm = Distribution(chart, pushed).normalized()
+        norm = Distribution(chart, rows).normalized()
     except DependentAtPoint:
         rank_ok, reverse_ok = False, not cert.adapted
     else:
-        rank_ok = Rank.of(Counter(Y.degree for Y in pushed)) == adapted_rank
+        rank_ok = Rank.of(Counter(Y.degree for Y in rows)) == adapted_rank
         by_pivot = dict(zip(norm.pivots, norm.distribution.generators))
         reverse_ok = all(
             name in by_pivot

@@ -47,7 +47,7 @@ from .frobenius import (
 )
 from .grading import DegreeVector
 from .series import (ChartSpec, Coefficient, GradedSeries, _accumulate,
-                     _certified, _product, collect_truncation_drops)
+                     _certified, _is_int, _product, collect_truncation_drops)
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +286,6 @@ class ProblemSpec:
     task: str
     args: dict
     warnings: list[str] = field(default_factory=list)
-
-
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, which Python counts as an int
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require(data: dict, key: str, kind, where: str):

@@ -4,12 +4,8 @@ There are two eliminations.  Over Q, the reduced echelon form kept by
 ``RowSpan``: pivot selection, basis completion and the rational inverse (a
 reduction of ``[A | I]``) all run through it.  Over the chart ring,
 `_pivot_reduce`, the Gauss-Jordan reduction of ``[A | I]`` that puts a
-distribution's generators in pivot form.
-
-Invertibility of a graded matrix is decided by its value at the origin;
-the full inverse is then recovered from the finite geometric series, which
-terminates inside the truncation window because every entry of the error
-matrix vanishes at the origin.
+distribution's generators in pivot form and inverts a graded matrix,
+which is invertible exactly when its value at the origin is.
 """
 
 from __future__ import annotations
@@ -140,8 +136,8 @@ class GradedMatrix:
     ``row_degrees``/``col_degrees`` carry the graded bookkeeping; a matrix
     representing a degree-preserving module morphism has entry (i, j)
     homogeneous of degree ``row_degrees[i] + col_degrees[j]`` (checkable
-    via ``validate_graded``), but general ring matrices – and the partial
-    sums of the geometric inverse – may mix degrees freely.
+    via ``validate_graded``), but general ring matrices may mix degrees
+    freely.
     """
 
     __slots__ = ("chart", "row_degrees", "col_degrees", "entries")
@@ -239,31 +235,22 @@ class GradedMatrix:
 
 
 def invert_mod_J(matrix: GradedMatrix) -> GradedMatrix:
-    """Two-sided inverse of a square graded matrix, exact in the window.
+    """Two-sided inverse of a square graded matrix T, exact in the window.
 
-    With S the rational inverse of the matrix at the origin, Y = I - S*T
-    vanishes at the origin, so Y^k dies once k exceeds j_order +
-    base_order and the geometric sum of the powers of Y times S is the
-    inverse.
+    `_pivot_reduce` of the rows ends in ``[P | P T^-1]`` with P a
+    permutation matrix, so the right halves sorted by pivot are the
+    inverse, as `rational_inverse` reads its ``RowSpan``.  Every entry
+    carries the loss of every entry of T.
     """
     if matrix.row_degrees != matrix.col_degrees:
         raise DimensionError("inverse needs row degrees equal to column degrees")
-    chart = matrix.chart
-    degrees = matrix.row_degrees
-    t0 = matrix.value_at_origin()
-    s0 = rational_inverse(t0)
-    if s0 is None:
-        raise NotInvertibleModJ("matrix is singular at the base point")
-    s = GradedMatrix(chart, degrees, degrees, [
-        [chart.constant(v) if v else chart.zero() for v in row] for row in s0])
-    total = power = GradedMatrix.identity(chart, degrees)
-    y = total - s @ matrix
-    for _ in range(chart.j_order + chart.base_order):
-        power = power @ y
-        if power.is_zero:
-            break
-        total = total + power
-    return total @ s
+    try:
+        pivots, rows = _pivot_reduce(matrix.chart, matrix.entries)
+    except DependentAtPoint:
+        raise NotInvertibleModJ("matrix is singular at the base point") from None
+    n = len(pivots)
+    return GradedMatrix(matrix.chart, matrix.row_degrees, matrix.col_degrees,
+                        [row[n:] for _, row in sorted(zip(pivots, rows))])
 
 
 def _pivot_reduce(chart: ChartSpec, rows: Sequence[Sequence[GradedSeries]]
@@ -276,9 +263,8 @@ def _pivot_reduce(chart: ChartSpec, rows: Sequence[Sequence[GradedSeries]]
     that same elimination to row i before scaling it, so its pivot entry is
     a unit (`_reciprocal`) even where T(0) has a zero diagonal.  Rows are
     scaled and cleared from the left, the scaled pivot entry is set to
-    exactly 1 and zero entries are skipped.  S is the unique inverse that
-    `invert_mod_J` sums.  Every entry carries the loss of every entry of
-    A: each flag of ``invert_mod_J(T) @ A`` is among them.
+    exactly 1 and zero entries are skipped.  S is T's unique inverse in
+    the window.  Every entry carries the loss of every entry of A.
     """
     span = RowSpan(len(chart.names))
     for row in rows:

@@ -69,6 +69,11 @@ def _canonical(c: Coefficient) -> Coefficient:
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # chart
 # ---------------------------------------------------------------------------
@@ -88,10 +93,11 @@ class ChartSpec:
     base_order: int = 6
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DimensionError("chart needs n >= 1")
-        if self.j_order < 1 or self.base_order < 1:
-            raise DimensionError("truncation orders must be positive")
+        n, j, b = self.n, self.j_order, self.base_order
+        if not (_is_int(n) and n >= 1):
+            raise DimensionError("chart needs an integer n >= 1")
+        if not (_is_int(j) and _is_int(b) and j >= 1 and b >= 1):
+            raise DimensionError("truncation orders must be positive integers")
         names = [name for name, _ in self.coordinates]
         if len(set(names)) != len(names):
             raise ChartError(f"duplicate coordinate names: {names}")

@@ -4,13 +4,13 @@ that is the reference for inverting a coordinate change, the alternating
 sum that is the reference for inverting a graded matrix, the inverse
 pivot block and product that are the reference for normalizing a
 distribution, the Lie series that is the reference for straightening a
-field, the membership-based reference for certificate verification, and
-the parser that evaluates every atom, power and product in series
-arithmetic."""
+field, the membership-based reference for certificate verification, a
+graded ring of plain dicts, tampered certificates, and the parser that
+evaluates every atom, power and product in series arithmetic."""
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -31,7 +31,6 @@ from znfrob import (
     VectorField,
     certified_part,
     compose,
-    invert_mod_J,
     membership,
     pushforward,
     rank_of,
@@ -201,6 +200,93 @@ def oracle_multiply_monomials(chart, m1, m2):
     return mon, sign
 
 
+# -- a graded ring for tests: a series is a dict from exponent tuples to
+# Fractions, and every product goes through `oracle_multiply_monomials`
+
+def oracle_series(f):
+    """A kernel series as an oracle series: its terms, as plain data."""
+    return {tuple(m): Fraction(c) for m, c in f.terms.items()}
+
+
+def oracle_product(chart, f, g, keep):
+    """The product of two oracle series, letter by letter, keeping only the
+    monomials ``keep`` accepts; a pair whose exponent sum ``keep`` refuses
+    is not sorted at all."""
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            if not keep(tuple(a + b for a, b in zip(m1, m2))):
+                continue
+            mon, sign = oracle_multiply_monomials(chart, Monomial(m1),
+                                                  Monomial(m2))
+            if mon is not None:
+                out[tuple(mon)] = out.get(tuple(mon), 0) + sign * c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def oracle_derive(chart, f, k):
+    """Left derivative along coordinate k: ``d/dk`` moves past each earlier
+    letter i with the sign ``(-1)^<deg_k, deg_i>``, then removes one of
+    the e letters k in e ways with the same sign (an odd k has e <= 1, and
+    an even one passes its own letters with no sign)."""
+    out = {}
+    for mon, c in f.items():
+        if mon[k]:
+            passed = sum(mon[i] * chart.degrees[k].dot(chart.degrees[i])
+                         for i in range(k))
+            lowered = mon[:k] + (mon[k] - 1,) + mon[k + 1:]
+            out[lowered] = (-1) ** passed * mon[k] * c
+    return out
+
+
+def oracle_apply(chart, coefficients, f, keep):
+    """``X(f) = sum_u a_u d/du f`` for the field with oracle coefficients
+    ``a_u``, keeping the monomials ``keep`` accepts."""
+    out = {}
+    for u, a in coefficients.items():
+        derivative = oracle_derive(chart, f, chart.names.index(u))
+        part = oracle_product(chart, a, derivative, keep)
+        for m, c in part.items():
+            out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def oracle_substitute(chart, f, images, keep):
+    """``f`` with ``images[name]`` for each coordinate: each term is its
+    coefficient times the images' powers, multiplied in coordinate order.
+    The images keep the degrees of their coordinates, so no sign enters."""
+    out = {}
+    for mon, c in f.items():
+        term = {(0,) * len(mon): c}
+        for i, e in enumerate(mon):
+            for _ in range(e):
+                term = oracle_product(chart, term, images[chart.names[i]],
+                                      keep)
+        for m, coeff in term.items():
+            out[m] = out.get(m, 0) + coeff
+    return {m: c for m, c in out.items() if c}
+
+
+def tampered_certificate(rng, cert):
+    """``cert`` with its change followed by one that adds 1-3 monomials to
+    one image, each of total degree 2 or more and inside the truncation,
+    and with its adapted tuple reversed one time in five."""
+    chart = cert.change.target
+    name = rng.choice(chart.names)
+    images = {n: chart.coordinate(n) for n in chart.names}
+    for _ in range(rng.randint(1, 3)):
+        while True:
+            mon = random_monomial(rng, chart)
+            if (mon.total_degree >= 2
+                    and mon.degree(chart) == chart.degree_of(name)):
+                break
+        images[name] = images[name] + GradedSeries(
+            chart, {mon: random_coefficient(rng)})
+    change = cert.change.then(CoordinateChange.make(chart, chart, images))
+    adapted = cert.adapted[::-1] if rng.random() < 0.2 else cert.adapted
+    return replace(cert, change=change, adapted=adapted)
+
+
 def series_of(chart, text):
     from znfrob import parse_expression
     return parse_expression(text, chart)
@@ -307,9 +393,9 @@ def reference_invert_mod_J(matrix):
     """`invert_mod_J` as an alternating sum: with ``S`` the rational
     inverse at the origin and ``X = S*T - I``, the inverse is
     ``sum_k (-1)^k X^k S``, each power added or subtracted by its sign.
-    The reference that `invert_mod_J`, which sums the powers of
-    ``I - S*T``, must match entry by entry, term by term and flag by
-    flag."""
+    The reference that `invert_mod_J`, which reads the Gauss-Jordan
+    reduction of ``[T | I]``, must match entry by entry, term by term and
+    flag by flag on a matrix that is not constant."""
     chart = matrix.chart
     degrees = matrix.row_degrees
     s0 = rational_inverse(matrix.value_at_origin())
@@ -333,7 +419,8 @@ def reference_invert_mod_J(matrix):
 def reference_normalize(D):
     """`Distribution.normalized` as an inverse and a product: the pivots
     chosen by the same elimination of the values at the origin, ``S`` the
-    `invert_mod_J` of the square pivot block, and the recombined
+    `reference_invert_mod_J` of the square pivot block (`invert_mod_J`
+    reads the reduction this checks), and the recombined
     coefficients ``S @ old``.  Returns the pivot names, ``S @ old`` and
     ``S``: the reference that the one row reduction must match term by
     term, keeping every flag this sets on a nonzero entry."""
@@ -345,7 +432,7 @@ def reference_normalize(D):
             raise DependentAtPoint("generators are dependent at the origin")
     pivots = tuple(chart.names[p] for p in span.pivots)
     degrees = tuple(g.degree for g in gens)
-    s = invert_mod_J(GradedMatrix(chart, degrees, degrees, [
+    s = reference_invert_mod_J(GradedMatrix(chart, degrees, degrees, [
         [gen.coefficient(p) for p in pivots] for gen in gens]))
     old = GradedMatrix(chart, degrees, chart.degrees, [
         [gen.coefficient(name) for name in chart.names] for gen in gens])

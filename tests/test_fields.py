@@ -551,6 +551,34 @@ def test_change_loss_flags_pinned():
             "base": base, "j": j}, name
 
 
+def test_change_flags_are_those_of_both_directions():
+    # the flags read off the images are the OR over the images and the
+    # inverse images, for every way of building a change from lossy images
+    chart = standard_chart(j_order=3, base_order=4)
+    low = chart.with_truncation(j_order=2, base_order=3)
+
+    def both_directions(change):
+        series = [*change.images.values(), *change.inverse_images.values()]
+        return (any(s.base_loss for s in series),
+                any(s.j_loss for s in series))
+
+    rng = random.Random(5)
+    seen = set()
+    for images in lossy_variants(random_centered_change(rng, chart)):
+        made = CoordinateChange.make(chart, chart, images)
+        built = CoordinateChange.from_inverse_images(chart, chart, images)
+        for change in (made, built, made.then(built), built.then(made),
+                       made.inverted(), built.inverted(),
+                       made.then(CoordinateChange.identity(chart)),
+                       made.truncated_to(low, low),
+                       built.then(made).truncated_to(low, low)):
+            flags = (change.base_loss, change.j_loss)
+            assert flags == both_directions(change)
+            seen.add(flags)
+    assert seen == {(False, False), (True, False), (False, True),
+                    (True, True)}
+
+
 def oracle_sum(chart, products):
     """``sum scale * f * g`` over ``(scale, f, g)`` as a plain dict, from
     the transposition oracle term pair by term pair; no kernel arithmetic."""

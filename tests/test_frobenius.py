@@ -629,11 +629,14 @@ def _verdict(D, cert, verify):
 def test_verify_matches_membership_reference():
     # certificates from the solver, then with their adapted tuple emptied,
     # duplicated, swapped or replaced by chart names, or their change
-    # replaced by a foreign one; checked against the family, a dependent
+    # replaced by a foreign one, or followed by a small change (tampered,
+    # drawn from their own seed); checked against the family, a dependent
     # one, one lacking a generator and the empty one
-    from helpers import reference_verify_adapted
+    from helpers import reference_verify_adapted, tampered_certificate
     chart = standard_chart(j_order=3, base_order=3, extra_base=True)
     rng = random.Random(1608)
+    tamper_rng = random.Random(2016)
+    tampered_ok = []
     subsets = [("x",), ("x", "t1"), ("t1",), ("e",), ("x", "e"),
                ("y", "t2"), ("x", "y", "t1"), ("t1", "t2", "e")]
     kinds = set()
@@ -653,9 +656,10 @@ def test_verify_matches_membership_reference():
                  replace(cert, change=random_centered_change(rng, chart)),
                  replace(cert, change=random_centered_change(rng, chart),
                          adapted=tuple(rng.sample(chart.names, len(names))))]
+        tampered = [tampered_certificate(tamper_rng, cert) for _ in range(3)]
         k = rng.randrange(len(gens))
         families = [gens, gens + [gens[k]], gens[:k] + gens[k + 1:], []]
-        for c in certs:
+        for c in certs + tampered:
             for family in families:
                 want = _verdict(Distribution(chart, family), c,
                                 reference_verify_adapted)
@@ -663,8 +667,12 @@ def test_verify_matches_membership_reference():
                 assert got == want, (i, c.adapted, len(family))
                 kinds.add(want if isinstance(want, type)
                           else (want.ok, want.rank_ok, want.reverse_ok))
+                if c in tampered and family is gens:
+                    tampered_ok.append(want.ok)
     assert {(True, True, True), (False, False, True), (False, True, False),
             (False, False, False)} <= kinds, kinds
+    accepted = sum(tampered_ok) / len(tampered_ok)
+    assert 0.2 <= accepted <= 0.8, accepted
 
 
 def test_verify_dependent_and_empty_families():
@@ -713,3 +721,32 @@ def test_verify_normalizes_once(monkeypatch):
     monkeypatch.setattr(znfrob.distribution, "_normalize", counted)
     assert verify_adapted(Distribution(chart, gens), cert).ok
     assert calls == 1
+
+
+def test_verify_pushes_and_inverts_nothing(monkeypatch):
+    # every fact comes from the generators applied to the change's images:
+    # with pushforward, the substitution and the inversion refused, verify
+    # returns the report it returns with them, valid or tampered
+    import znfrob.fields
+    import znfrob.frobenius
+    from helpers import tampered_certificate
+    chart = standard_chart(j_order=3, base_order=4, extra_base=True)
+    rng = random.Random(19)
+    cases = []
+    for names in [("x", "t1"), ("e",), ("y", "t2", "e")]:
+        sigma = random_centered_change(rng, chart)
+        D = Distribution(chart, [pushforward(sigma, dgen(chart, u))
+                                 for u in names])
+        cert = adapted_coordinates(D)
+        for c in [cert, *(tampered_certificate(rng, cert) for _ in range(4))]:
+            cases.append((D, c, verify_adapted(D, c)))
+    assert {report.ok for *_, report in cases} == {False, True}
+
+    def refuse(*args):
+        raise AssertionError("verification pushed, substituted or inverted")
+
+    monkeypatch.setattr(znfrob.frobenius, "pushforward", refuse)
+    monkeypatch.setattr(znfrob.fields, "_substitution", refuse)
+    monkeypatch.setattr(znfrob.fields, "_invert_map", refuse)
+    for D, c, report in cases:
+        assert verify_adapted(D, c) == report

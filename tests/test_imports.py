@@ -413,6 +413,42 @@ def test_substitution_use_is_caught():
         "line 7: series._substitution", "line 9: _substitution"]
 
 
+# the scopes that push a field through a change: the straightening, whose
+# recorder pushes the field through each step and whose family loop pushes
+# the fields still to come; verification reads the generators applied to
+# the change's images and pushes nothing
+PUSHFORWARD_USERS = {
+    "frobenius.py": {(None, "record"), (None, "_straighten_family")},
+}
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py")))
+def test_pushforward_stays_in_the_straightening(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    allowed = PUSHFORWARD_USERS.get(module, frozenset())
+    assert image_checks(source, allowed, "pushforward") == []
+
+
+def test_pushforward_use_is_caught():
+    source = ("def _straighten_steps(X):\n"
+              "    def record(label, change):\n"
+              "        X = pushforward(change, X)\n"
+              "def verify_adapted(D, cert):\n"
+              "    pushed = [pushforward(cert.change, g) for g in gens]\n"
+              "def _straighten_family(fields, order):\n"
+              "    push = fields.pushforward\n"
+              "class FrobeniusCertificate:\n"
+              "    def check(self, X):\n"
+              "        return pushforward(self.change, X)\n")
+    assert image_checks(source, PUSHFORWARD_USERS["frobenius.py"],
+                        "pushforward") == [
+        "line 5: pushforward", "line 10: pushforward"]
+    assert image_checks(source, name="pushforward") == [
+        "line 3: pushforward", "line 5: pushforward",
+        "line 7: fields.pushforward", "line 10: pushforward"]
+
+
 # the public functions that only hand their own parameters to one call under
 # another name: the contract names that tests import, and no others
 RENAME_WRAPPERS = {"compose_changes", "invert_change", "reduce_mod_j",

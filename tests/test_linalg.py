@@ -137,6 +137,18 @@ def test_invert_matches_the_alternating_sum(chart):
     assert compared >= 10 and flagged
 
 
+def test_invert_constant_lossy_matrix_keeps_its_flag(chart):
+    # the inverse carries the loss of every entry, as a product does, also
+    # when the matrix equals its value at the origin
+    z = antiderivative(chart.coordinate("x") ** chart.base_order, "x")
+    assert z.is_zero and z.base_loss
+    zero = chart.zero_degree
+    ((entry,),) = invert_mod_J(GradedMatrix(chart, [zero], [zero],
+                                            [[1 + z]])).entries
+    assert entry == chart.one()
+    assert entry.base_loss and not entry.j_loss
+
+
 def test_graded_matrix_validation(chart):
     zero = chart.zero_degree
     odd = DegreeVector.of(0, 1)

@@ -66,6 +66,11 @@ def test_empty_and_malformed_input_is_refused(chart):
     (1, [("x", (0,))], {"j_order": 0}),
     (1, [("x", (0,))], {"base_order": 0}),
     (2, [("x", (0, 0)), ("t", (1,))], {}),
+    (1, [("x", (0,)), ("e", (1,))], {"j_order": 2.5, "base_order": True}),
+    (1, [("x", (0,))], {"j_order": 2.5}),
+    (1, [("x", (0,))], {"base_order": True}),
+    (True, [("x", (0,))], {}),
+    (1.0, [("x", (0,))], {}),
 ])
 def test_chart_refuses_bad_dimensions(n, coords, orders):
     with pytest.raises(DimensionError):
