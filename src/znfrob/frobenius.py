@@ -13,9 +13,9 @@ paper's proof, one field at a time:
   along the pivot of the current error, each pushing the error one base
   layer (flow box, degree zero only) or J-layer deeper, until a shift
   moves nothing; a degree-zero field also has its J-linear layer
-  conjugated away by a matrix ODE in the pivot variable, and an odd field
-  with zero self-bracket is exact after the frame.  One recorder pushes
-  the field through each step and records it.
+  conjugated away by new coordinates that flow along it in the pivot
+  variable, and an odd field with zero self-bracket is exact after the
+  frame.  One recorder pushes the field through each step and records it.
 
 A distribution is involutive exactly when its normalized generators
 supercommute, because their brackets have no pivot components; the
@@ -57,10 +57,10 @@ from .fields import (
     bracket,
     pushforward,
 )
-from .linalg import GradedMatrix
 from .series import (
     ChartSpec,
     GradedSeries,
+    _accumulate,
     _certified,
     _free_of,
     antiderivative,
@@ -110,40 +110,35 @@ def _straightness_error(X: VectorField, pivot: str) -> dict[str, GradedSeries]:
 # ---------------------------------------------------------------------------
 
 def _j_linear_step(X: VectorField, pivot: str) -> Optional[CoordinateChange]:
-    """Conjugate away the J-linear layer of the nonzero-degree coefficients
-    by a frame eta = g * zeta, where g solves dg/d(pivot) = -g b, g = I on
-    the pivot hyperplane."""
+    """Conjugate away the J-linear layer ``b = sum_s b_s d/ds`` of X's
+    nonzero-degree coefficients by new coordinates eta with
+    ``d(eta)/d(pivot) = -b(eta)``, ``eta = zeta`` on the pivot hyperplane:
+    Picard passes whose rate is one sum, keeping each zero part's loss,
+    and a zero rate leaves zeta as it is."""
     chart = X.chart
     nz = [chart.names[i] for i in chart.nonzero_indices]
-    # b[rho][tau]: coefficient of tau in the J-linear part of X's rho entry
-    b = [[reduce_mod_j(derive(X.coefficient(rho), tau)) for tau in nz]
-         for rho in nz]
-    degrees = tuple(chart.degree_of(rho) for rho in nz)
-    B = GradedMatrix(chart, degrees, degrees, b)
-    if B.is_zero:
+    zeta = {rho: chart.coordinate(rho) for rho in nz}
+    b = {s: _accumulate(chart, [
+        (1, reduce_mod_j(derive(X.coefficient(s), tau)), zeta[tau])
+        for tau in nz]) for s in nz}
+    if all(layer.is_zero for layer in b.values()):
         return None
 
-    identity = GradedMatrix.identity(chart, degrees)
-    g = identity
+    eta = zeta
     for _ in range(chart.base_order + 2):
-        integral = [
-            [antiderivative(s, pivot) if not s.is_zero else chart.zero()
-             for s in row]
-            for row in (g @ B).entries
-        ]
-        new_g = identity - GradedMatrix(chart, degrees, degrees, integral)
+        new_eta = {}
+        for rho, e in eta.items():
+            rate = _accumulate(chart, [(1, b[s], derive(e, s)) for s in nz])
+            new_eta[rho] = (zeta[rho] if rate.is_zero
+                            else zeta[rho] - antiderivative(rate, pivot))
         # keep the last pass: equal terms can still carry new loss flags
-        stable = new_g == g
-        g = new_g
+        stable = new_eta == eta
+        eta = new_eta
         if stable:
             break
 
-    zeta = GradedMatrix(chart, degrees, (chart.zero_degree,),
-                        [[chart.coordinate(tau)] for tau in nz])
-    images = dict(CoordinateChange.identity(chart).images)
-    for rho, (eta,) in zip(nz, (g @ zeta).entries):
-        images[rho] = eta
-    change = CoordinateChange.make(chart, chart, images)
+    change = CoordinateChange.make(
+        chart, chart, {**CoordinateChange.identity(chart).images, **eta})
     return None if change.is_identity else change
 
 

@@ -23,7 +23,7 @@ class DegreeVector:
     def __post_init__(self):
         if len(self.bits) < 1:
             raise DimensionError("degree vector needs at least one component")
-        if any(b not in (0, 1) for b in self.bits):
+        if any(type(b) is not int or b not in (0, 1) for b in self.bits):
             raise DimensionError(f"degree bits must be 0 or 1: {self.bits!r}")
 
     @classmethod
@@ -36,7 +36,7 @@ class DegreeVector:
 
     @classmethod
     def from_json(cls, data: Iterable[int]) -> "DegreeVector":
-        return cls(tuple(int(b) for b in data))
+        return cls(tuple(data))
 
     def _check_length(self, other: "DegreeVector") -> None:
         if len(self.bits) != len(other.bits):

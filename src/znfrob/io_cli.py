@@ -297,12 +297,12 @@ def _require(data: dict, key: str, kind, where: str):
     return value
 
 
-def _parse_degree(data, n: int, where: str) -> DegreeVector:
+def _parse_bits(data, n: int, where: str) -> tuple[int, ...]:
     if (not isinstance(data, list) or len(data) != n
             or not all(_is_int(b) and b in (0, 1) for b in data)):
         raise ProblemFormatError(
             f"{where} must be a list of {n} bits")
-    return DegreeVector(tuple(data))
+    return tuple(data)
 
 
 def load_problem(data: dict,
@@ -317,8 +317,6 @@ def load_problem(data: dict,
         raise ProblemFormatError("problem.truncation must be an object")
     j = j_order if j_order is not None else trunc.get("j_order", 4)
     b = base_order if base_order is not None else trunc.get("base_order", 6)
-    if not _is_int(j) or not _is_int(b) or j < 1 or b < 1:
-        raise ProblemFormatError("truncation orders must be positive integers")
 
     coords_data = _require(data, "coordinates", list, "problem")
     coords = []
@@ -329,10 +327,10 @@ def load_problem(data: dict,
         name = _require(c, "name", str, where)
         if not name.isidentifier():
             raise ProblemFormatError(f"{where}.name is not a valid identifier")
-        deg = _parse_degree(_require(c, "degree", list, where), n, f"{where}.degree")
-        coords.append((name, deg))
-    try:
-        chart = ChartSpec(n=n, coordinates=tuple(coords), j_order=j, base_order=b)
+        coords.append((name, _parse_bits(_require(c, "degree", list, where),
+                                         n, f"{where}.degree")))
+    try:  # the degrees are built here too, and refuse n = 0
+        chart = ChartSpec.build(n, coords, j_order=j, base_order=b)
     except ZnError as exc:
         raise ProblemFormatError(str(exc)) from exc
 
@@ -360,7 +358,7 @@ def load_problem(data: dict,
             if not series.is_zero:
                 coeffs[coord] = series
         if "degree" in f:
-            degree = _parse_degree(f["degree"], n, f"{where}.degree")
+            degree = DegreeVector(_parse_bits(f["degree"], n, f"{where}.degree"))
         else:
             degree = _infer_field_degree(chart, coeffs, where)
         try:

@@ -1,11 +1,11 @@
 """Matrices over the chart ring and exact linear algebra at the base point.
 
 There are two eliminations.  Over Q, the reduced echelon form kept by
-``RowSpan``: pivot selection, basis completion and the rational inverse (a
-reduction of ``[A | I]``) all run through it.  Over the chart ring,
-`_pivot_reduce`, the Gauss-Jordan reduction of ``[A | I]`` that puts a
-distribution's generators in pivot form and inverts a graded matrix,
-which is invertible exactly when its value at the origin is.
+``RowSpan``: basis completion and the rational inverse (a reduction of
+``[A | I]``) run through it.  Over the chart ring, `_pivot_reduce`: the
+Gauss-Jordan reduction of ``[A | I]``, which picks its own pivots, puts a
+distribution's generators in pivot form and inverts a graded matrix
+(invertible exactly when its value at the origin is).
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ class RowSpan:
     Entries stay ``int`` until a pivot other than 1 divides a row, and an
     integral quotient is turned back into an ``int``."""
 
-    def __init__(self, width: int):
-        self.width = width
+    def __init__(self):
         self.rows: list[list[Coefficient]] = []
         self.pivots: list[int] = []
 
@@ -79,7 +78,7 @@ def rational_inverse(rows: Sequence[Sequence[Coefficient]]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionError("inverse needs a square matrix")
-    span = RowSpan(2 * n)
+    span = RowSpan()
     for i, row in enumerate(rows):
         span.try_add([*row, *(int(i == j) for j in range(n))])
     if any(p >= n for p in span.pivots):
@@ -258,23 +257,26 @@ def _pivot_reduce(chart: ChartSpec, rows: Sequence[Sequence[GradedSeries]]
     """The pivot columns of the rows of A, and ``[S A | S]`` with S the
     inverse of A's square block T on them: Gauss-Jordan on ``[A | I]``.
 
-    Row i's pivot is the first column that its value at the origin leaves
-    nonzero after elimination by the rows before it.  The reduction applies
-    that same elimination to row i before scaling it, so its pivot entry is
-    a unit (`_reciprocal`) even where T(0) has a zero diagonal.  Rows are
-    scaled and cleared from the left, the scaled pivot entry is set to
-    exactly 1 and zero entries are skipped.  S is T's unique inverse in
-    the window.  Every entry carries the loss of every entry of A.
+    Row i's pivot is the first column of A where its value at the origin
+    is nonzero once the rows before it have cleared it; as a product's
+    constant term is the product of the constant terms, that value is what
+    eliminating the values at the origin leaves, and a row with none is
+    dependent there.  Its pivot entry is a unit (`_reciprocal`) even where
+    T(0) has a zero diagonal.  Rows are scaled and cleared from the left,
+    the scaled pivot entry set to exactly 1 and zero entries skipped; S is
+    T's unique inverse in the window, and every entry carries the loss of
+    every entry of A.
     """
-    span = RowSpan(len(chart.names))
-    for row in rows:
-        if not span.try_add([f.constant_term for f in row]):
-            raise DependentAtPoint(
-                "generators are linearly dependent at the base point")
     one, zero = chart.one(), chart.zero()
     out = [[*row, *(one if i == j else zero for j in range(len(rows)))]
            for i, row in enumerate(rows)]
-    for i, p in enumerate(span.pivots):
+    pivots = []
+    for i, width in enumerate(map(len, rows)):
+        p = next((c for c in range(width) if out[i][c].constant_term), None)
+        if p is None:
+            raise DependentAtPoint(
+                "generators are linearly dependent at the base point")
+        pivots.append(p)
         if out[i][p] != one:
             unit = _reciprocal(out[i][p])
             out[i] = [a if a.is_zero else _accumulate(chart, [(1, unit, a)])
@@ -286,7 +288,7 @@ def _pivot_reduce(chart: ChartSpec, rows: Sequence[Sequence[GradedSeries]]
                 out[k] = [b if a.is_zero else
                           _accumulate(chart, ((1, b), (-1, f, a)))
                           for a, b in zip(row, other)]
-    return span.pivots, _sharing_loss(out, (a for row in rows for a in row))
+    return pivots, _sharing_loss(out, (a for row in rows for a in row))
 
 
 def complete_basis(vectors: Sequence[TangentVector],
@@ -299,21 +301,18 @@ def complete_basis(vectors: Sequence[TangentVector],
     derivations stay outside the span built so far.
     """
     spans: dict[DegreeVector, RowSpan] = {}
-    width = len(chart.names)
     for v in vectors:
         v.validate_on(chart)
         if v.is_zero:
             raise DependentAtPoint("zero tangent vector in the input family")
-        span = spans.setdefault(v.degree, RowSpan(width))
+        span = spans.setdefault(v.degree, RowSpan())
         if not span.try_add(v.as_row(chart)):
             raise DependentAtPoint(
                 "input tangent vectors are dependent at the base point")
     chosen: list[str] = []
     for i, name in enumerate(chart.names):
         deg = chart.degrees[i]
-        span = spans.setdefault(deg, RowSpan(width))
-        unit = [0] * width
-        unit[i] = 1
-        if span.try_add(unit):
+        span = spans.setdefault(deg, RowSpan())
+        if span.try_add([int(k == i) for k in range(len(chart.names))]):
             chosen.append(name)
     return chosen

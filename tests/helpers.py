@@ -3,10 +3,11 @@ brute-force transposition oracle for the product sign, the Picard loop
 that is the reference for inverting a coordinate change, the alternating
 sum that is the reference for inverting a graded matrix, the inverse
 pivot block and product that are the reference for normalizing a
-distribution, the Lie series that is the reference for straightening a
-field, the membership-based reference for certificate verification, a
-graded ring of plain dicts, tampered certificates, and the parser that
-evaluates every atom, power and product in series arithmetic."""
+distribution, the matrix ODE that is the reference for the J-linear step,
+the Lie series that is the reference for straightening a field, the
+membership-based reference for certificate verification, a graded ring
+of plain dicts, tampered certificates, and the parser that evaluates
+every atom, power and product in series arithmetic."""
 
 import math
 from collections import Counter
@@ -29,12 +30,15 @@ from znfrob import (
     NotInvertibleModJ,
     Rank,
     VectorField,
+    antiderivative,
     certified_part,
     compose,
+    derive,
     membership,
     pushforward,
     rank_of,
     rational_inverse,
+    reduce_mod_j,
 )
 from znfrob.errors import UnknownCoordinateError
 from znfrob.io_cli import _MAX_NESTING, _max_digits, _printable, _syntax_error
@@ -425,7 +429,7 @@ def reference_normalize(D):
     ``S``: the reference that the one row reduction must match term by
     term, keeping every flag this sets on a nonzero entry."""
     chart, gens = D.chart, D.generators
-    span = RowSpan(len(chart.names))
+    span = RowSpan()
     for gen in gens:
         if not span.try_add([gen.coefficient(name).constant_term
                              for name in chart.names]):
@@ -437,6 +441,43 @@ def reference_normalize(D):
     old = GradedMatrix(chart, degrees, chart.degrees, [
         [gen.coefficient(name) for name in chart.names] for gen in gens])
     return pivots, s @ old, s
+
+
+def reference_j_linear_step(X, pivot):
+    """The J-linear step as a matrix ODE: the frame ``eta = g @ zeta``, with
+    ``g`` solving ``dg/d(pivot) = -g @ B``, ``g = I`` on the pivot
+    hyperplane, by Picard passes on ``g``, where ``B[rho][tau]`` is the
+    coefficient of tau in the J-linear part of X's rho coefficient.  A zero
+    entry of ``g @ B`` integrates to a fresh zero.  The reference that
+    `_j_linear_step` must match term by term and flag by flag."""
+    chart = X.chart
+    nz = [chart.names[i] for i in chart.nonzero_indices]
+    b = [[reduce_mod_j(derive(X.coefficient(rho), tau)) for tau in nz]
+         for rho in nz]
+    degrees = tuple(chart.degree_of(rho) for rho in nz)
+    B = GradedMatrix(chart, degrees, degrees, b)
+    if B.is_zero:
+        return None
+    identity = GradedMatrix.identity(chart, degrees)
+    g = identity
+    for _ in range(chart.base_order + 2):
+        integral = [
+            [antiderivative(s, pivot) if not s.is_zero else chart.zero()
+             for s in row]
+            for row in (g @ B).entries
+        ]
+        new_g = identity - GradedMatrix(chart, degrees, degrees, integral)
+        stable = new_g == g
+        g = new_g
+        if stable:
+            break
+    zeta = GradedMatrix(chart, degrees, (chart.zero_degree,),
+                        [[chart.coordinate(tau)] for tau in nz])
+    images = dict(CoordinateChange.identity(chart).images)
+    for rho, (eta,) in zip(nz, (g @ zeta).entries):
+        images[rho] = eta
+    change = CoordinateChange.make(chart, chart, images)
+    return None if change.is_identity else change
 
 
 def reference_lie_series(X):

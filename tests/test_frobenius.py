@@ -7,6 +7,8 @@ from helpers import (
     base_chart,
     field_of,
     random_centered_change,
+    random_field,
+    reference_j_linear_step,
     reference_lie_series,
     series_of,
     standard_chart,
@@ -26,6 +28,7 @@ from znfrob import (
     ZeroDegree,
     ZnError,
     adapted_coordinates,
+    antiderivative,
     certified_part,
     commuting_triangular,
     pushforward,
@@ -33,7 +36,7 @@ from znfrob import (
     straighten_nonzero,
     verify_adapted,
 )
-from znfrob.frobenius import FrobeniusCertificate
+from znfrob.frobenius import FrobeniusCertificate, _j_linear_step
 
 
 def dgen(chart, name):
@@ -423,6 +426,41 @@ def test_straightening_is_coherent_in_the_base_order():
                 if not (want.base_loss or want.j_loss):
                     assert all(m.total_degree > low_b
                                for d in diffs for m in d.terms), where
+
+
+def test_j_linear_step_matches_the_matrix_reference():
+    # the flow of the new coordinates against the matrix ODE for g in
+    # eta = g @ zeta, term by term and flag by flag; the lossy zeros added
+    # to some coefficients reach zero parts of the J-linear layer and zero
+    # rates, whose flags the step must pass on or leave out as g did
+    rng = random.Random(22)
+    compared = 0
+    for j_order, base_order in [(2, 2), (3, 3), (3, 4), (4, 3), (5, 4)]:
+        for extra_base in (False, True):
+            chart = standard_chart(j_order, base_order, extra_base)
+            bases = [n for n in chart.names if chart.degree_of(n).is_zero]
+            lossy = [antiderivative(chart.coordinate("x") ** base_order, "x"),
+                     antiderivative(chart.coordinate("e") ** j_order, "e")]
+            for _ in range(25):
+                X = random_field(rng, chart, chart.zero_degree, terms=3,
+                                 max_j=2)
+                X = VectorField(chart, X.degree, {
+                    n: a + rng.choice(lossy) if rng.random() < 0.3 else a
+                    for n, a in X.coefficients.items()})
+                pivot = rng.choice(bases)
+                got = _j_linear_step(X, pivot)
+                want = reference_j_linear_step(X, pivot)
+                assert (got is None) == (want is None)
+                if got is None:
+                    continue
+                compared += 1
+                for side in ("images", "inverse_images"):
+                    for n in chart.names:
+                        a, b = getattr(got, side)[n], getattr(want, side)[n]
+                        assert a.terms == b.terms, (side, n)
+                        assert (a.base_loss, a.j_loss) == (
+                            b.base_loss, b.j_loss), (side, n)
+    assert compared >= 200
 
 
 def test_adapted_random_soundness_small():

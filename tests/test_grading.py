@@ -58,6 +58,12 @@ def test_validation_and_json():
         DegreeVector(())
     with pytest.raises(DimensionError):
         DegreeVector((0, 2))
+    with pytest.raises(DimensionError):
+        DegreeVector((1.0, 0))
+    with pytest.raises(DimensionError):
+        DegreeVector((True, 0))
+    with pytest.raises(DimensionError):
+        DegreeVector.from_json([1.5, 0])
     v = DegreeVector.from_json([1, 0])
     assert v.to_json() == [1, 0]
     assert str(v) == "(1,0)"

@@ -541,3 +541,55 @@ def test_certified_window_reader_is_caught():
     assert image_checks(source, name="certified_part") == [
         "line 3: certified_part", "line 5: certified_part",
         "line 8: series.certified_part"]
+
+
+# one representation per linear-algebra job: a matrix over the chart ring
+# is a `GradedMatrix` only in linalg.py (the J-linear step solves for the
+# new coordinates themselves), and the elimination over Q runs only where
+# a rational inverse or a basis completion is asked for (`_pivot_reduce`
+# reads its pivots off its own ring elimination); the re-export in
+# ``__init__`` is an import, not a reference
+RATIONAL_ELIMINATORS = {(None, "rational_inverse"), (None, "complete_basis")}
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py") if p.name != "linalg.py"))
+def test_graded_matrices_stay_in_linalg(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert image_checks(source, name="GradedMatrix") == []
+
+
+def test_graded_matrix_use_is_caught():
+    source = ("from .linalg import GradedMatrix\n"
+              "def _j_linear_step(X, pivot):\n"
+              "    B = GradedMatrix(chart, degrees, degrees, b)\n"
+              "    g = linalg.GradedMatrix.identity(chart, degrees)\n"
+              "__all__ = ['GradedMatrix']\n")
+    assert image_checks(source, name="GradedMatrix") == [
+        "line 3: GradedMatrix", "line 4: linalg.GradedMatrix"]
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py")))
+def test_rational_elimination_stays_where_it_is_asked_for(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    allowed = RATIONAL_ELIMINATORS if module == "linalg.py" else frozenset()
+    assert image_checks(source, allowed, "RowSpan") == []
+
+
+def test_rational_elimination_use_is_caught():
+    source = ("class RowSpan:\n"
+              "    def residual(self, vec): pass\n"
+              "def rational_inverse(rows):\n"
+              "    span = RowSpan()\n"
+              "def _pivot_reduce(chart, rows):\n"
+              "    span = RowSpan()\n"
+              "def complete_basis(vectors, chart):\n"
+              "    spans: dict[DegreeVector, RowSpan] = {}\n"
+              "def rank(rows):\n"
+              "    make = linalg.RowSpan\n")
+    assert image_checks(source, RATIONAL_ELIMINATORS, "RowSpan") == [
+        "line 6: RowSpan", "line 10: linalg.RowSpan"]
+    assert image_checks(source, name="RowSpan") == [
+        "line 4: RowSpan", "line 6: RowSpan", "line 8: RowSpan",
+        "line 10: linalg.RowSpan"]

@@ -618,6 +618,15 @@ def test_degree_bits_must_be_integers(where, bit):
         load_problem(data)
 
 
+def test_main_refuses_a_chart_of_no_bits(tmp_path, capsys):
+    # an empty degree is a list of n = 0 bits, and building it used to
+    # raise DimensionError out of main
+    data = {"n": 0, "coordinates": [{"name": "x", "degree": []}],
+            "task": "rank"}
+    code = main(["--input", write_problem(tmp_path, data)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["error_kind"] == "ProblemFormatError"
+
 @pytest.mark.parametrize("value", [None, 3, "X", {"name": "X"}])
 def test_main_fields_must_be_a_list(tmp_path, capsys, value):
     data = problem_dict(task="rank")
