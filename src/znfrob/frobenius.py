@@ -15,7 +15,8 @@ paper's proof, one field at a time:
   moves nothing; a degree-zero field also has its J-linear layer
   conjugated away by new coordinates that flow along it in the pivot
   variable, and an odd field with zero self-bracket is exact after the
-  frame.  One recorder pushes the field through each step and records it.
+  frame.  One recorder pushes the field and the fields still to come
+  through each step, records it and folds it into the composite change.
 
 A distribution is involutive exactly when its normalized generators
 supercommute, because their brackets have no pivot components; the
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Optional, Sequence
 
 from .distribution import Distribution, Rank, _bracket_pairs, is_involutive
@@ -76,12 +76,6 @@ Step = tuple[str, CoordinateChange]
 # helpers
 # ---------------------------------------------------------------------------
 
-def _compose_steps(chart: ChartSpec, steps: Sequence[Step]) -> CoordinateChange:
-    """The steps composed in order, folded from the first one."""
-    changes = [step for _, step in steps] or [CoordinateChange.identity(chart)]
-    return reduce(CoordinateChange.then, changes)
-
-
 def _noncommuting_pair(fields: Sequence[VectorField]
                        ) -> Optional[tuple[int, int]]:
     """First of the `_bracket_pairs` whose bracket keeps a residual inside
@@ -106,7 +100,7 @@ def _straightness_error(X: VectorField, pivot: str) -> dict[str, GradedSeries]:
 
 
 # ---------------------------------------------------------------------------
-# straightening one field
+# straightening, one field at a time
 # ---------------------------------------------------------------------------
 
 def _j_linear_step(X: VectorField, pivot: str) -> Optional[CoordinateChange]:
@@ -158,71 +152,79 @@ def _shift(X: VectorField, pivot: str, mod_j: bool
     return CoordinateChange.make(chart, chart, images) if moved else None
 
 
-def _straighten_steps(X: VectorField) -> tuple[list[Step], VectorField, str]:
-    """Steps taking a field of any degree to d/d(pivot), the straightened
-    field, and the pivot."""
-    chart = X.chart
-    degree = X.degree
-    # a coefficient is homogeneous, so one with a nonzero constant term
-    # lies on a coordinate of the field's degree
-    pivot = next((name for name in chart.names
-                  if (a := X.coefficients.get(name)) is not None
-                  and a.constant_term), None)
-    if pivot is None:
-        raise DegenerateAtPoint("field vanishes at the base point")
-    if _noncommuting_pair([X]) is not None:
-        raise OddSquareNonzero(
-            "odd field with nonzero self-bracket cannot be straightened")
-
-    # the frame, from the inverse direction: each old coordinate is its new
-    # value (none for the pivot) plus the pivot times a slice of its
-    # coefficient, invertible because the pivot's slice is nonzero
-    def slice_of(s: GradedSeries) -> GradedSeries:
-        if degree.is_zero:
-            return chart.constant(s.constant_term)
-        return _free_of(s, pivot)
-    pivot_series = chart.coordinate(pivot)
-    frame = CoordinateChange.from_inverse_images(chart, chart, {
-        name: (chart.zero() if name == pivot else chart.coordinate(name))
-        + multiply(pivot_series, slice_of(X.coefficient(name)))
-        for name in chart.names})
+def _straighten(chart: ChartSpec, fields: Sequence[VectorField],
+                order: Sequence[int]
+                ) -> tuple[list[Step], CoordinateChange, list[str]]:
+    """Straighten ``fields[i]`` for each i in ``order``, minus the pivot
+    derivations adapted before it, to d/d(pivot); returns the steps, their
+    composite (the identity when there are none) and the adapted pivots."""
     steps: list[Step] = []
+    change: Optional[CoordinateChange] = None
+    adapted: list[str] = []
+    cur = list(fields)
 
-    def record(label: str, change: Optional[CoordinateChange]) -> bool:
-        nonlocal X
-        if change is None:
+    def record(label: str, step: Optional[CoordinateChange]) -> bool:
+        """Push X and the later fields through the step, record and fold it."""
+        nonlocal X, change
+        if step is None:
             return False
-        X = pushforward(change, X)
-        steps.append((label, change))
+        X = pushforward(step, X)
+        for j in order[pos + 1:]:
+            cur[j] = pushforward(step, cur[j])
+        steps.append((label, step))
+        change = step if change is None else change.then(step)
         return True
 
-    record("linear_frame" if degree.is_zero else "pivot_frame",
-           None if frame.is_identity else frame)
-    if degree.is_zero:
-        # flow-box of the reduced field, one base layer per pass
-        for _ in range(chart.base_order + 1):
-            if not record("flow_box", _shift(X, pivot, mod_j=True)):
-                break
-        record("j_linear", _j_linear_step(X, pivot))
-    # an odd field with zero self-bracket is exact after the frame; the
-    # J-linear step has already cleared layer 1 of a degree-zero field
-    if not degree.is_odd:
-        for k in range(2 if degree.is_zero else 1, chart.j_order + 1):
-            if not record(f"j_correction_{k}", _shift(X, pivot, mod_j=False)):
-                break
-    bad = next(iter(_certified(_straightness_error(X, pivot)).items()), None)
-    if bad is not None:
-        name, e = bad
-        raise InternalInconsistency(
-            f"straightening left residual {next(iter(e.terms)).label(chart)} "
-            f"on coordinate {name!r} inside the certified window")
-    return steps, X, pivot
+    for pos, i in enumerate(order):
+        X = VectorField(chart, cur[i].degree, {
+            n: a for n, a in cur[i].coefficients.items() if n not in adapted})
+        degree = X.degree
+        # a coefficient is homogeneous, so one with a nonzero constant term
+        # lies on a coordinate of the field's degree
+        pivot = next((name for name in chart.names
+                      if (a := X.coefficients.get(name)) is not None
+                      and a.constant_term), None)
+        if pivot is None:
+            raise DegenerateAtPoint("field vanishes at the base point")
+        if _noncommuting_pair([X]) is not None:
+            raise OddSquareNonzero(
+                "odd field with nonzero self-bracket cannot be straightened")
 
+        # the frame, from the inverse direction: each old coordinate is its
+        # new value (none for the pivot) plus the pivot times a slice of its
+        # coefficient, invertible because the pivot's slice is nonzero
+        def slice_of(s: GradedSeries) -> GradedSeries:
+            if degree.is_zero:
+                return chart.constant(s.constant_term)
+            return _free_of(s, pivot)
+        pivot_series = chart.coordinate(pivot)
+        frame = CoordinateChange.from_inverse_images(chart, chart, {
+            name: (chart.zero() if name == pivot else chart.coordinate(name))
+            + multiply(pivot_series, slice_of(X.coefficient(name)))
+            for name in chart.names})
 
-def _straighten_deg0_steps(X: VectorField) -> tuple[list[Step], VectorField, str]:
-    if not X.degree.is_zero:
-        raise NonzeroDegree("degree-zero straightening needs a degree-zero field")
-    return _straighten_steps(X)
+        record("linear_frame" if degree.is_zero else "pivot_frame",
+               None if frame.is_identity else frame)
+        if degree.is_zero:
+            # flow-box of the reduced field, one base layer per pass
+            for _ in range(chart.base_order + 1):
+                if not record("flow_box", _shift(X, pivot, mod_j=True)):
+                    break
+            record("j_linear", _j_linear_step(X, pivot))
+        # an odd field with zero self-bracket is exact after the frame; the
+        # J-linear step has already cleared layer 1 of a degree-zero field
+        if not degree.is_odd:
+            for k in range(2 if degree.is_zero else 1, chart.j_order + 1):
+                if not record(f"j_correction_{k}", _shift(X, pivot, mod_j=False)):
+                    break
+        bad = next(iter(_certified(_straightness_error(X, pivot)).items()), None)
+        if bad is not None:
+            name, e = bad
+            raise InternalInconsistency(
+                f"straightening left residual {next(iter(e.terms)).label(chart)} "
+                f"on coordinate {name!r} inside the certified window")
+        adapted.append(pivot)
+    return steps, change or CoordinateChange.identity(chart), adapted
 
 
 def straighten_deg0(X: VectorField) -> CoordinateChange:
@@ -231,8 +233,9 @@ def straighten_deg0(X: VectorField) -> CoordinateChange:
     The pivot is the first base coordinate whose coefficient has a nonzero
     constant term.
     """
-    steps, _, _ = _straighten_deg0_steps(X)
-    return _compose_steps(X.chart, steps)
+    if not X.degree.is_zero:
+        raise NonzeroDegree("degree-zero straightening needs a degree-zero field")
+    return _straighten(X.chart, [X], [0])[1]
 
 
 def straighten_nonzero(X: VectorField) -> CoordinateChange:
@@ -241,41 +244,12 @@ def straighten_nonzero(X: VectorField) -> CoordinateChange:
     constant coefficient; odd inputs must have vanishing self-bracket."""
     if X.degree.is_zero:
         raise ZeroDegree("nonzero-degree straightening needs a nonzero-degree field")
-    steps, _, _ = _straighten_steps(X)
-    return _compose_steps(X.chart, steps)
+    return _straighten(X.chart, [X], [0])[1]
 
 
 # ---------------------------------------------------------------------------
 # commuting families and full assembly
 # ---------------------------------------------------------------------------
-
-def _straighten_family(fields: Sequence[VectorField], order: Sequence[int]
-                       ) -> tuple[list[Step], list[str]]:
-    """Straighten ``fields[i]`` for each i in ``order``, minus the pivot
-    derivations adapted before it, pushing the fields still to come through
-    every step; returns the steps and the adapted pivots."""
-    steps: list[Step] = []
-    adapted: list[str] = []
-    cur = list(fields)
-    for pos, i in enumerate(order):
-        X = cur[i]
-        stripped = VectorField(X.chart, X.degree, {
-            n: a for n, a in X.coefficients.items() if n not in adapted})
-        try:
-            sub_steps, _, pivot = _straighten_steps(stripped)
-        except (OddSquareNonzero, DegenerateAtPoint) as exc:
-            if stripped.degree.is_zero:
-                raise
-            raise InternalInconsistency(
-                f"straightening generator {i} failed on involutive "
-                f"input: {exc}") from exc
-        for _, step in sub_steps:
-            for j in order[pos + 1:]:
-                cur[j] = pushforward(step, cur[j])
-        steps += sub_steps
-        adapted.append(pivot)
-    return steps, adapted
-
 
 def commuting_triangular(fields: Sequence[VectorField]) -> CoordinateChange:
     """Change after which a supercommuting degree-zero family is unit upper
@@ -290,8 +264,7 @@ def commuting_triangular(fields: Sequence[VectorField]) -> CoordinateChange:
     if pair is not None:
         raise NotCommuting(
             f"fields {pair[0]} and {pair[1]} do not commute", pair=pair)
-    steps, _ = _straighten_family(fields, range(len(fields)))
-    return _compose_steps(fields[0].chart, steps)
+    return _straighten(fields[0].chart, fields, range(len(fields)))[1]
 
 
 @dataclass(frozen=True)
@@ -438,8 +411,12 @@ def adapted_coordinates(D: Distribution) -> FrobeniusCertificate:
     # degree-zero generators first, each group in pivot order
     order = sorted(range(len(gens)), key=lambda i: (
         not gens[i].degree.is_zero, chart.index(pivots[i])))
-    steps, adapted = _straighten_family(gens, order)
-    change = _compose_steps(chart, steps)
+    try:
+        steps, change, adapted = _straighten(chart, gens, order)
+    except (OddSquareNonzero, DegenerateAtPoint) as exc:
+        # unreachable after normalization and the bracket pass
+        raise InternalInconsistency(
+            f"straightening failed on involutive input: {exc}") from exc
     cert = FrobeniusCertificate(
         change=change, adapted=tuple(adapted), residuals=(),
         steps=tuple(steps))

@@ -40,8 +40,7 @@ from .errors import (
 from .fields import CoordinateChange, VectorField, bracket
 from .frobenius import (
     FrobeniusCertificate,
-    _compose_steps,
-    _straighten_steps,
+    _straighten,
     adapted_coordinates,
     verify_adapted,
 )
@@ -317,6 +316,10 @@ def load_problem(data: dict,
         raise ProblemFormatError("problem.truncation must be an object")
     j = j_order if j_order is not None else trunc.get("j_order", 4)
     b = base_order if base_order is not None else trunc.get("base_order", 6)
+    try:  # the chart's own rules refuse n and the orders before any degree
+        ChartSpec(n, (), j, b)
+    except ZnError as exc:
+        raise ProblemFormatError(str(exc)) from exc
 
     coords_data = _require(data, "coordinates", list, "problem")
     coords = []
@@ -329,7 +332,7 @@ def load_problem(data: dict,
             raise ProblemFormatError(f"{where}.name is not a valid identifier")
         coords.append((name, _parse_bits(_require(c, "degree", list, where),
                                          n, f"{where}.degree")))
-    try:  # the degrees are built here too, and refuse n = 0
+    try:  # the degrees are built here too
         chart = ChartSpec.build(n, coords, j_order=j, base_order=b)
     except ZnError as exc:
         raise ProblemFormatError(str(exc)) from exc
@@ -454,9 +457,9 @@ def _run_straighten(spec: ProblemSpec) -> tuple[dict, int]:
         (name,) = spec.fields
     if not isinstance(name, str) or name not in spec.fields:
         raise ProblemFormatError("straighten needs args.field")
-    steps, _, pivot = _straighten_steps(spec.fields[name])
+    _, change, (pivot,) = _straighten(spec.chart, [spec.fields[name]], [0])
     report = {"task": "straighten", "field": name, "pivot": pivot}
-    report.update(_compose_steps(spec.chart, steps).to_json_dict())
+    report.update(change.to_json_dict())
     return report, 0
 
 

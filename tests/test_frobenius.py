@@ -244,6 +244,26 @@ def test_adapted_rechecks_supercommuting(monkeypatch):
         adapted_coordinates(Distribution(chart, [X, Y]))
 
 
+def test_straightening_faults_are_bugs_only_in_the_pipeline(monkeypatch):
+    # a self-bracket refusal cannot happen after normalization and the
+    # bracket pass, so the pipeline reports one from either degree class
+    # as a bug; the single-field and family entry points raise it as it is
+    import znfrob.frobenius
+    real = znfrob.frobenius._noncommuting_pair
+    monkeypatch.setattr(znfrob.frobenius, "_noncommuting_pair", lambda fields:
+                        (0, 0) if len(fields) == 1 else real(fields))
+    chart = standard_chart(extra_base=True)
+    for names in (("x", "y"), ("t1", "t2")):
+        D = Distribution(chart, [dgen(chart, u) for u in names])
+        with pytest.raises(InternalInconsistency,
+                           match="failed on involutive input: odd field"):
+            adapted_coordinates(D)
+    with pytest.raises(OddSquareNonzero):
+        straighten_nonzero(dgen(chart, "t1"))
+    with pytest.raises(OddSquareNonzero):
+        commuting_triangular([dgen(chart, "x"), dgen(chart, "y")])
+
+
 def test_adapted_rank_zero():
     chart = standard_chart()
     cert = adapted_coordinates(Distribution(chart, []))
@@ -295,8 +315,8 @@ def test_monotone_corrections():
     rng = random.Random(71)
     sigma = random_centered_change(rng, chart)
     X = pushforward(sigma, dgen(chart, "x"))
-    from znfrob.frobenius import _straighten_deg0_steps
-    steps, _, _ = _straighten_deg0_steps(X)
+    from znfrob.frobenius import _straighten
+    steps, _, _ = _straighten(chart, [X], [0])
     last = 1
     for label, step in steps:
         if not label.startswith("j_correction_"):
@@ -480,10 +500,10 @@ def test_adapted_random_soundness_small():
 
 def test_linear_frame_images_pinned():
     # recorded before the frame was built from its inverse images
-    from znfrob.frobenius import _straighten_deg0_steps
+    from znfrob.frobenius import _straighten
     chart = standard_chart(extra_base=True)
     X = field_of(chart, (0, 0), {"x": "2 + y", "y": "3 + x^2", "t1": "x*t1"})
-    steps, _, pivot = _straighten_deg0_steps(X)
+    steps, _, (pivot,) = _straighten(chart, [X], [0])
     frame = dict(steps)["linear_frame"]
     assert pivot == "x"
     assert {n: str(s) for n, s in frame.images.items()} == {
@@ -495,10 +515,10 @@ def test_linear_frame_images_pinned():
 def test_pivot_frame_images_pinned():
     # recorded while each degree class had its own frame builder
     from znfrob import bracket
-    from znfrob.frobenius import _straighten_steps
+    from znfrob.frobenius import _straighten
     chart = standard_chart(j_order=4, base_order=4)
     even = field_of(chart, (1, 1), {"e": "2 + x", "x": "e", "t1": "x*t2"})
-    steps, _, pivot = _straighten_steps(even)
+    steps, _, (pivot,) = _straighten(chart, [even], [0])
     assert pivot == "e"
     assert [label for label, _ in steps] == [
         "pivot_frame", "j_correction_1", "j_correction_2"]
@@ -514,7 +534,7 @@ def test_pivot_frame_images_pinned():
 
     odd = field_of(chart, (0, 1), {"t1": "2 + x", "t2": "e"})
     assert bracket(odd, odd).is_zero
-    steps, _, pivot = _straighten_steps(odd)
+    steps, _, (pivot,) = _straighten(chart, [odd], [0])
     assert pivot == "t1"
     assert [label for label, _ in steps] == ["pivot_frame"]
     frame = dict(steps)["pivot_frame"]
@@ -533,11 +553,11 @@ def test_composites_and_pushes_skip_redundant_work(monkeypatch):
     # family pushes only the generators it has not straightened yet
     import znfrob.frobenius
     from znfrob import CoordinateChange
-    from znfrob.frobenius import _straighten_deg0_steps
+    from znfrob.frobenius import _straighten
     chart = standard_chart(j_order=4, base_order=4)
     X = pushforward(random_centered_change(random.Random(71), chart),
                     dgen(chart, "x"))
-    steps, _, _ = _straighten_deg0_steps(X)
+    steps, _, _ = _straighten(chart, [X], [0])
     assert len(steps) >= 2
     then_calls = 0
     real_then = CoordinateChange.then

@@ -413,13 +413,13 @@ def test_substitution_use_is_caught():
         "line 7: series._substitution", "line 9: _substitution"]
 
 
-# the scopes that push a field through a change: the straightening, whose
-# recorder pushes the field through each step and whose family loop pushes
-# the fields still to come; verification reads the generators applied to
-# the change's images and pushes nothing
-PUSHFORWARD_USERS = {
-    "frobenius.py": {(None, "record"), (None, "_straighten_family")},
-}
+# the scopes that push a field through a change, and those that fold a
+# composite: the straightening's one recorder pushes the field and the
+# fields still to come through each step and folds it into the composite;
+# verification reads the generators applied to the change's images and
+# pushes nothing
+PUSHFORWARD_USERS = {"frobenius.py": {(None, "record")}}
+THEN_USERS = {"frobenius.py": {(None, "record")}, "io_cli.py": frozenset()}
 
 
 @pytest.mark.parametrize("module", sorted(
@@ -430,10 +430,17 @@ def test_pushforward_stays_in_the_straightening(module):
     assert image_checks(source, allowed, "pushforward") == []
 
 
+@pytest.mark.parametrize("module", sorted(THEN_USERS))
+def test_composite_is_folded_by_the_recorder(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert image_checks(source, THEN_USERS[module], "then") == []
+
+
 def test_pushforward_use_is_caught():
-    source = ("def _straighten_steps(X):\n"
-              "    def record(label, change):\n"
-              "        X = pushforward(change, X)\n"
+    source = ("def _straighten(chart, fields, order):\n"
+              "    def record(label, step):\n"
+              "        X = pushforward(step, X)\n"
+              "        cur[j] = pushforward(step, cur[j])\n"
               "def verify_adapted(D, cert):\n"
               "    pushed = [pushforward(cert.change, g) for g in gens]\n"
               "def _straighten_family(fields, order):\n"
@@ -443,10 +450,27 @@ def test_pushforward_use_is_caught():
               "        return pushforward(self.change, X)\n")
     assert image_checks(source, PUSHFORWARD_USERS["frobenius.py"],
                         "pushforward") == [
-        "line 5: pushforward", "line 10: pushforward"]
+        "line 6: pushforward", "line 8: fields.pushforward",
+        "line 11: pushforward"]
     assert image_checks(source, name="pushforward") == [
-        "line 3: pushforward", "line 5: pushforward",
-        "line 7: fields.pushforward", "line 10: pushforward"]
+        "line 3: pushforward", "line 4: pushforward", "line 6: pushforward",
+        "line 8: fields.pushforward", "line 11: pushforward"]
+
+
+def test_then_use_is_caught():
+    source = ("def _straighten(chart, fields, order):\n"
+              "    def record(label, step):\n"
+              "        change = step if change is None else change.then(step)\n"
+              "    return steps, change, adapted\n"
+              "def _compose_steps(chart, steps):\n"
+              "    return reduce(CoordinateChange.then, changes)\n"
+              "def _run_straighten(spec):\n"
+              "    fold = then\n")
+    assert image_checks(source, THEN_USERS["frobenius.py"], "then") == [
+        "line 6: CoordinateChange.then", "line 8: then"]
+    assert image_checks(source, THEN_USERS["io_cli.py"], "then") == [
+        "line 3: change.then", "line 6: CoordinateChange.then",
+        "line 8: then"]
 
 
 # the public functions that only hand their own parameters to one call under

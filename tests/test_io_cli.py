@@ -627,6 +627,17 @@ def test_main_refuses_a_chart_of_no_bits(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 2 and out["error_kind"] == "ProblemFormatError"
 
+
+def test_main_names_a_negative_n_as_such(tmp_path, capsys):
+    # the degree length used to be checked against n first, so a negative
+    # n was reported as a list of -1 bits
+    data = {"n": -1, "coordinates": [{"name": "x", "degree": [0]}],
+            "task": "rank"}
+    code = main(["--input", write_problem(tmp_path, data)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["error_kind"] == "ProblemFormatError"
+    assert out["error"] == "chart needs an integer n >= 1"
+
 @pytest.mark.parametrize("value", [None, 3, "X", {"name": "X"}])
 def test_main_fields_must_be_a_list(tmp_path, capsys, value):
     data = problem_dict(task="rank")
