@@ -15,8 +15,9 @@ paper's proof, one field at a time:
   moves nothing; a degree-zero field also has its J-linear layer
   conjugated away by new coordinates that flow along it in the pivot
   variable, and an odd field with zero self-bracket is exact after the
-  frame.  One recorder pushes the field and the fields still to come
-  through each step, records it and folds it into the composite change.
+  frame.  A frame or J-linear flow that would move nothing is decided
+  on its map and never built.  One recorder pushes the field and the
+  fields still to come through each step and folds it into the composite.
 
 A distribution is involutive exactly when its normalized generators
 supercommute, because their brackets have no pivot components; the
@@ -130,10 +131,8 @@ def _j_linear_step(X: VectorField, pivot: str) -> Optional[CoordinateChange]:
         eta = new_eta
         if stable:
             break
-
-    change = CoordinateChange.make(
-        chart, chart, {**CoordinateChange.identity(chart).images, **eta})
-    return None if change.is_identity else change
+    return None if eta == zeta else CoordinateChange.make(chart, chart, {
+        name: eta.get(name, chart.coordinate(name)) for name in chart.names})
 
 
 def _shift(X: VectorField, pivot: str, mod_j: bool
@@ -142,7 +141,7 @@ def _shift(X: VectorField, pivot: str, mod_j: bool
     the pivot of the straightness error (reduced mod J when ``mod_j``), or
     None when no error term has a representable antiderivative."""
     chart = X.chart
-    images = dict(CoordinateChange.identity(chart).images)
+    images = {name: chart.coordinate(name) for name in chart.names}
     moved = False
     for name, e in _straightness_error(X, pivot).items():
         corr = antiderivative(reduce_mod_j(e) if mod_j else e, pivot)
@@ -198,13 +197,12 @@ def _straighten(chart: ChartSpec, fields: Sequence[VectorField],
                 return chart.constant(s.constant_term)
             return _free_of(s, pivot)
         pivot_series = chart.coordinate(pivot)
-        frame = CoordinateChange.from_inverse_images(chart, chart, {
-            name: (chart.zero() if name == pivot else chart.coordinate(name))
-            + multiply(pivot_series, slice_of(X.coefficient(name)))
-            for name in chart.names})
-
+        inverse = {name: (chart.zero() if name == pivot else chart.coordinate(name))
+                   + multiply(pivot_series, slice_of(X.coefficient(name)))
+                   for name in chart.names}
         record("linear_frame" if degree.is_zero else "pivot_frame",
-               None if frame.is_identity else frame)
+               None if all(s == chart.coordinate(n) for n, s in inverse.items())
+               else CoordinateChange.from_inverse_images(chart, chart, inverse))
         if degree.is_zero:
             # flow-box of the reduced field, one base layer per pass
             for _ in range(chart.base_order + 1):

@@ -269,3 +269,22 @@ def test_normalization_takes_no_matrix_inverse(monkeypatch):
             for j, p in enumerate(norm.pivots):
                 assert gen.coefficient(p).terms == ({} if i != j else
                                                     ch.one().terms)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("generator", "generator lives on another chart"),
+    ("membership", "field and distribution live on different charts")])
+def test_distribution_refuses_other_charts(chart, case, message):
+    from znfrob import ChartError
+    other = standard_chart(j_order=3, base_order=5)
+    with pytest.raises(ChartError, match=message):
+        if case == "generator":
+            Distribution(chart, [dgen(chart, "x"), dgen(other, "t1")])
+        else:
+            membership(dgen(other, "x"), Distribution(chart, [dgen(chart, "x")]))
+
+
+@pytest.mark.parametrize("name, contained", [("x", True), ("e", False)])
+def test_membership_result_is_its_verdict(chart, name, contained):
+    got = membership(dgen(chart, name), Distribution(chart, [dgen(chart, "x")]))
+    assert got.contained is contained and bool(got) is contained

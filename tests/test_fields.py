@@ -20,6 +20,7 @@ from helpers import (
     standard_chart,
 )
 from znfrob import (
+    ChartError,
     ChartSpec,
     CoordinateChange,
     DegreeVector,
@@ -734,3 +735,80 @@ def test_reading_degrees_leaves_the_chart_as_built():
     assert VectorField(chart, DegreeVector.of(1, 1, 0),
                        {"c": a * b * c}).coefficients
     assert vars(chart) == built
+
+
+
+# charts that differ from the `chart` fixture (j_order 3, base_order 6) in
+# the grading group, the truncation orders or the degree profile
+OTHER_N = base_chart(("x", "y", "z", "w"), j_order=3, base_order=6)
+OTHER_ORDERS = standard_chart(j_order=3, base_order=5)
+OTHER_PROFILE = ChartSpec.build(2, [("x", (0, 0)), ("t1", (0, 1)),
+                                    ("t2", (0, 1)), ("e", (1, 1))],
+                                j_order=3, base_order=6)
+
+
+def _coordinates(chart):
+    return {name: chart.coordinate(name) for name in chart.names}
+
+
+def _d(chart, name):
+    return VectorField.coordinate_derivation(chart, name)
+
+
+def _identity(chart):
+    return CoordinateChange.identity(chart)
+
+
+CHART_GUARDS = {
+    "make-across-n": (ChartError, "different grading groups", lambda c:
+                      CoordinateChange.make(c, OTHER_N, _coordinates(OTHER_N))),
+    "make-across-orders": (
+        ChartError, "different truncation orders", lambda c:
+        CoordinateChange.make(c, OTHER_ORDERS, _coordinates(OTHER_ORDERS))),
+    "make-across-profiles": (
+        ChartError, "different degree profiles", lambda c:
+        CoordinateChange.make(c, OTHER_PROFILE, _coordinates(OTHER_PROFILE))),
+    "direct-construction": (TypeError, "use CoordinateChange.make", lambda c:
+                            CoordinateChange(c, c, _coordinates(c),
+                                             _coordinates(c))),
+    "then-across-charts": (ChartError, "do not compose", lambda c:
+                           _identity(c).then(_identity(OTHER_ORDERS))),
+    "pull-back-off-target": (ChartError, "not live on the target", lambda c:
+                             _identity(c).pull_back(OTHER_ORDERS.one())),
+    "push-series-off-source": (ChartError, "not live on the source", lambda c:
+                               _identity(c).push_series(OTHER_ORDERS.one())),
+    "pushforward-off-source": (ChartError, "not live on the source", lambda c:
+                               pushforward(_identity(c),
+                                           _d(OTHER_ORDERS, "x"))),
+    "coefficient-on-other-chart": (
+        ChartError, "coefficient on 'x' lives on another chart", lambda c:
+        VectorField(c, c.zero_degree, {"x": OTHER_ORDERS.one()})),
+    "apply-across-charts": (ChartError, "different charts", lambda c:
+                            _d(c, "x").apply(OTHER_ORDERS.coordinate("x"))),
+    "scale-by-other-chart": (ChartError, "scalar lives on another chart",
+                             lambda c: _d(c, "x").scaled_by(
+                                 OTHER_ORDERS.coordinate("x"))),
+    "scale-by-inhomogeneous": (HomogeneityError, "must be homogeneous",
+                               lambda c: _d(c, "x").scaled_by(
+                                   series_of(c, "1 + e"))),
+    "add-across-charts": (ChartError, "different charts", lambda c:
+                          _d(c, "x") + _d(OTHER_ORDERS, "x")),
+    "add-across-degrees": (HomogeneityError, "cannot combine", lambda c:
+                           _d(c, "x") + _d(c, "e")),
+    "bracket-across-charts": (ChartError, "different charts", lambda c:
+                              bracket(_d(c, "x"), _d(OTHER_ORDERS, "x"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHART_GUARDS))
+def test_changes_and_fields_refuse_other_charts(chart, case):
+    error, message, call = CHART_GUARDS[case]
+    with pytest.raises(error, match=message):
+        call(chart)
+
+
+def test_scaling_by_zero_keeps_the_degree(chart):
+    X = field_of(chart, (1, 1), {"e": "1", "t1": "x*t2"})
+    zero = X.scaled_by(chart.zero())
+    assert zero.is_zero and zero.degree == X.degree
+    assert zero == VectorField(chart, X.degree, {})

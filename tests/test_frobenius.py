@@ -808,3 +808,57 @@ def test_verify_pushes_and_inverts_nothing(monkeypatch):
     monkeypatch.setattr(znfrob.fields, "_invert_map", refuse)
     for D, c, report in cases:
         assert verify_adapted(D, c) == report
+
+
+def test_a_change_is_built_only_for_a_recorded_step(monkeypatch):
+    # a frame or J-linear flow that would move nothing is decided on its
+    # map, so the straightening builds one change per step it records;
+    # `from_inverse_images` builds through `make`
+    from znfrob import CoordinateChange
+    from znfrob.frobenius import _straighten
+    chart = standard_chart(j_order=4, base_order=4, extra_base=True)
+    rng = random.Random(25)
+    families = [[field_of(chart, (0, 0), {"x": "1", "y": "x^2"})],
+                [field_of(chart, (1, 1), {"e": "1", "t1": "x*t2"})],
+                [dgen(chart, "t1")]]
+    for names in [("x",), ("y",), ("t1",), ("t2",), ("e",), ("x", "t1"),
+                  ("y", "e"), ("x", "t2", "e")]:
+        for _ in range(3):
+            sigma = random_centered_change(rng, chart)
+            families.append([pushforward(sigma, dgen(chart, u))
+                             for u in names])
+    built = 0
+    real_make = CoordinateChange.make.__func__
+
+    def counted_make(cls, *args):
+        nonlocal built
+        built += 1
+        return real_make(cls, *args)
+
+    monkeypatch.setattr(CoordinateChange, "make", classmethod(counted_make))
+    frameless = 0
+    for fields in families:
+        norm = Distribution(chart, fields).normalized()
+        gens, pivots = norm.distribution.generators, norm.pivots
+        order = sorted(range(len(gens)), key=lambda i: (
+            not gens[i].degree.is_zero, chart.index(pivots[i])))
+        built = 0
+        steps, _, _ = _straighten(chart, gens, order)
+        assert built == len(steps), [label for label, _ in steps]
+        frameless += not any(label.endswith("frame") for label, _ in steps)
+    assert frameless >= 3
+
+
+@pytest.mark.parametrize("tamper", [False, True])
+def test_verify_guards_its_chart_and_its_report_is_its_verdict(tamper):
+    from znfrob import ChartError
+    chart = standard_chart(j_order=3, base_order=4)
+    D = Distribution(chart, [field_of(chart, (0, 0), {"x": "1", "e": "t1*t2"})])
+    cert = adapted_coordinates(D)
+    if tamper:
+        cert = replace(cert, adapted=("t1",))
+    report = verify_adapted(D, cert)
+    assert report.ok is not tamper and bool(report) is report.ok
+    other = standard_chart(j_order=3, base_order=5)
+    with pytest.raises(ChartError):
+        verify_adapted(Distribution(other, [dgen(other, "x")]), cert)

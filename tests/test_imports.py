@@ -473,6 +473,38 @@ def test_then_use_is_caught():
         "line 8: then"]
 
 
+# a step that moves nothing is decided on its map before any change is
+# built, so no module asks a built change whether it is the identity, and
+# the straightening builds the identity only as the composite of no steps
+IDENTITY_BUILDERS = {"frobenius.py": {(None, "_straighten")}}
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py")))
+def test_no_change_is_built_to_be_discarded(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert image_checks(source, name="is_identity") == []
+    if module in IDENTITY_BUILDERS:
+        assert image_checks(source, IDENTITY_BUILDERS[module],
+                            "identity") == []
+
+
+def test_discarded_change_is_caught():
+    source = ("def _j_linear_step(X, pivot):\n"
+              "    change = CoordinateChange.make(chart, chart, images)\n"
+              "    return None if change.is_identity else change\n"
+              "def _shift(X, pivot, mod_j):\n"
+              "    images = dict(CoordinateChange.identity(chart).images)\n"
+              "def _straighten(chart, fields, order):\n"
+              "    def record(label, step):\n"
+              "        keep = not step.is_identity\n"
+              "    return steps, change or CoordinateChange.identity(chart)\n")
+    assert image_checks(source, name="is_identity") == [
+        "line 3: change.is_identity", "line 8: step.is_identity"]
+    assert image_checks(source, IDENTITY_BUILDERS["frobenius.py"],
+                        "identity") == ["line 5: CoordinateChange.identity"]
+
+
 # the public functions that only hand their own parameters to one call under
 # another name: the contract names that tests import, and no others
 RENAME_WRAPPERS = {"compose_changes", "invert_change", "reduce_mod_j",

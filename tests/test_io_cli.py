@@ -710,3 +710,59 @@ def test_main_straighten_report_pinned(tmp_path, capsys, kind):
     code = main(["--input", write_problem(tmp_path, data)])
     assert code == 0
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+def _field(coefficients):
+    return {"name": "X", "coefficients": coefficients}
+
+
+def _bad_coordinate_name():
+    data = problem_dict()
+    data["coordinates"][0]["name"] = "1x"
+    return data
+
+
+INPUT_FAULTS = {
+    "not-an-object": ([problem_dict()], "ProblemFormatError",
+                      "problem must be a JSON object"),
+    "bad-coordinate-name": (_bad_coordinate_name(), "ProblemFormatError",
+                            "coordinates[0].name is not a valid identifier"),
+    "field-not-an-object": (problem_dict(fields=["X"]), "ProblemFormatError",
+                            "fields[0] must be an object"),
+    "duplicate-field": (
+        problem_dict(fields=[_field({"x": "1"}), _field({"y": "1"})]),
+        "ProblemFormatError", "duplicate field name 'X'"),
+    "unknown-coordinate": (
+        problem_dict(fields=[_field({"q": "1"})]),
+        "ProblemFormatError", "fields[0] refers to unknown coordinate 'q'"),
+    "unknown-generator": (
+        problem_dict(task="rank", args={"generators": ["Q"]}),
+        "ProblemFormatError", "unknown field 'Q' in args.generators"),
+    # two fields and no args.field
+    "straighten-without-field": (problem_dict(task="straighten"),
+                                 "ProblemFormatError",
+                                 "straighten needs args.field"),
+    "verify-without-certificate": (problem_dict(task="verify"),
+                                   "ProblemFormatError",
+                                   "verify needs args.certificate = <path>"),
+    "variable-denominator": (
+        problem_dict(fields=[_field({"x": "1/x"})]),
+        "ExpressionSyntaxError", "expected a positive integer denominator "
+                                 "at offset 2 (line 1, column 2)"),
+}
+
+@pytest.mark.parametrize("case", sorted(INPUT_FAULTS))
+def test_main_reports_input_faults(tmp_path, capsys, case):
+    data, kind, message = INPUT_FAULTS[case]
+    code = main(["--input", write_problem(tmp_path, data)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out == {"error_kind": kind, "error": message}
+
+
+def test_main_reads_the_problem_from_stdin(monkeypatch, capsys):
+    import io
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(problem_dict())))
+    code = main(["--input", "-"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["involutive"] is True
