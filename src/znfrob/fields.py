@@ -16,9 +16,9 @@ A coordinate change stores both directions eagerly:
 source chart; ``pushforward(change, X)`` rewrites a field on the source
 chart in the target coordinates.
 
-``make`` checks the forward images (``series.check_images``); the inverse
-and every later substitution through a change's maps are valid by
-construction and run unchecked.  Where one image map substitutes several
+``make`` and ``_from_both`` check the forward images (``check_images``);
+``make`` derives the inverse, ``_from_both`` checks a stored one, and every
+later substitution runs unchecked.  Where one image map substitutes several
 series, each image's powers form one chain of rows (``series._substitution``):
 each pass of the inversion substitutes every nonlinear image part into
 the current inverse, ``then`` substitutes each direction through one map,
@@ -41,8 +41,9 @@ from .errors import (
 )
 from .grading import DegreeVector, scalar_product
 from .linalg import rational_inverse
-from .series import (ChartSpec, GradedSeries, _accumulate, _linear_split,
-                     _substitution, check_images, derive, multiply)
+from .series import (ChartSpec, GradedSeries, _accumulate, _certified,
+                     _linear_split, _substitution, check_images, derive,
+                     multiply)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +207,13 @@ def _check_frames(source: ChartSpec, target: ChartSpec) -> None:
         raise ChartError("charts have different degree profiles")
 
 
+def _linear_inverse(jacobian: list) -> list:
+    """A change's Jacobian inverted over Q; a singular one is refused."""
+    if (ainv := rational_inverse(jacobian)) is None:
+        raise JacobianSingular("coordinate change has singular Jacobian at the base point")
+    return ainv
+
+
 def _invert_map(images: Mapping[str, GradedSeries],
                 keyed: ChartSpec, values_on: ChartSpec) -> dict[str, GradedSeries]:
     """Inverse substitution of ``images`` (keyed chart written on the value
@@ -221,9 +229,7 @@ def _invert_map(images: Mapping[str, GradedSeries],
     layer, so it is the one ``u <- u + A^{-1}(k - F(u))`` from ``u = 0``
     reaches a pass later.  Every image carries the loss of all images."""
     jacobian, nonlinear, loss = _linear_split(images, keyed, values_on)
-    ainv = rational_inverse(jacobian)
-    if ainv is None:
-        raise JacobianSingular("coordinate change has singular Jacobian at the base point")
+    ainv = _linear_inverse(jacobian)
     if any(sum(a * b for a, b in zip(row, col)) != int(i == j)
            for i, row in enumerate(jacobian)
            for j, col in enumerate(zip(*ainv))):
@@ -287,6 +293,26 @@ class CoordinateChange:
         """Build from the other direction (source coordinates in target
         variables), as straightening steps naturally produce them."""
         return cls.make(target, source, inverse_images).inverted()
+
+    @classmethod
+    def _from_both(cls, chart: ChartSpec, images, inverse_images) -> tuple:
+        """A change of ``chart`` from both directions as stored, inverting
+        nothing, and whether its inverse ψ names the chart's coordinates, is
+        centered and leaves ``φ∘ψ - id`` no certified term (φ is checked as
+        by ``make``).  That holds exactly when ``δ = ψ - φ⁻¹`` has none:
+        ``φ∘ψ - id`` is ``Aδ``, for A the invertible Jacobian that keeps each
+        (J-degree, base degree) layer, plus products of δ with a centered
+        factor, which stay on the boundary, leave the window or exceed the
+        least total degree of a certified term of δ."""
+        check_images(images, chart, chart)
+        _linear_inverse(_linear_split(images, chart, chart)[0])
+        through = _substitution(inverse_images, chart, chart)
+        ok = (inverse_images.keys() == set(chart.names)
+              and not any(s.constant_term for s in inverse_images.values())
+              and not _certified({v: through(images[v]) - chart.coordinate(v)
+                                  for v in chart.names}))
+        return cls(chart, chart, dict(images), dict(inverse_images),
+                   _token=_PRIVATE), ok
 
     @classmethod
     def identity(cls, chart: ChartSpec) -> "CoordinateChange":

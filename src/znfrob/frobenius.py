@@ -30,8 +30,8 @@ below j_order, base degree below base_order, total degree at most
 base_order): residuals there refute a certificate, leftovers on the
 truncation boundary are reported but tolerated.  The series reader
 ``_certified`` makes that call for every check here: the bracket pass,
-the straightening check and both inclusions.  One normalization of the
-rows ``X(phi_v)`` gives both the rank and the reverse inclusion.
+the straightening check and both inclusions.  The rows ``X(phi_v)`` give
+the rank and the reverse inclusion at the origin, or by one normalization.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .fields import (
     bracket,
     pushforward,
 )
+from .linalg import rational_inverse
 from .series import (
     ChartSpec,
     GradedSeries,
@@ -338,6 +339,11 @@ def verify_adapted(D: Distribution, cert: FrobeniusCertificate) -> AdaptedReport
     residual orders, ranks and pivots, and, normalized, push to its
     normalized generators: ``d/da`` is in its span exactly when ``a`` is a
     pivot whose normalized row is ``d/da`` on the certified window.
+    The origin test skips normalizing when forward inclusion holds and the
+    rows' constants on the adapted names form an invertible square ``C(0)``:
+    the constants off them are certified, hence zero, so the pivots are the
+    adapted names, and the tails, ``T⁻¹`` (T the rows on them) times
+    boundary-only entries, stay boundary-only: reverse inclusion holds.
     """
     chart, change = D.chart, cert.change
     if not chart == change.source == change.target:
@@ -358,17 +364,21 @@ def verify_adapted(D: Distribution, cert: FrobeniusCertificate) -> AdaptedReport
         for rest in off)
     forward_ok = not any(map(_certified, off))
 
-    try:
-        norm = Distribution(chart, rows).normalized()
-    except DependentAtPoint:
-        rank_ok, reverse_ok = False, not cert.adapted
-    else:
-        rank_ok = Rank.of(Counter(Y.degree for Y in rows)) == adapted_rank
-        by_pivot = dict(zip(norm.pivots, norm.distribution.generators))
-        reverse_ok = all(
-            name in by_pivot
-            and not _certified(_straightness_error(by_pivot[name], name))
-            for name in cert.adapted)
+    rank_ok = Rank.of(Counter(Y.degree for Y in rows)) == adapted_rank
+    reverse_ok = True  # unless the origin test cannot decide
+    if not forward_ok or len(rows) != len(cert.adapted) or rational_inverse([
+            [Y.coefficient(n).constant_term for n in cert.adapted]
+            for Y in rows]) is None:
+        try:
+            norm = Distribution(chart, rows).normalized()
+        except DependentAtPoint:
+            rank_ok, reverse_ok = False, not cert.adapted
+        else:
+            by_pivot = dict(zip(norm.pivots, norm.distribution.generators))
+            reverse_ok = all(
+                name in by_pivot
+                and not _certified(_straightness_error(by_pivot[name], name))
+                for name in cert.adapted)
 
     # the fields in order: ok, generator_residuals, rank_ok, reverse_ok,
     # base_loss, j_loss

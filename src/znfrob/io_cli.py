@@ -25,6 +25,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .distribution import Distribution, is_involutive, rank_of
@@ -45,8 +46,8 @@ from .frobenius import (
     verify_adapted,
 )
 from .grading import DegreeVector
-from .series import (ChartSpec, Coefficient, GradedSeries, _accumulate,
-                     _certified, _is_int, _product, collect_truncation_drops)
+from .series import (ChartSpec, Coefficient, GradedSeries, Monomial,
+                     _accumulate, _is_int, _product, collect_truncation_drops)
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +105,9 @@ def _tokenize(src: str) -> list[_Token]:
 # recursive-descent parser, evaluating straight into the chart ring
 # ---------------------------------------------------------------------------
 
-# each '(' costs seven Python frames (expr, term, _product, _fold, factors,
-# factor, atom) and each unary '-' one; this bound keeps the deepest
-# accepted input below the default recursion limit of 1000
+# each '(' costs at most seven Python frames (expr, term, _product,
+# _fold, factors, factor, atom) and each unary '-' one; this bound keeps
+# the deepest accepted input below the default recursion limit of 1000
 _MAX_NESTING = 100
 
 
@@ -124,10 +125,11 @@ def _printable(value: Coefficient) -> bool:
 
 class _Parser:
     """An atom or factor is a coefficient, a pair ``(i, k)`` for the k-th
-    power of coordinate i, or a series.  A term folds its factors into one
-    series (``series._product``), a unary minus on anything but a number
-    with them, and an expression, in parentheses too, sums its terms in one
-    map; only a power of a series takes series arithmetic."""
+    power of coordinate i, or a series.  A term of coefficients and pairs is
+    read off as one monomial; any other term folds its factors into one
+    series (``series._product``), as a unary minus on a non-number does.  An
+    expression, in parentheses too, sums its terms in one map; only a power
+    of a series takes series arithmetic."""
 
     def __init__(self, src: str, chart: ChartSpec):
         self.src = src
@@ -171,10 +173,36 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             scale = 1 if self.next()[0] == "+" else -1
             parts.append((scale, self.term()))
-        return parts[0][1] if len(parts) == 1 else _accumulate(self.chart, parts)
+        one = len(parts) == 1 and type(parts[0][1]) is GradedSeries
+        return parts[0][1] if one else _accumulate(self.chart, parts)
 
-    def term(self) -> GradedSeries:
-        return _product(self.chart, self.factors(), self.chains)
+    def term(self):
+        """``[(monomial, coefficient)]``, the sign flipped by each odd power
+        moved left past odd-exponent factors it pairs with; a series, a zero,
+        an odd square or leaving the window hands all factors to `_product`."""
+        chart = self.chart
+        odd_mask, later = chart._row_masks
+        exps, coeff, par, j, b = [0] * len(chart.names), 1, 0, 0, 0
+        read, factors = [], self.factors()
+        for f in factors:
+            read.append(f)
+            if type(f) is tuple:
+                i, k = f
+                j, b = (j + k, b) if chart._degree_codes[i] else (j, b + k)
+                if (j > chart.j_order or b > chart.base_order
+                        or odd_mask >> i & 1 and exps[i] + k > 1):
+                    break
+                if k & 1:
+                    coeff = -coeff if (par & later[i]).bit_count() & 1 else coeff
+                    par ^= 1 << i
+                exps[i] += k
+            elif isinstance(f, GradedSeries) or not f:
+                break
+            else:
+                coeff *= f
+        else:
+            return [(Monomial(exps), coeff)]
+        return _product(chart, chain(read, factors), self.chains)
 
     def factors(self):
         # a generator, so that each factor is parsed, and notes its drops,
@@ -474,10 +502,10 @@ def _load_certificate(spec: ProblemSpec, path: str
                       ) -> tuple[FrobeniusCertificate, bool]:
     """Rebuild a certificate from its JSON form.
 
-    Only the forward images are trusted: the inverse is re-derived and the
-    stored one cross-checked against it (a mismatch beyond the truncation
-    boundary fails verification rather than the parse).  Syntactic
-    problems stay format errors.
+    Only the forward images φ are trusted, and nothing is inverted: the
+    stored inverse ψ must give ``φ∘ψ = id`` on the certified window
+    (``CoordinateChange._from_both``), or verification fails rather than
+    the parse.  Syntactic problems stay format errors.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -491,22 +519,17 @@ def _load_certificate(spec: ProblemSpec, path: str
     adapted = _require(data, "adapted", list, "certificate")
     if not all(isinstance(n, str) and n in chart.names for n in adapted):
         raise ProblemFormatError("certificate lists unknown adapted coordinates")
-    series = {}
+    maps = []
     for key in ("change", "inverse"):
         exprs = _require(data, key, dict, "certificate")
         if not all(isinstance(expr, str) for expr in exprs.values()):
             raise ProblemFormatError(f"certificate.{key} must map to strings")
-        series[key] = {n: parse_expression(e, chart) for n, e in exprs.items()}
-    inverse_stored = series["inverse"]
+        maps.append({n: parse_expression(e, chart) for n, e in exprs.items()})
     try:
-        change = CoordinateChange.make(chart, chart, series["change"])
+        change, inverse_ok = CoordinateChange._from_both(chart, *maps)
     except (UnknownCoordinateError, CenteringError, HomogeneityError) as exc:
-        # a map that is not a graded coordinate change is malformed input;
-        # a singular Jacobian still fails the verification
+        # a map that is not a graded coordinate change is malformed input
         raise ProblemFormatError(f"certificate.change: {exc}") from exc
-    inverse_ok = set(inverse_stored) == set(chart.names) and not _certified({
-        name: stored - change.inverse_images[name]
-        for name, stored in inverse_stored.items()})
     residuals = data.get("residuals", {})
     if not (isinstance(residuals, dict) and all(
             k.isascii() and k.isdecimal() and _is_int(v)

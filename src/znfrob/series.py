@@ -626,10 +626,12 @@ def _multiply_rows(rows1: list[tuple], rows2: list[tuple],
     The window is checked first, on the rows' degrees; a pair past it that
     is no odd square is built, unsigned, only for a drop collector.  Two
     integral coefficients multiply as ``int``s; only a pair with a
-    ``Fraction`` factor takes the ``Fraction`` path.
+    ``Fraction`` factor takes the ``Fraction`` path.  A side of one row
+    gives distinct products that no merge needs, listed in pair order.
     """
     jmax, bmax = chart.j_order, chart.base_order
     sink = _DROP_SINK.get()
+    listed = [] if len(rows1) == 1 or len(rows2) == 1 else None
     out: dict[Monomial, list] = {}
     for m1, c1, j1, b1, o1, p1, s1 in rows1:
         j_room = jmax - j1
@@ -643,6 +645,10 @@ def _multiply_rows(rows1: list[tuple], rows2: list[tuple],
                 continue
             mon = Monomial(map(add, m1, m2))
             coeff = -c1 * c2 if (p1 & s2).bit_count() & 1 else c1 * c2
+            if listed is not None:
+                listed.append((mon, _canonical(coeff), j1 + j2, b1 + b2,
+                               o1 | o2, p1 ^ p2, s1 ^ s2))
+                continue
             row = out.get(mon)
             if row is None:
                 out[mon] = [coeff, j1 + j2, b1 + b2, o1 | o2, p1 ^ p2, s1 ^ s2]
@@ -652,8 +658,8 @@ def _multiply_rows(rows1: list[tuple], rows2: list[tuple],
                     row[0] = coeff
                 else:
                     del out[mon]
-    return [(m, _canonical(c), j, b, o, p, s)
-            for m, (c, j, b, o, p, s) in out.items()]
+    return listed if listed is not None else [
+        (m, _canonical(c), j, b, o, p, s) for m, (c, j, b, o, p, s) in out.items()]
 
 
 def _extend(chain: list[list[tuple]], k: int, chart: ChartSpec) -> list[tuple]:

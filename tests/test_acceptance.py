@@ -361,3 +361,27 @@ def test_criterion_9_cli_round_trip(tmp_path, capsys):
         path3.write_text("{this is not json")
         assert main(["--input", str(path3)]) == 2
         capsys.readouterr()
+
+
+def test_a_large_certificate_verifies_fast(tmp_path, capsys):
+    # the field (1+y) d/dx + (1+x+y+z+w)^7 d/dy + xyz d/dz + ew d/de at
+    # j2/b8: the loader checks the stored inverse by one substitution, so
+    # --verify takes a fraction of the solve that emitted the certificate
+    problem = {
+        "n": 1,
+        "truncation": {"j_order": 2, "base_order": 8},
+        "coordinates": [{"name": name, "degree": [int(name == "e")]}
+                        for name in ("x", "y", "z", "w", "e")],
+        "fields": [{"name": "X", "coefficients": {
+            "x": "1+y", "y": "(1+x+y+z+w)^7", "z": "x*y*z", "e": "e*w"}}],
+        "task": "frobenius",
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert main(["--input", str(path)]) == 0
+    certificate = tmp_path / "certificate.json"
+    certificate.write_text(capsys.readouterr().out)
+    with Stopwatch(5.0, "item 2 (--verify of a b8 certificate)"):
+        assert main(["--input", str(path), "--verify", str(certificate)]) == 0
+        report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is True and report["inverse_consistent"] is True

@@ -760,25 +760,65 @@ def test_verify_refuses_names_off_the_chart(adapted, duplicated):
         verify_adapted(D, replace(cert, adapted=adapted))
 
 
-def test_verify_normalizes_once(monkeypatch):
-    # the rank and the reverse inclusion come from one normalization of the
-    # pushed family, not from normalizing the distribution as well
+def _counting_normalizations(monkeypatch):
+    """Patch `_normalize` to count its calls; returns the running count."""
     import znfrob.distribution
+    calls = [0]
+    real = znfrob.distribution._normalize
+
+    def counted(D):
+        calls[0] += 1
+        return real(D)
+
+    monkeypatch.setattr(znfrob.distribution, "_normalize", counted)
+    return calls
+
+
+def test_verify_normalizes_once(monkeypatch):
+    # a valid certificate is decided by the origin test, with no
+    # normalization; one whose adapted block at the origin is singular or
+    # whose adapted tuple is short takes one normalization of the pushed
+    # family, not one of the distribution as well
     chart = standard_chart(j_order=3, base_order=4)
     sigma = random_centered_change(random.Random(12), chart)
     gens = [pushforward(sigma, dgen(chart, u)) for u in ("x", "t1")]
     cert = adapted_coordinates(Distribution(chart, gens))
-    calls = 0
-    real = znfrob.distribution._normalize
-
-    def counted(D):
-        nonlocal calls
-        calls += 1
-        return real(D)
-
-    monkeypatch.setattr(znfrob.distribution, "_normalize", counted)
+    calls = _counting_normalizations(monkeypatch)
     assert verify_adapted(Distribution(chart, gens), cert).ok
-    assert calls == 1
+    assert calls[0] == 0
+    for adapted in [cert.adapted[:1] * 2, cert.adapted[:1], ("x", "e")]:
+        calls[0] = 0
+        assert not verify_adapted(Distribution(chart, gens),
+                                  replace(cert, adapted=adapted)).ok
+        assert calls[0] == 1, adapted
+
+
+def test_origin_test_agrees_with_the_references(monkeypatch):
+    # on certificates and their tampered copies, the report equals the
+    # membership reference's field by field and the oracle ring's verdict,
+    # whether the origin test decided it or the normalization did
+    from helpers import reference_verify_adapted, tampered_certificate
+    from test_oracle import certificate_ok
+    chart = standard_chart(j_order=3, base_order=4, extra_base=True)
+    rng = random.Random(26)
+    cases = []
+    for names in [("x", "t1"), ("e",), ("y", "t2", "e"), ("t1", "t2"),
+                  ("x", "y")]:
+        sigma = random_centered_change(rng, chart)
+        D = Distribution(chart, [pushforward(sigma, dgen(chart, u))
+                                 for u in names])
+        cert = adapted_coordinates(D)
+        cases += [(D, c) for c in [cert, *(tampered_certificate(rng, cert)
+                                           for _ in range(6))]]
+    calls = _counting_normalizations(monkeypatch)
+    decided = {False: 0, True: 0}
+    for D, c in cases:
+        calls[0] = 0
+        report = verify_adapted(Distribution(chart, D.generators), c)
+        decided[calls[0] == 0] += 1
+        assert report == reference_verify_adapted(D, c), c.adapted
+        assert report.ok == certificate_ok(D, c), c.adapted
+    assert min(decided.values()) >= 5, decided
 
 
 def test_verify_pushes_and_inverts_nothing(monkeypatch):

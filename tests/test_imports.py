@@ -208,10 +208,12 @@ def test_loss_slot_access_is_caught():
 
 # the functions that check a substitution map where it enters the kernel:
 # every other substitution runs on a map one of these has checked, or on
-# one its builder makes valid, so a re-check there is only repeated work
+# one its builder makes valid, so a re-check there is only repeated work;
+# `_from_both` reads a stored certificate's change
 IMAGE_CHECKERS = {
     "series.py": {(None, "compose")},
-    "fields.py": {("CoordinateChange", "make")},
+    "fields.py": {("CoordinateChange", "make"),
+                  ("CoordinateChange", "_from_both")},
 }
 
 
@@ -377,13 +379,15 @@ def test_value_write_is_caught():
 
 
 # the scopes that substitute through an image map: composition, and the
-# places where coordinates change; a slice or a filter of one series is no
-# substitution and must not pay for one
+# places where coordinates change or a stored inverse is checked against
+# its images; a slice or a filter of one series is no substitution and
+# must not pay for one
 SUBSTITUTION_USERS = {
     "series.py": {(None, "compose")},
     "fields.py": {(None, "_invert_map"), ("CoordinateChange", "then"),
                   ("CoordinateChange", "pull_back"),
-                  ("CoordinateChange", "push_series"), (None, "pushforward")},
+                  ("CoordinateChange", "push_series"), (None, "pushforward"),
+                  ("CoordinateChange", "_from_both")},
 }
 
 
@@ -471,6 +475,35 @@ def test_then_use_is_caught():
     assert image_checks(source, THEN_USERS["io_cli.py"], "then") == [
         "line 3: change.then", "line 6: CoordinateChange.then",
         "line 8: then"]
+
+
+# the certificate loader checks a stored inverse by one substitution
+# (``CoordinateChange._from_both``), so the CLI builds no change by
+# inversion: it names neither ``make`` nor ``_invert_map``
+INVERTERS = ("make", "_invert_map")
+
+
+def inversions(source: str) -> list[str]:
+    """References to each of ``INVERTERS`` in turn."""
+    return [found for name in INVERTERS
+            for found in image_checks(source, name=name)]
+
+
+def test_the_cli_inverts_nothing():
+    assert inversions((PACKAGE / "io_cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_cli_inversion_is_caught():
+    source = ("def _load_certificate(spec, path):\n"
+              "    change = CoordinateChange.make(chart, chart, images)\n"
+              "    change, ok = CoordinateChange._from_both(chart, a, b)\n"
+              "def _run_verify(spec):\n"
+              "    build = make\n"
+              "    inverse = fields._invert_map(images, chart, chart)\n"
+              "    made = spec.make_up\n")
+    assert inversions(source) == [
+        "line 2: CoordinateChange.make", "line 5: make",
+        "line 6: fields._invert_map"]
 
 
 # a step that moves nothing is decided on its map before any change is

@@ -108,6 +108,27 @@ def test_parse_builds_one_series_per_term(chart, monkeypatch):
     assert built <= 7 + 1
 
 
+def test_monomial_terms_multiply_nothing(chart, monkeypatch):
+    # a term of numbers and coordinate powers inside the window is read off
+    # as one monomial: no row product, odd factors out of order and a
+    # repeated factor included
+    src = ("t2*t1 - e*t2*t1 + 3*t2*e*t1 + x*x^2 - 2/3*e*t1*x + e*t1"
+           " + 7 - x^2*e^2*1/2*t2 + t1*x*t2*x^3")
+    want = reference_parse(src, chart)
+    assert reference_parse("e*t1", chart) == -chart.monomial({"t1": 1, "e": 1})
+    products = 0
+    real = znfrob.series._multiply_rows
+
+    def counted(*args):
+        nonlocal products
+        products += 1
+        return real(*args)
+
+    monkeypatch.setattr(znfrob.series, "_multiply_rows", counted)
+    got = parse_expression(src, chart)
+    assert products == 0 and got == want
+
+
 def test_round_trip_fixpoint(chart):
     rng = random.Random(79)
     for _ in range(40):
@@ -331,6 +352,65 @@ def test_verify_rejects_doctored_inverse(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 1 and out["ok"] is False
     assert out["inverse_consistent"] is False
+
+
+# a certificate of a field whose straightening has a nonlinear inverse, on
+# the chart x, y, t1, e at j3/b3; each edit gives the stored verdict
+STRAIGHT = {"x": "1 + y", "t1": "x*t1", "e": "y*e"}
+T1_INVERSE = "t1 + 1/2*x^2*t1 - 1/2*x^2*y*t1"
+CERTIFICATE_EDITS = {
+    "valid": ({}, True),
+    "tampered_inverse": ({"inverse": {"t1": T1_INVERSE + " + x*t1"}}, False),
+    "tampered_images": ({"change": {"e": "e - x*y*e + x*y^2*e + x*e"}}, False),
+    "singular": ({"change": {"x": "x^2"}}, "JacobianSingular"),
+    "constant_term": ({"inverse": {"y": "y + 1"}}, False),
+    "wrong_degree_on_the_boundary": (
+        {"inverse": {"t1": T1_INVERSE + " + x^3"}}, True),
+    "wrong_degree_inside": ({"inverse": {"t1": T1_INVERSE + " + x*y"}}, False),
+    "missing_name": ({"inverse": {"e": None}}, False),
+    "extra_name": ({"inverse": {"w": "x"}}, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_EDITS))
+def test_verify_inverts_nothing(tmp_path, capsys, monkeypatch, case):
+    # the loader checks the stored inverse by substituting it into the
+    # images once: with the inversion refused, --verify prints the bytes
+    # it prints without the refusal
+    import znfrob.fields
+    data = problem_dict(task="frobenius", fields=[
+        {"name": "X", "coefficients": STRAIGHT}])
+    data["coordinates"] = [c for c in data["coordinates"] if c["name"] != "z"]
+    data["truncation"] = {"j_order": 3, "base_order": 3}
+    path = write_problem(tmp_path, data)
+    assert main(["--input", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["inverse"]["t1"] == T1_INVERSE
+    cert = {k: report[k] for k in ("adapted", "change", "inverse", "residuals")}
+    edit, verdict = CERTIFICATE_EDITS[case]
+    for key, images in edit.items():
+        for name, text in images.items():
+            if text is None:
+                del cert[key][name]
+            else:
+                cert[key][name] = text
+    cert_path = write_problem(tmp_path, cert, name="cert.json")
+    code = main(["--input", path, "--verify", cert_path])
+    printed = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("the certificate loader inverted a change")
+
+    monkeypatch.setattr(znfrob.fields, "_invert_map", refuse)
+    monkeypatch.setattr(znfrob.CoordinateChange, "make", classmethod(refuse))
+    assert main(["--input", path, "--verify", cert_path]) == code
+    assert capsys.readouterr().out == printed
+    out = json.loads(printed)
+    if isinstance(verdict, str):
+        assert code == 1 and out["error_kind"] == verdict
+    else:
+        assert out["inverse_consistent"] is verdict
+        assert code == (0 if verdict else 1) and out["ok"] is verdict
 
 
 def test_main_parse_error_in_field(tmp_path, capsys):
@@ -758,6 +838,16 @@ def test_main_reports_input_faults(tmp_path, capsys, case):
     out = json.loads(capsys.readouterr().out)
     assert code == 2
     assert out == {"error_kind": kind, "error": message}
+
+
+def test_python_dash_m_runs_the_cli_quietly(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(znfrob.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "znfrob",
+         "--input", write_problem(tmp_path, problem_dict())],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["involutive"] is True
 
 
 def test_main_reads_the_problem_from_stdin(monkeypatch, capsys):
