@@ -19,19 +19,20 @@ paper's proof, one field at a time:
   on its map and never built.  One recorder pushes the field and the
   fields still to come through each step and folds it into the composite.
 
-A distribution is involutive exactly when its normalized generators
-supercommute, because their brackets have no pivot components; the
-pipeline therefore brackets the normalized generators once and asks
-``is_involutive`` for a witness only when that pass refuses the family.
+The pipeline asks ``is_involutive`` once whether a distribution can be
+straightened, and a refused family carries that test's witness; the
+reverse inclusion of a verification is asked of ``membership``.  No
+other code here decides involutivity or span membership.
 
 Corrections whose antiderivative is not representable are dropped with a
 loss flag.  Verification is decisive on the certified window (J-degree
 below j_order, base degree below base_order, total degree at most
 base_order): residuals there refute a certificate, leftovers on the
 truncation boundary are reported but tolerated.  The series reader
-``_certified`` makes that call for every check here: the bracket pass,
-the straightening check and both inclusions.  The rows ``X(phi_v)`` give
-the rank and the reverse inclusion at the origin, or by one normalization.
+``_certified`` makes that call for every check: the self-bracket and
+commuting checks, the straightening check and both inclusions.  The rows
+``X(phi_v)`` give the rank and the reverse inclusion at the origin, or by
+``membership`` in their span.
 """
 
 from __future__ import annotations
@@ -40,7 +41,13 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .distribution import Distribution, Rank, _bracket_pairs, is_involutive
+from .distribution import (
+    Distribution,
+    Rank,
+    _bracket_pairs,
+    is_involutive,
+    membership,
+)
 from .errors import (
     ChartError,
     DegenerateAtPoint,
@@ -336,9 +343,8 @@ def verify_adapted(D: Distribution, cert: FrobeniusCertificate) -> AdaptedReport
     J-degree falls, and one off the window of J-degree 0 and total degree
     ``base_order`` meets only the linear part, which keeps its base
     degree).  The rows ``X(phi_v)`` therefore give the pushed family's
-    residual orders, ranks and pivots, and, normalized, push to its
-    normalized generators: ``d/da`` is in its span exactly when ``a`` is a
-    pivot whose normalized row is ``d/da`` on the certified window.
+    residual orders and ranks, and ``d/da`` is in its span exactly when
+    ``membership`` finds it in theirs.
     The origin test skips normalizing when forward inclusion holds and the
     rows' constants on the adapted names form an invertible square ``C(0)``:
     the constants off them are certified, hence zero, so the pivots are the
@@ -369,19 +375,16 @@ def verify_adapted(D: Distribution, cert: FrobeniusCertificate) -> AdaptedReport
     if not forward_ok or len(rows) != len(cert.adapted) or rational_inverse([
             [Y.coefficient(n).constant_term for n in cert.adapted]
             for Y in rows]) is None:
+        pushed = Distribution(chart, rows)
         try:
-            norm = Distribution(chart, rows).normalized()
+            pushed.normalized()  # refuses dependent rows, adapted names or not
         except DependentAtPoint:
             rank_ok, reverse_ok = False, not cert.adapted
         else:
-            by_pivot = dict(zip(norm.pivots, norm.distribution.generators))
-            reverse_ok = all(
-                name in by_pivot
-                and not _certified(_straightness_error(by_pivot[name], name))
-                for name in cert.adapted)
+            reverse_ok = all(membership(
+                VectorField.coordinate_derivation(chart, a), pushed)
+                for a in cert.adapted)
 
-    # the fields in order: ok, generator_residuals, rank_ok, reverse_ok,
-    # base_loss, j_loss
     return AdaptedReport(forward_ok and rank_ok and reverse_ok,
                          residual_orders, rank_ok, reverse_ok,
                          base_loss, j_loss)
@@ -392,29 +395,20 @@ def adapted_coordinates(D: Distribution) -> FrobeniusCertificate:
     the degree-zero part, straighten each nonzero-degree generator in pivot
     order, compose, and verify before returning.
 
-    Involutivity is decided by one pass over the brackets of the normalized
-    generators ``d/d(pivot_i) + tail_i``.  Their pivot coefficients are
-    constants and their tails have no pivot components, so a bracket of two
-    of them has no pivot component either; membership of such a bracket
-    forces every coefficient to zero, and the distribution is involutive
-    exactly when the normalized generators supercommute on the certified
-    window.  Only a refused family runs ``is_involutive``, for the
-    witness that ``NotInvolutive`` carries.
+    ``is_involutive`` decides once whether the family can be straightened;
+    a refused family raises ``NotInvolutive`` with its witness.  A wrong
+    verdict yields no certificate: the closing verification refuses it.
     """
     chart = D.chart
     norm = D.normalized()
     gens = list(norm.distribution.generators)
     pivots = list(norm.pivots)
-
-    if _noncommuting_pair(gens) is not None:
-        involutive = is_involutive(D)
-        if not involutive:
-            i, j = involutive.witness_pair
-            raise NotInvolutive(
-                f"bracket of generators {i} and {j} leaves the distribution",
-                witness=involutive)
-        raise InternalInconsistency(
-            "normalized involutive generators fail to supercommute")
+    involutive = is_involutive(D)
+    if not involutive:
+        i, j = involutive.witness_pair
+        raise NotInvolutive(
+            f"bracket of generators {i} and {j} leaves the distribution",
+            witness=involutive)
 
     # degree-zero generators first, each group in pivot order
     order = sorted(range(len(gens)), key=lambda i: (
@@ -422,7 +416,7 @@ def adapted_coordinates(D: Distribution) -> FrobeniusCertificate:
     try:
         steps, change, adapted = _straighten(chart, gens, order)
     except (OddSquareNonzero, DegenerateAtPoint) as exc:
-        # unreachable after normalization and the bracket pass
+        # unreachable after normalization and the involutivity test
         raise InternalInconsistency(
             f"straightening failed on involutive input: {exc}") from exc
     cert = FrobeniusCertificate(

@@ -921,7 +921,8 @@ def _substitution(images: Mapping[str, GradedSeries], keyed: ChartSpec,
                   into_chart: ChartSpec):
     """`compose` through one image map, unchecked: a change's maps were
     checked by ``make``, and an inversion iterate is valid by construction.
-    The returned function takes series on ``keyed`` and shares the image
+    Every caller checks or builds the series it passes on ``keyed``, so
+    the returned function takes them as they are and shares the image
     powers across them: each image keeps one chain of its powers
     (`_extend`), so an image power, empty or not, is worked out and noted
     once per map.
@@ -944,8 +945,6 @@ def _substitution(images: Mapping[str, GradedSeries], keyed: ChartSpec,
         return 1, _fold(into_chart, (coeff, *pairs), power)[0]
 
     def substitute(f: GradedSeries) -> GradedSeries:
-        if f.chart != keyed:
-            raise ChartError("series does not live on the chart the images key")
         return _accumulate(into_chart, map(term, f.terms, f.terms.values()),
                            f._loss | image_loss)
 

@@ -103,6 +103,20 @@ def test_deg0_linear_mixing():
     assert Y == dgen(chart, "x")
 
 
+def test_straightening_refuses_a_residual_it_left(monkeypatch):
+    # with every correction withheld the frame alone leaves y on x, a
+    # residual inside the certified window that the closing check names
+    import znfrob.frobenius
+    monkeypatch.setattr(znfrob.frobenius, "_shift", lambda X, pivot, mod_j: None)
+    chart = ChartSpec.build(1, [("x", (0,)), ("y", (0,)), ("e", (1,))],
+                            j_order=2, base_order=4)
+    X = field_of(chart, (0,), {"x": "1 + y", "y": "x"})
+    with pytest.raises(InternalInconsistency, match=(
+            r"^straightening left residual y on coordinate 'x' inside the "
+            r"certified window$")):
+        straighten_deg0(X)
+
+
 # -- nonzero-degree straightening ----------------------------------------------
 
 def test_odd_geometric_witness():
@@ -232,15 +246,15 @@ def test_adapted_rejects_noninvolutive():
 
 
 def test_adapted_rechecks_supercommuting(monkeypatch):
-    # the normalized generators are bracketed again even when the
-    # involutivity test has (wrongly) passed
+    # a wrong involutivity verdict still yields no certificate: the
+    # pipeline's closing verification refuses what it straightened
     import znfrob.frobenius
     monkeypatch.setattr(znfrob.frobenius, "is_involutive",
                         lambda D: InvolutivityResult(True, None, None, None))
     chart = base_chart()
     X = field_of(chart, (0,), {"x": "1", "z": "y"})
     Y = field_of(chart, (0,), {"y": "1"})
-    with pytest.raises(InternalInconsistency, match="supercommute"):
+    with pytest.raises(InternalInconsistency, match="failed verification"):
         adapted_coordinates(Distribution(chart, [X, Y]))
 
 
@@ -652,26 +666,47 @@ def test_only_odd_fields_are_bracketed_with_themselves(monkeypatch):
         selves.clear()
         cert = adapted_coordinates(D)
         assert len(cert.adapted) == len(names)
-        norm = [g for g in D.normalized().distribution.generators
-                if g.degree.is_odd]
-        assert len(norm) == odd
-        assert all(any(X is g for X in selves) for g in norm)
+        odd_gens = [g for g in D.generators if g.degree.is_odd]
+        assert len(odd_gens) == odd
+        assert all(any(X is g for X in selves) for g in odd_gens)
 
 
-def test_adapted_never_asks_is_involutive_on_involutive_input(monkeypatch):
+def test_adapted_asks_is_involutive_once(monkeypatch):
+    # the pipeline's one involutivity decider is `is_involutive`: asked
+    # once of an involutive family and once of a refused one, whose every
+    # bracket it computes itself
+    from collections import Counter
+
     import znfrob.frobenius
+    real_involutive, real_bracket = (znfrob.frobenius.is_involutive,
+                                     znfrob.frobenius.bracket)
+    calls = Counter()
 
-    def refuse(D):
-        raise AssertionError("is_involutive called on involutive input")
+    def asked(D):
+        calls["is_involutive"] += 1
+        return real_involutive(D)
 
-    monkeypatch.setattr(znfrob.frobenius, "is_involutive", refuse)
+    def bracketed(X, Y):
+        calls["bracket"] += 1
+        return real_bracket(X, Y)
+
+    monkeypatch.setattr(znfrob.frobenius, "is_involutive", asked)
+    monkeypatch.setattr(znfrob.frobenius, "bracket", bracketed)
     chart = standard_chart(j_order=3, base_order=4, extra_base=True)
     sigma = random_centered_change(random.Random(11), chart)
     D = Distribution(chart, [pushforward(sigma, dgen(chart, u))
                              for u in ("x", "t1", "e")])
     cert = adapted_coordinates(D)
-    assert len(cert.adapted) == 3
-    assert verify_adapted(D, cert).ok
+    assert len(cert.adapted) == 3 and verify_adapted(D, cert).ok
+    assert calls["is_involutive"] == 1
+
+    calls.clear()
+    chart = base_chart()
+    X = field_of(chart, (0,), {"x": "1", "z": "y"})
+    Y = field_of(chart, (0,), {"y": "1"})
+    with pytest.raises(NotInvolutive):
+        adapted_coordinates(Distribution(chart, [X, Y]))
+    assert calls == Counter(is_involutive=1)
 
 
 # -- verification against the membership reference ------------------------------

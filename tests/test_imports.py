@@ -538,6 +538,47 @@ def test_discarded_change_is_caught():
                         "identity") == ["line 5: CoordinateChange.identity"]
 
 
+# one decider per question: `is_involutive` decides whether a family is
+# involutive, asked once by the pipeline and once by the CLI task, and the
+# bracket pass `_noncommuting_pair` serves only the single-field
+# self-bracket check and the commuting family's precondition
+DECIDER_USERS = {
+    "_noncommuting_pair": {"frobenius.py": {(None, "_straighten"),
+                                            (None, "commuting_triangular")}},
+    "is_involutive": {"frobenius.py": {(None, "adapted_coordinates")},
+                      "io_cli.py": {(None, "_run_involutive")}},
+}
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py")))
+@pytest.mark.parametrize("name", sorted(DECIDER_USERS))
+def test_each_question_has_one_decider(module, name):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    allowed = DECIDER_USERS[name].get(module, frozenset())
+    assert image_checks(source, allowed, name) == []
+
+
+def test_second_decider_is_caught():
+    source = ("def _straighten(chart, fields, order):\n"
+              "    if _noncommuting_pair([X]) is not None:\n"
+              "        raise OddSquareNonzero('odd square')\n"
+              "def adapted_coordinates(D):\n"
+              "    if _noncommuting_pair(gens) is not None:\n"
+              "        involutive = is_involutive(D)\n"
+              "def verify_adapted(D, cert):\n"
+              "    closed = distribution.is_involutive(D)\n")
+    deciders = DECIDER_USERS["_noncommuting_pair"]["frobenius.py"]
+    assert image_checks(source, deciders, "_noncommuting_pair") == [
+        "line 5: _noncommuting_pair"]
+    assert image_checks(source, DECIDER_USERS["is_involutive"]["frobenius.py"],
+                        "is_involutive") == [
+        "line 8: distribution.is_involutive"]
+    assert image_checks(source, DECIDER_USERS["is_involutive"]["io_cli.py"],
+                        "is_involutive") == [
+        "line 6: is_involutive", "line 8: distribution.is_involutive"]
+
+
 # the public functions that only hand their own parameters to one call under
 # another name: the contract names that tests import, and no others
 RENAME_WRAPPERS = {"compose_changes", "invert_change", "reduce_mod_j",

@@ -4,20 +4,24 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    base_chart,
     random_series,
     reference_invert_mod_J,
     series_of,
     standard_chart,
 )
 from znfrob import (
+    ChartError,
     DegreeVector,
     DependentAtPoint,
+    DimensionError,
     GradedMatrix,
     HomogeneityError,
     NotInvertibleModJ,
     TangentVector,
     antiderivative,
     complete_basis,
+    compose,
     invert_mod_J,
     rational_inverse,
 )
@@ -26,6 +30,65 @@ from znfrob import (
 @pytest.fixture
 def chart():
     return standard_chart(j_order=3, base_order=4)
+
+
+# the fixture's frame at another base order, and another frame
+OTHER_ORDERS = standard_chart(j_order=3, base_order=5)
+OTHER_FRAME = base_chart()
+
+
+def _one_by_one(chart, row=(0, 0), col=(0, 0), entries=None):
+    """A 1x1 matrix of degrees ``row`` by ``col``, the unit by default."""
+    return GradedMatrix(chart, [DegreeVector(row)], [DegreeVector(col)],
+                        [[chart.one()]] if entries is None else entries)
+
+
+# each guard of a public matrix or series input, with its exact error
+INPUT_GUARDS = {
+    "matrix-row-count": (DimensionError, "row count mismatch",
+                         lambda c: _one_by_one(c, entries=[])),
+    "matrix-column-count": (DimensionError, "column count mismatch",
+                            lambda c: _one_by_one(c, entries=[[]])),
+    "matrix-entry-on-other-chart": (
+        ChartError, "matrix entry on a different chart",
+        lambda c: _one_by_one(c, entries=[[OTHER_ORDERS.one()]])),
+    "matmul-across-charts": (ChartError, "matrices on different charts",
+                             lambda c: _one_by_one(c)
+                             @ _one_by_one(OTHER_ORDERS)),
+    "matmul-inner-degrees": (DimensionError,
+                             "inner degree profiles do not match",
+                             lambda c: _one_by_one(c, col=(0, 1))
+                             @ _one_by_one(c)),
+    "add-across-charts": (ChartError, "matrices on different charts",
+                          lambda c: _one_by_one(c) + _one_by_one(OTHER_ORDERS)),
+    "add-degree-profiles": (DimensionError, "degree profiles do not match",
+                            lambda c: _one_by_one(c)
+                            + _one_by_one(c, row=(0, 1), col=(0, 1))),
+    "invert-rectangular-degrees": (
+        DimensionError, "inverse needs row degrees equal to column degrees",
+        lambda c: invert_mod_J(_one_by_one(c, col=(0, 1),
+                                           entries=[[c.zero()]]))),
+    "power-negative": (ValueError, "series powers take a nonnegative integer",
+                       lambda c: c.one() ** -1),
+    "power-fractional": (ValueError,
+                         "series powers take a nonnegative integer",
+                         lambda c: c.one() ** 1.5),
+    "truncate-onto-other-frame": (
+        ChartError, "truncation target must share the coordinate frame",
+        lambda c: c.one().truncated_to(OTHER_FRAME)),
+    "compose-image-on-other-chart": (
+        ChartError, "image of 'x' lives on the wrong chart",
+        lambda c: compose(c.coordinate("x"), {
+            n: OTHER_ORDERS.coordinate(n) for n in c.names}, c)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_GUARDS))
+def test_public_inputs_are_guarded(chart, case):
+    error, message, call = INPUT_GUARDS[case]
+    with pytest.raises(error) as exc:
+        call(chart)
+    assert (type(exc.value), str(exc.value)) == (error, message)
 
 
 def test_rational_inverse():
