@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .errors import ChartError
@@ -98,13 +99,23 @@ def normalize_generators(D: Distribution) -> tuple[Distribution, tuple[str, ...]
 @dataclass(frozen=True)
 class MembershipResult:
     contained: bool
-    coefficients: Optional[tuple[GradedSeries, ...]]   # w.r.t. D's generators
     residual: Optional[VectorField]
     obstruction_coordinate: Optional[str]
     residual_order: Optional[int]    # least total degree of a residual term
+    _solution: Optional[tuple] = None  # (chart, f', S) when contained
 
     def __bool__(self) -> bool:
         return self.contained
+
+    @cached_property
+    def coefficients(self) -> Optional[tuple[GradedSeries, ...]]:
+        """``f = f' S`` on D's generators from the forced f' on the normalized
+        ones, worked out when first read; None when X is not contained."""
+        if self._solution is None:
+            return None
+        chart, forced, transform = self._solution
+        return tuple(_accumulate(chart, [(1, f, s) for f, s in zip(
+            forced, column)]) for column in zip(*transform))
 
 
 def membership(X: VectorField, D: Distribution) -> MembershipResult:
@@ -127,17 +138,14 @@ def membership(X: VectorField, D: Distribution) -> MembershipResult:
         for name in X.chart.names})
     decisive = _certified(residual.coefficients)
     if not decisive:
-        # translate to coefficients on the original generators: f = f' S
-        coeffs = tuple(_accumulate(X.chart, [(1, f, s) for f, s in zip(
-            forced, column)]) for column in zip(*norm.transform))
-        leftover = residual if not residual.is_zero else None
-        return MembershipResult(True, coeffs, leftover, None, None)
+        return MembershipResult(True, None if residual.is_zero else residual,
+                                None, None, (X.chart, forced, norm.transform))
     # the residual is built in chart order
     first = next(iter(decisive))
     order = min(
         m.total_degree for series in decisive.values() for m in series.terms
     )
-    return MembershipResult(False, None, residual, first, order)
+    return MembershipResult(False, residual, first, order)
 
 
 @dataclass(frozen=True)

@@ -181,14 +181,16 @@ def _applied(X: VectorField, f: Optional[GradedSeries], scale: int
 def bracket(X: VectorField, Y: VectorField) -> VectorField:
     """Graded Lie bracket ``X o Y - (-1)^{<deg X, deg Y>} Y o X``, computed
     coefficient-wise as one sum of both halves; the second-order terms
-    cancel identically."""
+    cancel identically.  For ``X is Y`` odd the halves are the same sum, so
+    the bracket is one half, doubled."""
     if X.chart != Y.chart:
         raise ChartError("fields live on different charts")
     chart = X.chart
     sign = 1 if scalar_product(X.degree, Y.degree) else -1
+    halves = [(X, Y, 2)] if X is Y and sign == 1 else [(X, Y, 1), (Y, X, sign)]
     return VectorField(chart, X.degree + Y.degree, {
-        name: _accumulate(chart, _applied(X, Y.coefficients.get(name), 1)
-                          + _applied(Y, X.coefficients.get(name), sign))
+        name: _accumulate(chart, [part for A, B, scale in halves for part in
+                                  _applied(A, B.coefficients.get(name), scale)])
         for name in chart.names})
 
 

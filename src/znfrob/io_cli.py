@@ -47,7 +47,8 @@ from .frobenius import (
 )
 from .grading import DegreeVector
 from .series import (ChartSpec, Coefficient, GradedSeries, Monomial,
-                     _accumulate, _is_int, _product, collect_truncation_drops)
+                     _accumulate, _canonical, _is_int, _product,
+                     collect_truncation_drops)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,7 @@ class _Parser:
             else:
                 coeff *= f
         else:
-            return [(Monomial(exps), coeff)]
+            return [(Monomial(exps), _canonical(coeff))]
         return _product(chart, chain(read, factors), self.chains)
 
     def factors(self):

@@ -263,7 +263,7 @@ def _pivot_reduce(chart: ChartSpec, rows: Sequence[Sequence[GradedSeries]]
     eliminating the values at the origin leaves, and a row with none is
     dependent there.  Its pivot entry is a unit (`_reciprocal`) even where
     T(0) has a zero diagonal.  Rows are scaled and cleared from the left,
-    the scaled pivot entry set to exactly 1 and zero entries skipped; S is
+    the pivot entry set to exactly 1 unscaled and zero entries skipped; S is
     T's unique inverse in the window, and every entry carries the loss of
     every entry of A.
     """
@@ -279,8 +279,9 @@ def _pivot_reduce(chart: ChartSpec, rows: Sequence[Sequence[GradedSeries]]
         pivots.append(p)
         if out[i][p] != one:
             unit = _reciprocal(out[i][p])
-            out[i] = [a if a.is_zero else _accumulate(chart, [(1, unit, a)])
-                      for a in out[i]]
+            out[i] = [a if a.is_zero or c == p else
+                      _accumulate(chart, [(1, unit, a)])
+                      for c, a in enumerate(out[i])]
         row = out[i]
         row[p] = one
         for k, other in enumerate(out):

@@ -13,9 +13,10 @@ coefficient.  A coefficient is an ``int`` when it is integral and a
 ``Fraction`` only while a denominator remains, so integral arithmetic never
 takes the slow ``Fraction`` path.  ``GradedSeries(chart, terms)`` is the
 one constructor and always checks its input; every kernel result comes
-from one private builder, `_built`, and every sum of scaled series and
-scaled products of two series, from ``+`` to a bracket, from one
-accumulator, `_accumulate`.
+from one private builder, `_built`, which keeps the map its producer made,
+so a coefficient is made canonical, and a zero left out, where it is made;
+every sum of scaled series and scaled products of two series, from ``+``
+to a bracket, comes from one accumulator, `_accumulate`.
 Dropping a monomial during multiplication or substitution is *exact*
 quotient-ring arithmetic and carries no flag (`multiply` checks the window
 first and builds a dropped product only for a drop collector).
@@ -33,8 +34,8 @@ and masks are the sums and XORs of its factors', so a product's rows come
 out of the product itself.  One chain of powers (`_extend`) and one
 product fold (`_fold`) serve `multiply`, ``**``, substitution and the
 parser (`_product`), with no series built per power or partial product.
-A series' ``terms`` are never changed after construction (a lint in the
-tests checks this), or its cached rows would go stale.
+A series' ``terms`` never change once built (a lint in the tests checks
+this), or its cached rows and the series sharing its map would go stale.
 """
 
 from __future__ import annotations
@@ -218,8 +219,8 @@ class ChartSpec:
         return _built(self, {})
 
     def constant(self, value: Rational) -> "GradedSeries":
-        coeff = value if type(value) is int else Fraction(value)
-        return _built(self, {self.unit_monomial: coeff})
+        coeff = value if type(value) is int else _canonical(Fraction(value))
+        return _built(self, {self.unit_monomial: coeff} if coeff else {})
 
     def one(self) -> "GradedSeries":
         return self.constant(1)
@@ -342,7 +343,7 @@ class GradedSeries:
                     or mon.base_degree(chart) > chart.base_order):
                 _note_drop(mon, coeff)
                 continue
-            kept[mon] = coeff
+            kept[mon] = _canonical(coeff)
         self._fill(chart, kept, 0, None)
         if declared_degree is not None:
             code = chart._code_of(declared_degree)
@@ -353,12 +354,11 @@ class GradedSeries:
                         f"{mon.degree(chart)}, declared {declared_degree}"
                     )
 
-    def _fill(self, chart: ChartSpec, terms: Mapping[Monomial, Coefficient],
+    def _fill(self, chart: ChartSpec, terms: dict[Monomial, Coefficient],
               loss: int, rows: Optional[list[tuple]]) -> "GradedSeries":
         """Set every slot; only the constructor and `_built` call this."""
         self.chart = chart
-        self.terms: dict[Monomial, Coefficient] = {
-            m: _canonical(c) for m, c in terms.items() if c}
+        self.terms = terms
         self._loss = loss
         self._rows = rows
         return self
@@ -525,11 +525,11 @@ class GradedSeries:
 # operations
 # ---------------------------------------------------------------------------
 
-def _built(chart: ChartSpec, terms: Mapping[Monomial, Coefficient],
+def _built(chart: ChartSpec, terms: dict[Monomial, Coefficient],
            loss: int = 0, rows: Optional[list[tuple]] = None) -> GradedSeries:
-    """The one builder of kernel results: ``terms`` lie inside the window
-    and hold no odd square, so only zeros are dropped and coefficients made
-    canonical; ``rows``, when given, are the terms' cached rows."""
+    """The one builder of kernel results, keeping the map its producer made:
+    ``terms`` lie in the window and hold no odd square, no zero and only
+    canonical coefficients; ``rows``, when given, are their cached rows."""
     return object.__new__(GradedSeries)._fill(chart, terms, loss, rows)
 
 
@@ -560,11 +560,13 @@ def _accumulate(chart: ChartSpec, parts: Iterable[tuple],
     ``loss`` and every factor's loss.  A product is `_multiply_rows` on
     cached rows in factor order (the Koszul sign depends on it); one with
     a zero factor is skipped, keeping its loss.  In ``(a, f)``, ``f`` may
-    also be a row list, which carries no loss of its own.  A monomial that
-    cancels is deleted, so one that comes back goes last, as adding the
-    parts one at a time puts it.  Each part's terms are scaled first, a -1
-    part by negation, so a plain sum multiplies no coefficient, and one
-    loop merges them.  Callers check the charts."""
+    also be a row list of canonical coefficients, with no loss of its own.
+    A monomial that cancels is deleted, so one that comes back goes last,
+    as adding the parts one at a time puts it.  Each part's terms are
+    scaled first, a -1 part by negation, so a plain sum multiplies no
+    coefficient, and a 0 part to nothing; one loop merges them.  A scaled
+    value or a sum is made canonical where it is made.  Callers check the
+    charts."""
     out: dict[Monomial, Coefficient] = {}
     get = out.get
     for part in parts:
@@ -585,7 +587,7 @@ def _accumulate(chart: ChartSpec, parts: Iterable[tuple],
         if a == -1:
             terms = [(t[0], -t[1]) for t in terms]
         elif a != 1:
-            terms = [(t[0], a * t[1]) for t in terms]
+            terms = [(t[0], _canonical(a * t[1])) for t in terms] if a else []
         # a new monomial takes its coefficient as it is: 0 + c would take
         # Fraction's slow reverse-operator path
         for t in terms:
@@ -593,7 +595,7 @@ def _accumulate(chart: ChartSpec, parts: Iterable[tuple],
             if got is None:
                 out[t[0]] = t[1]
             elif got := got + t[1]:
-                out[t[0]] = got
+                out[t[0]] = _canonical(got)
             else:
                 del out[t[0]]
     return _built(chart, out, loss)
@@ -684,15 +686,15 @@ def _fold(chart: ChartSpec, factors: Iterable, power) -> tuple[list[tuple], int]
     time and all of them, so a lazy caller parses each factor after the
     product of the factors before it.
 
-    A factor is a coefficient, a pair ``(i, k)`` whose rows ``power(i, k)``
-    gives, or a series, which brings its cached rows and its loss.  A
+    A factor is a coefficient, a row list, a pair ``(i, k)`` whose rows
+    ``power(i, k)`` gives, or a series, bringing its rows and its loss.  A
     coefficient scales the product so far, or is held until the first rows
     arrive; every other factor is multiplied into the product so far by
     `_multiply_rows`, so the drops are noted in the order of the factors."""
     rows, held, loss = None, 1, 0
     for factor in factors:
-        if type(factor) is tuple:
-            got = power(*factor)
+        if type(factor) in (list, tuple):
+            got = factor if type(factor) is list else power(*factor)
         elif isinstance(factor, GradedSeries):
             loss |= factor._loss
             got = factor._term_rows()
@@ -750,7 +752,7 @@ def derive(f: GradedSeries, name: str) -> GradedSeries:
     """Graded left partial derivative along a chart coordinate."""
     moved = _moved_terms(f, f.chart.index(name), -1)
     # lowering one exponent maps distinct monomials to distinct ones
-    return _built(f.chart, {m: n * c for m, c, n in moved}, f._loss)
+    return _built(f.chart, {m: _canonical(n * c) for m, c, n in moved}, f._loss)
 
 
 def antiderivative(f: GradedSeries, name: str) -> GradedSeries:
@@ -777,7 +779,7 @@ def antiderivative(f: GradedSeries, name: str) -> GradedSeries:
             _note_drop(mon, coeff)
             loss |= flag
         else:
-            out[mon] = Fraction(coeff, n)
+            out[mon] = _canonical(Fraction(coeff, n))
     return _built(chart, out, loss)
 
 
@@ -923,26 +925,27 @@ def _substitution(images: Mapping[str, GradedSeries], keyed: ChartSpec,
     checked by ``make``, and an inversion iterate is valid by construction.
     Every caller checks or builds the series it passes on ``keyed``, so
     the returned function takes them as they are and shares the image
-    powers across them: each image keeps one chain of its powers
-    (`_extend`), so an image power, empty or not, is worked out and noted
-    once per map.
+    powers across them: each image keeps one chain of its powers, which
+    `_extend` lengthens only when a term needs a power past its end, so an
+    image power, empty or not, is worked out and noted once per map.
 
-    Each term is the `_fold` of its coefficient and its image powers, and
-    `_accumulate` sums the terms' row lists as they are, so no series is
-    built but the result."""
+    Each term is the `_fold` of its coefficient and the row lists of its
+    image powers, read from the chains, and `_accumulate` sums the terms'
+    row lists as they are, so no series is built but the result."""
     image_loss = reduce(or_, (img._loss for img in images.values()), 0)
     chains: dict[int, list[list[tuple]]] = {}
 
-    def power(i: int, e: int) -> list[tuple]:
-        chain = chains.get(i)
-        if chain is None:
-            chain = chains[i] = [images[keyed.names[i]]._term_rows()]
-        return _extend(chain, e, into_chart)
-
     def term(mon: Monomial, coeff: Coefficient) -> tuple:
         """``coeff * mon`` with every coordinate substituted, as a part."""
-        pairs = [(i, e) for i, e in enumerate(mon) if e]
-        return 1, _fold(into_chart, (coeff, *pairs), power)[0]
+        factors = [coeff]
+        for i, e in enumerate(mon):
+            if e:
+                chain = chains.get(i)
+                if chain is None:
+                    chain = chains[i] = [images[keyed.names[i]]._term_rows()]
+                factors.append(chain[e - 1] if e <= len(chain)
+                               else _extend(chain, e, into_chart))
+        return 1, _fold(into_chart, factors, None)[0]
 
     def substitute(f: GradedSeries) -> GradedSeries:
         return _accumulate(into_chart, map(term, f.terms, f.terms.values()),

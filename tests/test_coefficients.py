@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_centered_change, random_series, standard_chart
+from helpers import (random_centered_change, random_field, random_series,
+                     standard_chart)
 from znfrob import (
     Distribution,
     GradedSeries,
@@ -16,11 +17,15 @@ from znfrob import (
     VectorField,
     adapted_coordinates,
     antiderivative,
+    bracket,
     compose,
     derive,
     multiply,
+    parse_expression,
+    pushforward,
     rational_inverse,
 )
+from znfrob.series import _reciprocal
 
 
 def canonical(value) -> bool:
@@ -81,6 +86,42 @@ def test_every_operation_keeps_coefficients_canonical(seed):
     assert rational_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
     assert all(type(c) is int for row in rational_inverse([[2, 1], [1, 1]])
                for c in row)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_producers_make_nonzero_canonical_coefficients(seed):
+    # a kernel result keeps the coefficient map its producer built, so each
+    # producer leaves out zeros and makes integral values ints itself
+    rng = random.Random(seed)
+    chart = standard_chart(j_order=3, base_order=4)
+    even = [n for n, odd in zip(chart.names, chart.odd_flags) if not odd]
+    x = chart.coordinate("x")
+    results = [chart.constant(Fraction(4, 2)), chart.constant(0),
+               parse_expression("1/2*2*x + 4/2*t1*t2 - 2/2*x + 4/9*(3/2)^2*e",
+                                chart),
+               x * Fraction(1, 2) * 2, _reciprocal(2 + x * Fraction(1, 2))]
+    for _ in range(4):
+        f = random_series(rng, chart, terms=4)
+        g = random_series(rng, chart, terms=4)
+        centered = f - f.constant_term
+        results += [f + g, f - g, f - f, f * Fraction(2, 3), f * 2,
+                    multiply(f, g), centered ** 2, centered ** 3, f ** 2]
+        results += [derive(f, n) for n in chart.names]
+        results += [antiderivative(f, n) for n in even]
+        change = random_centered_change(rng, chart)
+        results += [compose(f, change.images, chart),
+                    compose(f, change.inverse_images, chart)]
+        X = random_field(rng, chart, terms=3)
+        Y = random_field(rng, chart, terms=3)
+        results += [*pushforward(change, X).coefficients.values(),
+                    *bracket(X, Y).coefficients.values(),
+                    *bracket(X, X).coefficients.values()]
+    assert results[1].terms == {} and results[0].terms == {
+        chart.unit_monomial: 2}
+    for series in results:
+        bad = {m: c for m, c in series.terms.items()
+               if not (c and canonical(c))}
+        assert not bad, bad
 
 
 def test_certificate_coefficients_are_canonical():

@@ -24,7 +24,7 @@ from znfrob import (
     pushforward,
     rank_of,
 )
-from znfrob import linalg
+from znfrob import distribution, linalg
 
 
 @pytest.fixture
@@ -152,6 +152,39 @@ def test_involutive_includes_odd_self_bracket(chart):
     assert res.witness_pair == (0, 0)
 
 
+def test_involutivity_translates_no_membership(monkeypatch):
+    # is_involutive reads only the verdict, so the coefficients on the
+    # original generators are worked out only when a caller reads them:
+    # `_accumulate` runs once per residual coefficient, not once more per
+    # generator
+    ch = standard_chart(j_order=3, base_order=4, extra_base=True)
+    X = field_of(ch, (0, 0), {"x": "1 + y"})
+    Y = field_of(ch, (0, 0), {"y": "2 + x", "x": "y"})
+    D = Distribution(ch, [X, Y])
+    sums = results = 0
+    real_sum, real_membership = distribution._accumulate, distribution.membership
+
+    def counted_sum(*args):
+        nonlocal sums
+        sums += 1
+        return real_sum(*args)
+
+    def counted_membership(*args):
+        nonlocal results
+        results += 1
+        return real_membership(*args)
+
+    monkeypatch.setattr(distribution, "_accumulate", counted_sum)
+    monkeypatch.setattr(distribution, "membership", counted_membership)
+    assert is_involutive(D).involutive
+    assert results and sums == results * len(ch.names)
+    got = membership(bracket(X, Y), D)
+    sums = 0
+    assert got.contained and len(got.coefficients) == 2
+    assert sums == 2
+    assert got.coefficients is got.coefficients and sums == 2
+
+
 def test_rank_invariant_under_recombination():
     ch = standard_chart(j_order=3, base_order=4, extra_base=True)
     X = field_of(ch, (0, 0), {"x": "1", "e": "t1*t2"})
@@ -246,6 +279,28 @@ def test_normalize_matches_the_inverse_block_reference():
         sizes.add(len(D.generators))
         compared += 1
     assert compared >= 40 and sizes == {0, 1, 2, 3} and flagged
+
+
+def test_pivot_entry_is_set_not_scaled(monkeypatch):
+    # a row of [A | I] is scaled by the inverse of its pivot entry, which is
+    # then set to 1: only the other nonzero entries are multiplied (3 here
+    # when the pivot entry was scaled too)
+    ch = standard_chart(j_order=3, base_order=4, extra_base=True)
+    products = 0
+    real = linalg._accumulate
+
+    def counted(chart, parts, loss=0):
+        nonlocal products
+        parts = list(parts)
+        products += sum(len(part) == 3 for part in parts)
+        return real(chart, parts, loss)
+
+    monkeypatch.setattr(linalg, "_accumulate", counted)
+    entry, tail = series_of(ch, "2 + x"), series_of(ch, "y")
+    pivots, rows = linalg._pivot_reduce(ch, [[entry, tail]])
+    assert products == 2
+    unit = linalg._reciprocal(entry)
+    assert pivots == [0] and rows == [[ch.one(), unit * tail, unit]]
 
 
 def test_normalization_takes_no_matrix_inverse(monkeypatch):

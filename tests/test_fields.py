@@ -69,6 +69,36 @@ def test_bracket_examples(chart):
     assert bracket(dt1, t1_dx) == dx
 
 
+def test_odd_self_bracket_is_one_half_doubled(monkeypatch):
+    # with X is Y odd both halves are the same sum; an equal field that is
+    # another object still takes both halves
+    chart = standard_chart(j_order=3, base_order=4)
+    rng = random.Random(5)
+    odd = [d for d in map(DegreeVector, ((0, 1), (1, 0), (1, 1))) if d.is_odd]
+    assert len(odd) == 2
+    calls = 0
+    real = znfrob.series._multiply_rows
+
+    def counted(rows1, rows2, chart):
+        nonlocal calls
+        calls += 1
+        return real(rows1, rows2, chart)
+
+    monkeypatch.setattr(znfrob.series, "_multiply_rows", counted)
+    seen = 0
+    for degree in odd * 3:
+        X = random_field(rng, chart, degree, terms=3)
+        twin = VectorField(chart, X.degree, dict(X.coefficients))
+        calls = 0
+        halves = bracket(X, twin)
+        both = calls
+        calls = 0
+        assert bracket(X, X) == halves
+        assert 2 * calls == both
+        seen += bool(calls) and not halves.is_zero
+    assert seen
+
+
 def test_bracket_degree_additivity(chart):
     rng = random.Random(31)
     for _ in range(20):

@@ -303,6 +303,60 @@ def test_row_multiplication_is_caught():
         "line 6: _multiply_rows", "line 9: series._multiply_rows"]
 
 
+# the builder keeps the coefficient map its producer made, since every
+# producer leaves out zeros and makes its coefficients canonical: a loop or
+# comprehension in the builder would copy every kernel result once more
+BUILDERS = {("GradedSeries", "_fill"), (None, "_built")}
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+         ast.DictComp, ast.GeneratorExp)
+
+
+def builder_loops(source: str) -> tuple[list[str], set]:
+    """The loops and comprehensions inside a `BUILDERS` scope, and the
+    builders the source defines."""
+    found, defined = [], set()
+
+    def visit(node, scope):
+        if isinstance(node, ast.ClassDef):
+            scope = (node.name, None)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = (scope[0], node.name)
+            defined.add(scope)
+        if scope in BUILDERS and isinstance(node, LOOPS):
+            found.append((node.lineno, type(node).__name__))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), (None, None))
+    return [f"line {line}: {kind}" for line, kind in sorted(found)], defined
+
+
+def test_builders_keep_the_map_they_are_given():
+    found, defined = builder_loops(
+        (PACKAGE / "series.py").read_text(encoding="utf-8"))
+    assert found == [] and BUILDERS <= defined
+
+
+def test_builder_copy_is_caught():
+    source = ("class GradedSeries:\n"
+              "    def _fill(self, chart, terms, loss, rows):\n"
+              "        self.terms = {m: c for m, c in terms.items() if c}\n"
+              "    def _term_rows(self):\n"
+              "        return [row for row in self.terms]\n"
+              "def _built(chart, terms, loss=0, rows=None):\n"
+              "    for m in list(terms):\n"
+              "        while not terms[m]:\n"
+              "            del terms[m]\n"
+              "    return dict(c for c in terms.items())\n"
+              "def _accumulate(chart, parts):\n"
+              "    return {m: c for m, c in parts}\n")
+    found, defined = builder_loops(source)
+    assert found == ["line 3: DictComp", "line 7: For", "line 8: While",
+                     "line 10: GeneratorExp"]
+    assert defined == BUILDERS | {("GradedSeries", "_term_rows"),
+                                  (None, "_accumulate")}
+
+
 # the attributes holding a kernel value's contents, each with the functions
 # allowed to write it: its class's constructor and, for a series, the builder
 VALUE_WRITERS = {
