@@ -25,7 +25,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Optional
 
 from .distribution import Distribution, is_involutive, rank_of
@@ -46,9 +45,8 @@ from .frobenius import (
     verify_adapted,
 )
 from .grading import DegreeVector
-from .series import (ChartSpec, Coefficient, GradedSeries, Monomial,
-                     _accumulate, _canonical, _is_int, _product,
-                     collect_truncation_drops)
+from .series import (ChartSpec, Coefficient, GradedSeries, _accumulate,
+                     _fold, _is_int, _product, collect_truncation_drops)
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +104,9 @@ def _tokenize(src: str) -> list[_Token]:
 # recursive-descent parser, evaluating straight into the chart ring
 # ---------------------------------------------------------------------------
 
-# each '(' costs at most seven Python frames (expr, term, _product,
-# _fold, factors, factor, atom) and each unary '-' one; this bound keeps
-# the deepest accepted input below the default recursion limit of 1000
+# each '(' costs six Python frames (expr, term, _fold, factors, factor,
+# atom) and each unary '-' one: the deepest accepted input of any shape
+# needs about 610 frames, inside the default recursion limit of 1000
 _MAX_NESTING = 100
 
 
@@ -126,9 +124,9 @@ def _printable(value: Coefficient) -> bool:
 
 class _Parser:
     """An atom or factor is a coefficient, a pair ``(i, k)`` for the k-th
-    power of coordinate i, or a series.  A term of coefficients and pairs is
-    read off as one monomial; any other term folds its factors into one
-    series (``series._product``), as a unary minus on a non-number does.  An
+    power of coordinate i, or a series.  A term is the rows of the
+    ``series._fold`` of its factors, so the parser works out no sign and no
+    product; a unary minus on a non-number is one ``series._product``.  An
     expression, in parentheses too, sums its terms in one map; only a power
     of a series takes series arithmetic."""
 
@@ -138,8 +136,6 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.pos = 0
         self.depth = 0
-        # this parse's chains of coordinate powers (see `_product`)
-        self.chains: dict = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -174,36 +170,10 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             scale = 1 if self.next()[0] == "+" else -1
             parts.append((scale, self.term()))
-        one = len(parts) == 1 and type(parts[0][1]) is GradedSeries
-        return parts[0][1] if one else _accumulate(self.chart, parts)
+        return _accumulate(self.chart, parts)
 
-    def term(self):
-        """``[(monomial, coefficient)]``, the sign flipped by each odd power
-        moved left past odd-exponent factors it pairs with; a series, a zero,
-        an odd square or leaving the window hands all factors to `_product`."""
-        chart = self.chart
-        odd_mask, later = chart._row_masks
-        exps, coeff, par, j, b = [0] * len(chart.names), 1, 0, 0, 0
-        read, factors = [], self.factors()
-        for f in factors:
-            read.append(f)
-            if type(f) is tuple:
-                i, k = f
-                j, b = (j + k, b) if chart._degree_codes[i] else (j, b + k)
-                if (j > chart.j_order or b > chart.base_order
-                        or odd_mask >> i & 1 and exps[i] + k > 1):
-                    break
-                if k & 1:
-                    coeff = -coeff if (par & later[i]).bit_count() & 1 else coeff
-                    par ^= 1 << i
-                exps[i] += k
-            elif isinstance(f, GradedSeries) or not f:
-                break
-            else:
-                coeff *= f
-        else:
-            return [(Monomial(exps), _canonical(coeff))]
-        return _product(chart, chain(read, factors), self.chains)
+    def term(self) -> list[tuple]:
+        return _fold(self.chart, self.factors())[0]
 
     def factors(self):
         # a generator, so that each factor is parsed, and notes its drops,
@@ -247,7 +217,7 @@ class _Parser:
             if kind == "-":
                 value = self.atom()
                 value = (-value if isinstance(value, (int, Fraction))
-                         else _product(self.chart, (-1, value), self.chains))
+                         else _product(self.chart, (-1, value)))
             else:
                 value = self.expr()
                 if self.peek()[0] != ")":
@@ -654,7 +624,3 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     print(json.dumps(report, indent=2))
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

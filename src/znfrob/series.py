@@ -32,8 +32,8 @@ mask, odd-exponent mask, sign mask)``, where bit ``i`` of the sign mask is
 ``sum_{j<i} (e_j mod 2) <deg_j, deg_i> mod 2``.  A product term's degrees
 and masks are the sums and XORs of its factors', so a product's rows come
 out of the product itself.  One chain of powers (`_extend`) and one
-product fold (`_fold`) serve `multiply`, ``**``, substitution and the
-parser (`_product`), with no series built per power or partial product.
+product fold (`_fold`), the one product rule, serve `multiply`, ``**``,
+substitution and the parser, with no series built per power or product.
 A series' ``terms`` never change once built (a lint in the tests checks
 this), or its cached rows and the series sharing its map would go stale.
 """
@@ -459,7 +459,7 @@ class GradedSeries:
         return NotImplemented
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        if not _is_int(exponent) or exponent < 0:
             raise ValueError("series powers take a nonnegative integer")
         # binomial sum over self = c + n: the constant c is a central scalar
         # and n is centered, so n^k vanishes past the window's total degree
@@ -618,7 +618,7 @@ def multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     the `_fold` of the two series' cached rows; its rows are cached on the
     result.
     """
-    return _product(_same_chart(f, g), (f, g), {})
+    return _product(_same_chart(f, g), (f, g))
 
 
 def _multiply_rows(rows1: list[tuple], rows2: list[tuple],
@@ -681,63 +681,89 @@ def _scaled(rows: list[tuple], a: Coefficient) -> list[tuple]:
             for m, c, j, b, o, p, s in rows] if a else []
 
 
-def _fold(chart: ChartSpec, factors: Iterable, power) -> tuple[list[tuple], int]:
+def _coordinate_power(chart: ChartSpec, i: int, k: int) -> list[tuple]:
+    """The rows of the k-th power (k >= 1) of coordinate i: none for an odd
+    square, and none past the window, after noting the first power past
+    it with coefficient 1, as `_multiply_rows` notes a product it drops."""
+    if k > 1 and chart.odd_flags[i]:
+        return []
+    top = chart.j_order if chart._degree_codes[i] else chart.base_order
+    exps = [0] * len(chart.names)
+    exps[i] = min(k, top + 1)
+    if k > top:
+        _note_drop(Monomial(exps), 1)
+        return []
+    return _rows_of(chart, ((Monomial(exps), 1),))
+
+
+def _fold(chart: ChartSpec, factors: Iterable) -> tuple[list[tuple], int]:
     """The rows and the loss of the product of ``factors``, taken one at a
     time and all of them, so a lazy caller parses each factor after the
-    product of the factors before it.
+    product of the factors before it: the kernel's one product rule.
 
-    A factor is a coefficient, a row list, a pair ``(i, k)`` whose rows
-    ``power(i, k)`` gives, or a series, bringing its rows and its loss.  A
-    coefficient scales the product so far, or is held until the first rows
-    arrive; every other factor is multiplied into the product so far by
-    `_multiply_rows`, so the drops are noted in the order of the factors."""
-    rows, held, loss = None, 1, 0
+    A factor is a coefficient, a pair ``(i, k)`` for the k-th power of
+    coordinate i, a row list, or a series, bringing its rows and its loss.
+    Leading coefficients and pairs are read off as one monomial while it
+    stays in the window and holds no odd square: the exponents add, the
+    coefficients multiply, and an odd power flips the sign once for each
+    odd-exponent factor after it that it pairs with (the sign masks of
+    ``ChartSpec._row_masks``).  From the first factor that ends it, a pair
+    is the rows `_coordinate_power` gives, a coefficient scales the product
+    so far, and every other factor is multiplied into it by
+    `_multiply_rows`, so the drops are noted in the order of the factors.
+    A monomial with a zero coefficient has no rows, and one of numbers
+    alone only scales the first rows to arrive."""
+    odd_mask, later = chart._row_masks
+    exps, held, rows, loss = [0] * len(later), 1, None, 0
+    j = b = par = sign = 0
     for factor in factors:
-        if type(factor) in (list, tuple):
-            got = factor if type(factor) is list else power(*factor)
+        if type(factor) is tuple:
+            i, k = factor
+            jk, bk = (j + k, b) if chart._degree_codes[i] else (j, b + k)
+            if (rows is None and jk <= chart.j_order and bk <= chart.base_order
+                    and not (odd_mask >> i & 1 and exps[i] + k > 1)):
+                if k & 1:
+                    held = -held if (par & later[i]).bit_count() & 1 else held
+                    par, sign = par ^ 1 << i, sign ^ later[i]
+                exps[i] += k
+                j, b = jk, bk
+                continue
+            got = _coordinate_power(chart, i, k)
+        elif type(factor) is list:
+            got = factor
         elif isinstance(factor, GradedSeries):
             loss |= factor._loss
             got = factor._term_rows()
-        else:
-            if rows is not None:
-                rows = _scaled(rows, factor)
-            else:  # 1 * c would take Fraction's slow reverse-operator path
-                held = factor if held == 1 else held * factor
+        elif rows is not None:
+            rows = _scaled(rows, factor)
             continue
-        rows = _scaled(got, held) if rows is None else _multiply_rows(
-            rows, got, chart)
-    if rows is None:
-        rows = _scaled([(chart.unit_monomial, 1, 0, 0, 0, 0, 0)], held)
+        else:  # 1 * c would take Fraction's slow reverse-operator path
+            held = factor if held == 1 else held * factor
+            continue
+        if rows is None and (j or b):  # the monomial read so far
+            rows = [(Monomial(exps), _canonical(held), j, b, par & odd_mask,
+                     par, sign)] if held else []
+        rows = (_scaled(got, held) if rows is None
+                else _multiply_rows(rows, got, chart))
+    if rows is None:  # every factor was read into the monomial
+        rows = [(Monomial(exps), _canonical(held), j, b, par & odd_mask, par,
+                 sign)] if held else []
     return rows, loss
 
 
-def _product(chart: ChartSpec, factors: Iterable,
-             chains: dict[int, list[list[tuple]]]) -> GradedSeries:
-    """The `_fold` of ``factors`` as one series.  A pair ``(i, k)`` is the
-    k-th power of coordinate i, from the caller's chain of its powers
-    (`_extend`).  An empty tail is dropped after each use, so a power past
-    the window is worked out, and noted, again at each use, as series
-    arithmetic notes it."""
-    def power(i: int, k: int) -> list[tuple]:
-        chain = chains.get(i)
-        if chain is None:
-            u = Monomial(int(j == i) for j in range(len(chart.coordinates)))
-            chain = chains[i] = [_rows_of(chart, ((u, 1),))]
-        got = _extend(chain, k, chart)
-        if not chain[-1]:
-            chain.pop()
-        return got
-
-    rows, loss = _fold(chart, factors, power)
+def _product(chart: ChartSpec, factors: Iterable) -> GradedSeries:
+    """The `_fold` of ``factors`` as one series."""
+    rows, loss = _fold(chart, factors)
     return _built(chart, {row[0]: row[1] for row in rows}, loss, rows)
 
 
 def _moved_terms(f: GradedSeries, k: int, step: int) -> Iterable[tuple]:
     """Each term ``c*m`` of ``f`` whose exponent of coordinate k can move by
     ``step`` (+-1), as ``(m', c, n)``: m with it moved, and the larger
-    exponent times the Koszul sign of passing m's factors before k."""
-    pair_k = f.chart.pair_table[k]
-    signed = [j for j in range(k) if pair_k[j]]
+    exponent times the Koszul sign of passing m's factors before k: bit k
+    of m's sign mask, from the chart's sign masks (so it needs no rows)."""
+    signed = [j for j, mask in enumerate(f.chart._row_masks[1][:k])
+              if mask >> k & 1]
     for mon, coeff in f.terms.items():
         e = mon[k] + step
         if e >= 0:
@@ -945,7 +971,7 @@ def _substitution(images: Mapping[str, GradedSeries], keyed: ChartSpec,
                     chain = chains[i] = [images[keyed.names[i]]._term_rows()]
                 factors.append(chain[e - 1] if e <= len(chain)
                                else _extend(chain, e, into_chart))
-        return 1, _fold(into_chart, factors, None)[0]
+        return 1, _fold(into_chart, factors)[0]
 
     def substitute(f: GradedSeries) -> GradedSeries:
         return _accumulate(into_chart, map(term, f.terms, f.terms.values()),

@@ -560,6 +560,52 @@ def test_cli_inversion_is_caught():
         "line 6: fields._invert_map"]
 
 
+# the ring's product rule is written once, in series.py: the parser hands
+# each term's factors to ``series._fold``, so it reads no sign mask, degree
+# code or pairing and builds no monomial or row; in the kernel the sign
+# masks alone read the pairing table, and every sign is read off them
+RING_RULES = ("_row_masks", "_degree_codes", "pair_table", "Monomial",
+              "_canonical", "_rows_of", "_multiply_rows")
+PAIRING_READERS = {("ChartSpec", "_row_masks")}
+
+
+def ring_rules(source: str) -> list[str]:
+    """References to each of ``RING_RULES`` in turn."""
+    return [found for name in RING_RULES
+            for found in image_checks(source, name=name)]
+
+
+def test_the_parser_leaves_the_product_rule_to_the_kernel():
+    assert ring_rules((PACKAGE / "io_cli.py").read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py")))
+def test_only_the_sign_masks_read_the_pairing(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert image_checks(source, PAIRING_READERS, "pair_table") == []
+
+
+def test_product_rule_outside_the_kernel_is_caught():
+    source = ("class _Parser:\n"
+              "    def term(self):\n"
+              "        odd_mask, later = self.chart._row_masks\n"
+              "        j = chart._degree_codes[i]\n"
+              "        return [(Monomial(exps), _canonical(coeff))]\n"
+              "class ChartSpec:\n"
+              "    def _row_masks(self):\n"
+              "        return self.pair_table\n"
+              "def _moved_terms(f, k, step):\n"
+              "    pair_k = f.chart.pair_table[k]\n"
+              "    return series._rows_of(f.chart, f.terms.items())\n")
+    assert ring_rules(source) == [
+        "line 3: self.chart._row_masks", "line 4: chart._degree_codes",
+        "line 8: self.pair_table", "line 10: f.chart.pair_table",
+        "line 5: Monomial", "line 5: _canonical", "line 11: series._rows_of"]
+    assert image_checks(source, PAIRING_READERS, "pair_table") == [
+        "line 10: f.chart.pair_table"]
+
+
 # a step that moves nothing is decided on its map before any change is
 # built, so no module asks a built change whether it is the identity, and
 # the straightening builds the identity only as the composite of no steps

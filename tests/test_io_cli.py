@@ -526,6 +526,38 @@ def test_deep_caller_gets_a_syntax_error(chart, headroom):
     assert znfrob.series._DROP_SINK.get() is None
 
 
+def _parse_with_headroom(src, chart, headroom):
+    """`parse_expression` called with ``headroom`` frames left below the
+    recursion limit."""
+    def call_at(frames):
+        if frames > 0:
+            return call_at(frames - 1)
+        return parse_expression(src, chart)
+
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return call_at(sys.getrecursionlimit() - headroom - depth)
+
+
+@pytest.mark.parametrize("shape", ["parentheses", "product", "sum-product",
+                                   "power"])
+def test_deepest_accepted_nesting_parses_with_650_frames_left(chart, shape):
+    # each '(' costs six frames (expr, term, _fold, factors, factor, atom),
+    # so the deepest accepted input of every shape needs about 610
+    n = _MAX_NESTING
+    x = chart.coordinate("x")
+    src, want = {
+        "parentheses": ("(" * n + "x" + ")" * n, x),
+        "product": ("x*(" * n + "x" + ")" * n, chart.zero()),
+        "sum-product": ("(x+1)*(" * n + "x" + ")" * n, (1 + x) ** n * x),
+        "power": ("(" * n + "x" + ")^2" * n, chart.zero()),
+    }[shape]
+    assert _parse_with_headroom(src, chart, 650) == want
+    with pytest.raises(ExpressionSyntaxError, match="nested deeper than"):
+        parse_expression("(" + src + ")", chart)
+
+
 @pytest.mark.parametrize("expr", [
     "(" * _MAX_NESTING + "1 + x" + ")" * _MAX_NESTING,
     "(-" * (_MAX_NESTING // 2) + "1 + x" + ")" * (_MAX_NESTING // 2)],
@@ -666,7 +698,7 @@ def test_main_huge_j_order_is_fast_in_bounded_memory(tmp_path, task, key,
     env = dict(os.environ, PYTHONPATH=str(Path(znfrob.__file__).parents[1]))
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "znfrob.io_cli",
+        [sys.executable, "-m", "znfrob",
          "--input", write_problem(tmp_path, data)],
         capture_output=True, text=True, env=env, timeout=60,
         preexec_fn=_capped_address_space)

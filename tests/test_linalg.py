@@ -73,6 +73,8 @@ INPUT_GUARDS = {
     "power-fractional": (ValueError,
                          "series powers take a nonnegative integer",
                          lambda c: c.one() ** 1.5),
+    "power-bool": (ValueError, "series powers take a nonnegative integer",
+                   lambda c: c.one() ** True),
     "truncate-onto-other-frame": (
         ChartError, "truncation target must share the coordinate frame",
         lambda c: c.one().truncated_to(OTHER_FRAME)),
