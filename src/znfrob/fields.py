@@ -19,14 +19,15 @@ chart in the target coordinates.
 ``make`` and ``_from_both`` check the forward images (``check_images``);
 ``make`` derives the inverse, ``_from_both`` checks a stored one, and every
 later substitution runs unchecked.  Where one image map substitutes several
-series, each image's powers form one chain of rows (``series._substitution``):
-each pass of the inversion substitutes every nonlinear image part into
-the current inverse, ``then`` substitutes each direction through one map,
-and ``pushforward`` substitutes every coefficient into the inverse images.
-Powers and partial products are multiplied as rows, so none of these
-builds a series per product, only one per result.  So do the inversion's
-update, ``VectorField.apply`` and ``bracket`` (both of its halves at
-once): each result is one sum in ``series._accumulate``.
+series, each moved image's powers form one chain of rows and a kept
+coordinate costs nothing (``series._substitution``): each inversion pass
+substitutes every nonzero nonlinear image part into the current inverse (a
+J-linear change takes one elimination instead), ``then`` each direction
+through one map, and ``pushforward`` every coefficient into the inverse
+images.  Powers and partial products are multiplied as rows, so none of
+these builds a series per product, only one per result, nor do the
+inversion's update, ``VectorField.apply`` and ``bracket`` (both of its
+halves at once): each result is one sum in ``series._accumulate``.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ from .errors import (
     JacobianSingular,
 )
 from .grading import DegreeVector, scalar_product
-from .linalg import rational_inverse
-from .series import (ChartSpec, GradedSeries, _accumulate, _certified,
-                     _linear_split, _substitution, check_images, derive,
-                     multiply)
+from .linalg import _pivot_reduce, rational_inverse
+from .series import (ChartSpec, GradedSeries, _accumulate, _certified, _kept,
+                     _linear_split, _sharing_loss, _substitution,
+                     check_images, derive, multiply)
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +220,22 @@ def _linear_inverse(jacobian: list) -> list:
 def _invert_map(images: Mapping[str, GradedSeries],
                 keyed: ChartSpec, values_on: ChartSpec) -> dict[str, GradedSeries]:
     """Inverse substitution of ``images`` (keyed chart written on the value
-    chart) as a fixed point.  With ``F(u) = A u + N(u)``, ``A`` the
-    Jacobian at the origin and ``N`` the terms of total degree >= 2, start
-    from the linear inverse ``L = A^{-1} k`` and repeat
-    ``u <- L - A^{-1} N(u)`` until a pass changes nothing; a linear change
-    is ``L`` and takes no pass.  The degree-p layer of ``N(u)`` depends
-    only on the layers of ``u`` below p, so the window needs at most
+    chart).  With ``F(u) = A u + N(u)``, ``A`` the Jacobian at the origin
+    and ``N`` the terms of total degree >= 2, start from the linear inverse
+    ``L = A^{-1} k``, which a linear change is, and repeat
+    ``u <- L - A^{-1} N(u)`` over the nonzero parts of ``N`` until a pass
+    changes nothing.  The degree-p layer of ``N(u)`` depends only on the
+    layers of ``u`` below p, so the window needs at most
     ``j_order + base_order`` passes.  The fixed point solves ``F(u) = k``
     when ``A^{-1}`` inverts ``A``, which is checked once.  The centered
     inverse is unique, since ``A`` keeps every (J-degree, base degree)
     layer, so it is the one ``u <- u + A^{-1}(k - F(u))`` from ``u = 0``
-    reaches a pass later.  Every image carries the loss of all images."""
+    reaches a pass later.  A J-linear map (base coordinates kept, each J
+    image ``sum_tau M[rho][tau] tau`` over base series) takes no pass: u
+    keeps the base and sends tau to ``sum_rho S[tau][rho] rho``, S = M^-1
+    by one `_pivot_reduce` (M(0) is A's J block), so ``F(u) = k``, as the
+    terms that truncation drops from ``M S = I`` lie past the base order,
+    and stay there times rho.  Every image carries the loss of all images."""
     jacobian, nonlinear, loss = _linear_split(images, keyed, values_on)
     ainv = _linear_inverse(jacobian)
     if any(sum(a * b for a, b in zip(row, col)) != int(i == j)
@@ -240,14 +246,24 @@ def _invert_map(images: Mapping[str, GradedSeries],
     linear = {u: _accumulate(keyed, [(a, c) for a, c in zip(row, coords) if a],
                              loss)
               for u, row in zip(values_on.names, ainv)}
-    if not any(n.terms for n in nonlinear.values()):
+    moving = [(j, k) for j, k in enumerate(keyed.names) if nonlinear[k].terms]
+    if not moving:
         return linear
+    nz = [keyed.names[i] for i in keyed.nonzero_indices]
+    kept = _kept(images, keyed, values_on)
+    if keyed == values_on and all(kept[i] for i in keyed.base_indices) and all(
+            m.j_degree(keyed) == 1 for rho in nz for m in images[rho].terms):
+        pivots, rows = _pivot_reduce(values_on, [
+            [derive(images[rho], tau) for tau in nz] for rho in nz])
+        return linear | {nz[p]: _accumulate(keyed, [
+            (1, a, keyed.coordinate(rho)) for a, rho in zip(row[len(nz):], nz)],
+            loss) for p, row in zip(pivots, rows)}
     current = linear
     for _ in range(keyed.j_order + keyed.base_order + 2):
         through = _substitution(current, values_on, keyed)
-        pushed = [through(nonlinear[k]) for k in keyed.names]
+        pushed = [(j, through(nonlinear[k])) for j, k in moving]
         new = {u: _accumulate(keyed, [(1, linear[u]), *(
-                   (-a, p) for a, p in zip(row, pushed) if a)])
+                   (-row[j], p) for j, p in pushed if row[j])])
                for u, row in zip(values_on.names, ainv)}
         if all(new[n].terms == current[n].terms for n in new):
             return new
@@ -308,11 +324,12 @@ class CoordinateChange:
         least total degree of a certified term of δ."""
         check_images(images, chart, chart)
         _linear_inverse(_linear_split(images, chart, chart)[0])
-        through = _substitution(inverse_images, chart, chart)
         ok = (inverse_images.keys() == set(chart.names)
-              and not any(s.constant_term for s in inverse_images.values())
-              and not _certified({v: through(images[v]) - chart.coordinate(v)
-                                  for v in chart.names}))
+              and not any(s.constant_term for s in inverse_images.values()))
+        if ok:  # the substitution reads which coordinates ψ keeps
+            through = _substitution(inverse_images, chart, chart)
+            ok = not _certified({v: through(images[v]) - chart.coordinate(v)
+                                 for v in chart.names})
         return cls(chart, chart, dict(images), dict(inverse_images),
                    _token=_PRIVATE), ok
 
@@ -352,12 +369,8 @@ class CoordinateChange:
 
     @property
     def is_identity(self) -> bool:
-        if self.source != self.target:
-            return False
-        return all(
-            self.images[name] == self.source.coordinate(name)
-            for name in self.source.names
-        )
+        return self.source == self.target and all(
+            _kept(self.images, self.target, self.source))
 
     def truncated_to(self, source: ChartSpec, target: ChartSpec) -> "CoordinateChange":
         images = {n: s.truncated_to(source) for n, s in self.images.items()}
@@ -397,9 +410,14 @@ def compose_changes(first: CoordinateChange,
 def pushforward(change: CoordinateChange, X: VectorField) -> VectorField:
     """Rewrite a source-chart field in the target coordinates via the chain
     rule: the new coefficient on v is X(image of v) expressed in target
-    variables."""
+    variables; where the change keeps v, X(v) is X's coefficient on v with
+    the loss ``X.apply`` gives it (every coefficient's and the image's)."""
     if X.chart != change.source:
         raise ChartError("field does not live on the source chart")
     push = _substitution(change.inverse_images, change.source, change.target)
+    kept = _kept(change.images, change.target, change.source)
     return VectorField(change.target, X.degree, {
-        v: push(X.apply(change.images[v])) for v in change.target.names})
+        v: push(_sharing_loss([[X.coefficient(v)]], [
+            *X.coefficients.values(), change.images[v]])[0][0]
+            if keep else X.apply(change.images[v]))
+        for v, keep in zip(change.target.names, kept)})

@@ -159,6 +159,20 @@ class ChartSpec:
                       for j, row in enumerate(self.pair_table)))
 
     @cached_property
+    def _pairs_before(self) -> tuple[tuple[int, ...], ...]:
+        # per coordinate k, the earlier coordinates j with <deg_j, deg_k> = 1
+        later = self._row_masks[1]
+        return tuple(tuple(j for j in range(k) if later[j] >> k & 1)
+                     for k in range(len(later)))
+
+    @cached_property
+    def _coordinate_rows(self) -> tuple[tuple, ...]:
+        # each coordinate's term row: both orders are at least 1
+        n = len(self.coordinates)
+        units = (Monomial(int(i == j) for j in range(n)) for i in range(n))
+        return tuple(_rows_of(self, ((m, 1) for m in units)))
+
+    @cached_property
     def _degree_codes(self) -> tuple[int, ...]:
         # each coordinate's degree as an int whose bit k is component k
         return tuple(map(self._code_of, self.degrees))
@@ -226,11 +240,8 @@ class ChartSpec:
         return self.constant(1)
 
     def coordinate(self, name: str) -> "GradedSeries":
-        i = self.index(name)
-        exps = [0] * len(self.coordinates)
-        exps[i] = 1
-        # both orders are at least 1, so a coordinate is inside the window
-        return _built(self, {Monomial(exps): 1})
+        row = self._coordinate_rows[self.index(name)]
+        return _built(self, {row[0]: 1}, 0, [row])
 
     def monomial(self, exponents: Mapping[str, int],
                  coefficient: Rational = 1) -> "GradedSeries":
@@ -761,9 +772,9 @@ def _moved_terms(f: GradedSeries, k: int, step: int) -> Iterable[tuple]:
     """Each term ``c*m`` of ``f`` whose exponent of coordinate k can move by
     ``step`` (+-1), as ``(m', c, n)``: m with it moved, and the larger
     exponent times the Koszul sign of passing m's factors before k: bit k
-    of m's sign mask, from the chart's sign masks (so it needs no rows)."""
-    signed = [j for j, mask in enumerate(f.chart._row_masks[1][:k])
-              if mask >> k & 1]
+    of m's sign mask, read off the chart's earlier coordinates that pair
+    with k (so it needs no rows)."""
+    signed = f.chart._pairs_before[k]
     for mon, coeff in f.terms.items():
         e = mon[k] + step
         if e >= 0:
@@ -919,10 +930,9 @@ def compose(f: GradedSeries, images: Mapping[str, GradedSeries],
     degrees make the substitution a morphism of graded rings, so the
     canonical word can be expanded in coordinate order without extra signs.
 
-    Every term goes into one accumulator: its first power scaled by its
-    coefficient, times the remaining powers in coordinate order.  Callers
-    that push several series through one map use `_substitution`, which
-    shares its powers.
+    Every term goes into one accumulator: its coefficient times its kept
+    coordinates and its moved images' powers (`_substitution`, which
+    callers that push several series through one map use to share them).
     """
     check_images(images, f.chart, into_chart)
     return _substitution(images, f.chart, into_chart)(f)
@@ -934,15 +944,22 @@ def _linear_split(images: Mapping[str, GradedSeries], keyed: ChartSpec,
     ``keyed`` coordinate, one column per ``values_on`` coordinate), its
     nonlinear part (each image's terms of total degree >= 2, with the
     image's loss) and the loss of all the images together."""
-    width = len(values_on.names)
-    linear = [Monomial(int(i == j) for j in range(width)) for i in range(width)]
-    jacobian = [[images[k].terms.get(m, 0) for m in linear]
-                for k in keyed.names]
+    jacobian = [[images[k].terms.get(row[0], 0)
+                 for row in values_on._coordinate_rows] for k in keyed.names]
     nonlinear = {k: _built(values_on, {m: c for m, c in images[k].terms.items()
                                        if sum(m) > 1}, images[k]._loss)
                  for k in keyed.names}
     loss = reduce(or_, (images[k]._loss for k in keyed.names), 0)
     return jacobian, nonlinear, loss
+
+
+def _kept(images: Mapping[str, GradedSeries], keyed: ChartSpec,
+          values_on: ChartSpec) -> list[bool]:
+    """For each ``keyed`` coordinate, whether its image is itself."""
+    if keyed.coordinates != values_on.coordinates:
+        return [False] * len(keyed.names)
+    return [len(t := images[name].terms) == 1 and t.get(row[0]) == 1
+            for name, row in zip(keyed.names, values_on._coordinate_rows)]
 
 
 def _substitution(images: Mapping[str, GradedSeries], keyed: ChartSpec,
@@ -951,27 +968,39 @@ def _substitution(images: Mapping[str, GradedSeries], keyed: ChartSpec,
     checked by ``make``, and an inversion iterate is valid by construction.
     Every caller checks or builds the series it passes on ``keyed``, so
     the returned function takes them as they are and shares the image
-    powers across them: each image keeps one chain of its powers, which
-    `_extend` lengthens only when a term needs a power past its end, so an
-    image power, empty or not, is worked out and noted once per map.
+    powers across them: each moved image keeps one chain of its powers,
+    which `_extend` lengthens only when a term needs a power past its end,
+    so an image power, empty or not, is worked out and noted once per map.
 
-    Each term is the `_fold` of its coefficient and the row lists of its
-    image powers, read from the chains, and `_accumulate` sums the terms'
-    row lists as they are, so no series is built but the result."""
+    A term ``c*m`` splits as ``m = eps * m_K * m_M`` into the coordinates
+    the map keeps (`_kept`) and those it moves, ``eps`` the sign of moving
+    m_K ahead, ``(-1)^popcount(par(m_K) & sign(m_M))`` (images keep their
+    coordinates' degrees), and is the `_fold` of ``eps*c``, m_K read off as
+    one monomial, and the moved images' powers from the chains; a term of
+    kept coordinates is itself.  `_accumulate` sums the terms' row lists as
+    they are, so no series is built but the result."""
     image_loss = reduce(or_, (img._loss for img in images.values()), 0)
+    kept = _kept(images, keyed, into_chart)
+    later = keyed._row_masks[1]
     chains: dict[int, list[list[tuple]]] = {}
 
     def term(mon: Monomial, coeff: Coefficient) -> tuple:
         """``coeff * mon`` with every coordinate substituted, as a part."""
-        factors = [coeff]
+        pairs, powers, par, sign = [], [], 0, 0
         for i, e in enumerate(mon):
-            if e:
+            if e and kept[i]:
+                pairs.append((i, e))
+                par |= (e & 1) << i
+            elif e:
+                sign ^= later[i] if e & 1 else 0
                 chain = chains.get(i)
                 if chain is None:
                     chain = chains[i] = [images[keyed.names[i]]._term_rows()]
-                factors.append(chain[e - 1] if e <= len(chain)
-                               else _extend(chain, e, into_chart))
-        return 1, _fold(into_chart, factors)[0]
+                powers.append(chain[e - 1] if e <= len(chain)
+                              else _extend(chain, e, into_chart))
+        if (par & sign).bit_count() & 1:
+            coeff = -coeff
+        return 1, _fold(into_chart, [coeff, *pairs, *powers])[0]
 
     def substitute(f: GradedSeries) -> GradedSeries:
         return _accumulate(into_chart, map(term, f.terms, f.terms.values()),

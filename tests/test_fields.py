@@ -373,13 +373,46 @@ def test_then_and_pushforward_match_one_compose_per_series(chart):
         assert pushed == {v: s for v, s in expected.items() if not s.is_zero}
 
 
+def test_pushforward_reads_a_kept_coordinate_off_the_field():
+    # on a coordinate the change keeps, the chain rule's X(image) is X's
+    # coefficient there, carrying the loss of every coefficient of X and
+    # of the image, as X.apply gives it
+    chart = standard_chart(j_order=3, base_order=4, extra_base=True)
+    rng = random.Random(31)
+    x, e = chart.coordinate("x"), chart.coordinate("e")
+    lossy = [antiderivative(x ** 4, "x"), antiderivative(e ** 3, "e")]
+    flagged = 0
+    for _ in range(16):
+        moved = set(rng.sample(chart.names, 2))
+        images = {n: (s if n in moved else chart.coordinate(n))
+                  + (rng.choice(lossy) if rng.random() < 0.1 else 0)
+                  for n, s in random_centered_change(rng, chart).images.items()}
+        change = CoordinateChange.make(chart, chart, images)
+        X = random_field(rng, chart, terms=2)
+        X = VectorField(chart, X.degree, {
+            n: a + rng.choice(lossy) if rng.random() < 0.3 else a
+            for n, a in X.coefficients.items()})
+        pushed = pushforward(change, X)
+        for v in chart.names:
+            want = compose(X.apply(change.images[v]), change.inverse_images,
+                           chart)
+            got = pushed.coefficient(v)
+            assert got.terms == want.terms, v
+            if not want.is_zero:
+                assert (got.base_loss, got.j_loss) == (
+                    want.base_loss, want.j_loss), v
+                flagged += v not in moved and (want.base_loss or want.j_loss)
+    assert flagged >= 5
+
+
 def test_substitution_multiply_counts(monkeypatch):
     # work counts, not timings: powers are built once per image map and a
     # term starts from its scaled first power (200 and 172 calls when each
     # compose rebuilt its powers from a constant series); substitution
     # multiplies term rows, so the count is taken at the row product.  The
     # inversion in make substitutes only the nonlinear images, from the
-    # linear inverse on (62 when it began with a pass through the zero map)
+    # linear inverse on (62 when it began with a pass through the zero map),
+    # and skips the zero ones and the coordinates a map keeps (60 before)
     chart = standard_chart()
     rng = random.Random(3)
     a = random_centered_change(rng, chart, extra_terms=2)
@@ -397,7 +430,7 @@ def test_substitution_multiply_counts(monkeypatch):
     assert calls == 112
     calls = 0
     CoordinateChange.make(chart, chart, b.images)
-    assert calls == 60
+    assert calls == 54
 
 
 def test_change_maps_are_checked_once(monkeypatch):
@@ -531,6 +564,39 @@ def test_nonlinear_change_takes_one_pass_fewer(monkeypatch):
             CoordinateChange.make(chart, chart, images)
             _, passes = reference_invert_map(images, chart, chart)
             assert calls[0] == passes - 1
+
+
+def test_j_linear_change_is_inverted_by_one_elimination(monkeypatch):
+    # a change that keeps every base coordinate and sends each J coordinate
+    # to a J-linear image over the base is inverted with no substitution;
+    # J coordinates of one degree swapped at the origin make the elimination
+    # take its pivots off the diagonal, and a kept base image that carries
+    # a loss flag passes it to every inverse image
+    chart = ChartSpec.build(2, [("x", (0, 0)), ("t1", (0, 1)), ("y", (0, 0)),
+                                ("s1", (0, 1)), ("e", (1, 1)), ("f", (1, 1)),
+                                ("t2", (1, 0))], j_order=3, base_order=3)
+    rng = random.Random(12)
+    lossy = antiderivative(chart.coordinate("x") ** 3, "x")
+    calls = count_substitutions(monkeypatch)
+    flagged = 0
+    for _ in range(12):
+        images = {n: chart.coordinate(n) for n in ("x", "y")}
+        if rng.random() < 0.4:
+            images["y"] = images["y"] + lossy
+            flagged += 1
+        for group in (("t1", "s1"), ("e", "f"), ("t2",)):
+            for rho, sigma in zip(group, rng.sample(group, len(group))):
+                images[rho] = rng.choice([1, -1, 2]) * chart.coordinate(sigma)
+                for tau in group:
+                    images[rho] = images[rho] + random_series(
+                        rng, chart, chart.zero_degree, terms=2,
+                        allow_constant=False, max_j=0) * chart.coordinate(tau)
+        calls[0] = 0
+        change = CoordinateChange.make(chart, chart, images)
+        assert calls[0] == 0
+        want, _ = reference_invert_map(images, chart, chart)
+        assert_same_images(change.inverse_images, want)
+    assert flagged >= 3
 
 
 def test_wrong_linear_inverse_is_refused(monkeypatch):

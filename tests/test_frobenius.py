@@ -8,6 +8,7 @@ from helpers import (
     field_of,
     random_centered_change,
     random_field,
+    reference_invert_map,
     reference_j_linear_step,
     reference_lie_series,
     series_of,
@@ -495,6 +496,114 @@ def test_j_linear_step_matches_the_matrix_reference():
                         assert (a.base_loss, a.j_loss) == (
                             b.base_loss, b.j_loss), (side, n)
     assert compared >= 200
+
+
+def count_picard_passes(monkeypatch):
+    """Per caller label, the Picard passes of the inversions in ``make``:
+    one substitution each, counted inside `_invert_map`, labelled with the
+    straightening step that asked for the change (None for the frame)."""
+    import znfrob.fields
+    import znfrob.frobenius
+    passes, label, inverting = {}, [None], [False]
+    real_substitution = znfrob.fields._substitution
+    real_invert = znfrob.fields._invert_map
+
+    def substitution(*args):
+        if inverting[0]:
+            passes[label[0]] = passes.get(label[0], 0) + 1
+        return real_substitution(*args)
+
+    def invert(*args):
+        inverting[0] = True
+        try:
+            return real_invert(*args)
+        finally:
+            inverting[0] = False
+
+    def labelled(name):
+        real = getattr(znfrob.frobenius, name)
+
+        def step(*args, **kwargs):
+            label[0] = name
+            try:
+                return real(*args, **kwargs)
+            finally:
+                label[0] = None
+        return step
+
+    monkeypatch.setattr(znfrob.fields, "_substitution", substitution)
+    monkeypatch.setattr(znfrob.fields, "_invert_map", invert)
+    for name in ("_j_linear_step", "_shift"):
+        monkeypatch.setattr(znfrob.frobenius, name, labelled(name))
+    return passes
+
+
+def test_j_linear_inverse_is_one_elimination(monkeypatch):
+    # the J-linear step's map keeps every base coordinate and sends each J
+    # coordinate to a J-linear image over the base, so make inverts its
+    # matrix of base series by one elimination, with no Picard pass; the
+    # inverse must equal the whole-map Picard reference term by term and
+    # flag by flag, lossy layers included
+    rng = random.Random(30)
+    passes = count_picard_passes(monkeypatch)
+    compared = flagged = 0
+    for j_order, base_order in [(2, 2), (3, 4), (5, 4)]:
+        for extra_base in (False, True):
+            chart = standard_chart(j_order, base_order, extra_base)
+            bases = [n for n in chart.names if chart.degree_of(n).is_zero]
+            lossy = [antiderivative(chart.coordinate("x") ** base_order, "x"),
+                     antiderivative(chart.coordinate("e") ** j_order, "e")]
+            for _ in range(12):
+                X = random_field(rng, chart, chart.zero_degree, terms=3,
+                                 max_j=2)
+                X = VectorField(chart, X.degree, {
+                    n: a + rng.choice(lossy) if rng.random() < 0.3 else a
+                    for n, a in X.coefficients.items()})
+                step = reference_j_linear_step(X, rng.choice(bases))
+                if step is None:
+                    continue
+                assert passes == {}
+                want, _ = reference_invert_map(step.images, chart, chart)
+                passes.clear()
+                for n in chart.names:
+                    got = step.inverse_images[n]
+                    assert got.terms == want[n].terms, n
+                    assert (got.base_loss, got.j_loss) == (
+                        want[n].base_loss, want[n].j_loss), n
+                compared += 1
+                flagged += step.base_loss or step.j_loss
+    assert compared >= 40 and compared > flagged >= 5
+
+
+def test_degree_zero_straightening_work_pinned(monkeypatch):
+    # work counts, not timings, for one field that takes every step of a
+    # degree-zero straightening: the row products and the Picard passes
+    # (1729 products and 11 + 5 passes before substitution skipped the
+    # coordinates a map keeps and the J-linear step was inverted by one
+    # elimination)
+    import znfrob.series
+    chart = standard_chart(j_order=3, base_order=4, extra_base=True)
+    X = field_of(chart, (0, 0), {
+        "x": "2 + y + x*y + t1*t2*e", "y": "x^2 + e^2",
+        "t1": "y*t1 + x*e*t2", "t2": "t2 - x*t2 + e*t1",
+        "e": "x*e + t1*t2"})
+    passes = count_picard_passes(monkeypatch)
+    calls = 0
+    real = znfrob.series._multiply_rows
+
+    def counted(rows1, rows2, chart):
+        nonlocal calls
+        calls += 1
+        return real(rows1, rows2, chart)
+
+    monkeypatch.setattr(znfrob.series, "_multiply_rows", counted)
+    from znfrob.frobenius import _straighten
+    steps, _, _ = _straighten(chart, [X], [0])
+    assert [label for label, _ in steps] == [
+        "linear_frame", "flow_box", "flow_box", "j_linear",
+        "j_correction_2", "j_correction_3"]
+    assert passes == {"_shift": 11}
+    assert calls == 1315
 
 
 def test_adapted_random_soundness_small():

@@ -506,7 +506,7 @@ def test_main_deep_nesting_is_a_syntax_error(tmp_path, capsys, expr):
 
 @pytest.mark.parametrize("headroom", [40, 100, 300])
 def test_deep_caller_gets_a_syntax_error(chart, headroom):
-    # the deepest accepted nesting needs about 700 frames below the caller
+    # the deepest accepted nesting needs about 610 frames below the caller
     src = "(" * _MAX_NESTING + "x" + ")" * _MAX_NESTING
 
     def depth():

@@ -8,6 +8,9 @@ import pytest
 
 from helpers import (
     oracle_multiply_monomials,
+    oracle_series,
+    oracle_substitute,
+    random_monomial,
     random_series,
     series_of,
     standard_chart,
@@ -551,6 +554,86 @@ def test_cached_rows_match_rows_from_terms(monkeypatch):
     for s in (product, power, pulled, f, g):
         assert s._term_rows() == rows_by_definition(s)
 
+
+
+def kept_chart():
+    # n=2, four odd coordinates of degree (0, 1), which anticommute,
+    # interleaved with base, odd (1, 0) and even nonzero (1, 1) ones that
+    # pair with some of them
+    return ChartSpec.build(2, [("a", (0, 1)), ("x", (0, 0)), ("b", (0, 1)),
+                               ("e", (1, 1)), ("c", (0, 1)), ("s", (1, 0)),
+                               ("y", (0, 0)), ("d", (0, 1))],
+                           j_order=4, base_order=3)
+
+
+@pytest.mark.parametrize("seed", [2, 19, 41, 88])
+def test_substitution_keeping_coordinates_matches_the_oracle(seed,
+                                                             monkeypatch):
+    # maps that keep a random subset of the coordinates (some kept images
+    # carry a loss flag), send others to zero and move the rest, against
+    # the oracle ring, which substitutes every coordinate; a series of kept
+    # coordinates alone is substituted with no product at all
+    import znfrob.series
+    chart = kept_chart()
+    rng = random.Random(seed)
+    x, e = chart.coordinate("x"), chart.coordinate("e")
+    lossy = [antiderivative(x ** chart.base_order, "x"),
+             antiderivative(e ** chart.j_order, "e")]
+    assert all(f.is_zero for f in lossy)
+    in_window = lambda m: (Monomial(m).j_degree(chart) <= chart.j_order and
+                           Monomial(m).base_degree(chart) <= chart.base_order)
+    calls = 0
+    real = znfrob.series._multiply_rows
+
+    def counted(rows1, rows2, chart):
+        nonlocal calls
+        calls += 1
+        return real(rows1, rows2, chart)
+
+    monkeypatch.setattr(znfrob.series, "_multiply_rows", counted)
+    seen = {"signed split": 0, "kept only": 0, "zero": 0, "lossy kept": 0}
+    for _ in range(12):
+        kept = {n for n in chart.names if rng.random() < 0.5}
+        images = {}
+        for name in chart.names:
+            deg = chart.degree_of(name)
+            if name in kept:
+                images[name] = chart.coordinate(name)
+                if rng.random() < 0.3:
+                    images[name] = images[name] + rng.choice(lossy)
+                    seen["lossy kept"] += 1
+            elif rng.random() < 0.2:
+                images[name] = chart.zero()
+                seen["zero"] += 1
+            else:
+                images[name] = (rng.choice([1, -1, 2]) * chart.coordinate(name)
+                                + random_series(rng, chart, deg, terms=2,
+                                                allow_constant=False))
+        f = random_series(rng, chart, terms=8)
+        mons = [random_monomial(rng, chart) for _ in range(40)]
+        only_kept = GradedSeries(chart, {m: rng.randint(1, 5) for m in mons
+                                         if any(m) and all(
+            chart.names[i] in kept for i, k in enumerate(m) if k)})
+        for g in (f, f + only_kept):
+            got = compose(g, images, chart)
+            assert oracle_series(got) == oracle_substitute(
+                chart, oracle_series(g),
+                {n: oracle_series(s) for n, s in images.items()}, in_window)
+            for flag in ("base_loss", "j_loss"):
+                assert getattr(got, flag) == any(
+                    getattr(s, flag) for s in (g, *images.values()))
+            # terms whose kept factors move past a moved factor they
+            # pair with, both odd powers: the split's sign is -1
+            odd = [[i for i, k in enumerate(m) if k & 1] for m in g.terms]
+            seen["signed split"] += sum(1 for ids in odd if sum(
+                chart.degrees[i].dot(chart.degrees[j]) for i in ids
+                for j in ids if j < i and chart.names[i] in kept
+                and chart.names[j] not in kept) & 1)
+        seen["kept only"] += len(only_kept.terms)
+        calls = 0
+        assert compose(only_kept, images, chart).terms == only_kept.terms
+        assert calls == 0
+    assert all(seen.values()), seen
 
 
 def test_loss_flags_are_read_only(chart):
