@@ -24,10 +24,10 @@ coordinate costs nothing (``series._substitution``): each inversion pass
 substitutes every nonzero nonlinear image part into the current inverse (a
 J-linear change takes one elimination instead), ``then`` each direction
 through one map, and ``pushforward`` every coefficient into the inverse
-images.  Powers and partial products are multiplied as rows, so none of
-these builds a series per product, only one per result, nor do the
-inversion's update, ``VectorField.apply`` and ``bracket`` (both of its
-halves at once): each result is one sum in ``series._accumulate``.
+images.  ``VectorField.apply`` reads X(v) off X for a coordinate v.  No
+step builds a series per product, only one per result: products are rows,
+and the inversion's update, ``apply`` and ``bracket`` (both of its halves
+at once) are each one sum in ``series._accumulate``.
 """
 
 from __future__ import annotations
@@ -94,8 +94,13 @@ class VectorField:
         return not self.coefficients
 
     def apply(self, f: GradedSeries) -> GradedSeries:
+        """X(f); X(v) is a_v with the loss of v and of every a_u (X nonzero)."""
         if f.chart != self.chart:
             raise ChartError("field and series live on different charts")
+        m = next(iter(f.terms)) if len(f.terms) == 1 else None
+        if self.coefficients and m and sum(m) == 1 and f.terms[m] == 1:
+            a = self.coefficient(self.chart.names[m.index(1)])
+            return _sharing_loss([[a]], [*self.coefficients.values(), f])[0][0]
         return _accumulate(self.chart, _applied(self, f, 1))
 
     def scaled_by(self, f: GradedSeries) -> "VectorField":
@@ -410,14 +415,9 @@ def compose_changes(first: CoordinateChange,
 def pushforward(change: CoordinateChange, X: VectorField) -> VectorField:
     """Rewrite a source-chart field in the target coordinates via the chain
     rule: the new coefficient on v is X(image of v) expressed in target
-    variables; where the change keeps v, X(v) is X's coefficient on v with
-    the loss ``X.apply`` gives it (every coefficient's and the image's)."""
+    variables, read off X where the change keeps v (``X.apply``)."""
     if X.chart != change.source:
         raise ChartError("field does not live on the source chart")
     push = _substitution(change.inverse_images, change.source, change.target)
-    kept = _kept(change.images, change.target, change.source)
     return VectorField(change.target, X.degree, {
-        v: push(_sharing_loss([[X.coefficient(v)]], [
-            *X.coefficients.values(), change.images[v]])[0][0]
-            if keep else X.apply(change.images[v]))
-        for v, keep in zip(change.target.names, kept)})
+        v: push(X.apply(change.images[v])) for v in change.target.names})

@@ -135,10 +135,11 @@ def _j_linear_step(X: VectorField, pivot: str) -> Optional[CoordinateChange]:
             new_eta[rho] = (zeta[rho] if rate.is_zero
                             else zeta[rho] - antiderivative(rate, pivot))
         # keep the last pass: equal terms can still carry new loss flags
-        stable = new_eta == eta
-        eta = new_eta
+        eta, stable = new_eta, new_eta == eta
         if stable:
             break
+    else:
+        raise InternalInconsistency("J-linear flow did not stabilise")
     return None if eta == zeta else CoordinateChange.make(chart, chart, {
         name: eta.get(name, chart.coordinate(name)) for name in chart.names})
 

@@ -31,9 +31,10 @@ and caches: ``(monomial, coefficient, J-degree, base degree, odd-support
 mask, odd-exponent mask, sign mask)``, where bit ``i`` of the sign mask is
 ``sum_{j<i} (e_j mod 2) <deg_j, deg_i> mod 2``.  A product term's degrees
 and masks are the sums and XORs of its factors', so a product's rows come
-out of the product itself.  One chain of powers (`_extend`) and one
-product fold (`_fold`), the one product rule, serve `multiply`, ``**``,
-substitution and the parser, with no series built per power or product.
+out of the product itself.  One chain of powers (`_extend`), one power
+sum (`_power_sum`) and one product fold (`_fold`), the one product rule,
+serve `multiply`, ``**``, the reciprocal, coordinate powers, substitution
+and the parser, with no series built per power or product.
 A series' ``terms`` never change once built (a lint in the tests checks
 this), or its cached rows and the series sharing its map would go stale.
 """
@@ -47,7 +48,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import comb
 from operator import add, or_
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import (
     CenteringError,
@@ -472,18 +473,10 @@ class GradedSeries:
     def __pow__(self, exponent: int):
         if not _is_int(exponent) or exponent < 0:
             raise ValueError("series powers take a nonnegative integer")
-        # binomial sum over self = c + n: the constant c is a central scalar
-        # and n is centered, so n^k vanishes past the window's total degree
-        # and the chain of powers stops there whatever the exponent
-        chart = self.chart
-        c = self.constant_term
-        chain = [(self - c)._term_rows()]
-        _extend(chain, exponent, chart)  # extends nothing for exponent 0
-        parts = [(c ** exponent, [(chart.unit_monomial, 1, 0, 0, 0, 0, 0)])]
-        parts += [(comb(exponent, k) * c ** (exponent - k), rows)
-                  for k, rows in enumerate(chain[:exponent], 1)
-                  if c or k == exponent]  # else the binomial term is zero
-        return _accumulate(chart, parts, self._loss if exponent else 0)
+        c = self.constant_term  # binomial sum over self = c + n, c central
+        return _power_sum(self.chart, (self - c)._term_rows(), exponent,
+                          lambda k: comb(exponent, k) * c ** (exponent - k),
+                          self._loss if exponent else 0)
 
     def __eq__(self, other):
         if not isinstance(other, GradedSeries):
@@ -684,27 +677,23 @@ def _extend(chain: list[list[tuple]], k: int, chart: ChartSpec) -> list[tuple]:
     return chain[k - 1] if k <= len(chain) else []
 
 
+def _power_sum(chart: ChartSpec, u: list[tuple], top: int,
+               a: Callable[[int], Coefficient], loss: int) -> GradedSeries:
+    """``sum_{k<=top} a(k) u^k`` with ``loss``, over one `_extend` chain of
+    the centered row list u, which ends at its first empty power (u^k has
+    total degree >= k): no ``a(k)`` past that power is worked out."""
+    chain = [u]
+    _extend(chain, top, chart)  # extends nothing for top 0
+    return _accumulate(chart, ((a(k), rows) for k, rows in enumerate(
+        [[(chart.unit_monomial, 1, 0, 0, 0, 0, 0)], *chain[:top]])), loss)
+
+
 def _scaled(rows: list[tuple], a: Coefficient) -> list[tuple]:
     """``a`` times a row list: scaling keeps every degree and mask."""
     if a == 1:
         return rows
     return [(m, _canonical(c * a), j, b, o, p, s)
             for m, c, j, b, o, p, s in rows] if a else []
-
-
-def _coordinate_power(chart: ChartSpec, i: int, k: int) -> list[tuple]:
-    """The rows of the k-th power (k >= 1) of coordinate i: none for an odd
-    square, and none past the window, after noting the first power past
-    it with coefficient 1, as `_multiply_rows` notes a product it drops."""
-    if k > 1 and chart.odd_flags[i]:
-        return []
-    top = chart.j_order if chart._degree_codes[i] else chart.base_order
-    exps = [0] * len(chart.names)
-    exps[i] = min(k, top + 1)
-    if k > top:
-        _note_drop(Monomial(exps), 1)
-        return []
-    return _rows_of(chart, ((Monomial(exps), 1),))
 
 
 def _fold(chart: ChartSpec, factors: Iterable) -> tuple[list[tuple], int]:
@@ -718,10 +707,10 @@ def _fold(chart: ChartSpec, factors: Iterable) -> tuple[list[tuple], int]:
     stays in the window and holds no odd square: the exponents add, the
     coefficients multiply, and an odd power flips the sign once for each
     odd-exponent factor after it that it pairs with (the sign masks of
-    ``ChartSpec._row_masks``).  From the first factor that ends it, a pair
-    is the rows `_coordinate_power` gives, a coefficient scales the product
-    so far, and every other factor is multiplied into it by
-    `_multiply_rows`, so the drops are noted in the order of the factors.
+    ``ChartSpec._row_masks``).  From the first factor that ends it, a
+    coefficient scales the product so far, and every other factor (a pair
+    as a power off its coordinate's `_extend` chain) is multiplied in by
+    `_multiply_rows`, which alone drops and notes, in factor order.
     A monomial with a zero coefficient has no rows, and one of numbers
     alone only scales the first rows to arrive."""
     odd_mask, later = chart._row_masks
@@ -739,7 +728,7 @@ def _fold(chart: ChartSpec, factors: Iterable) -> tuple[list[tuple], int]:
                 exps[i] += k
                 j, b = jk, bk
                 continue
-            got = _coordinate_power(chart, i, k)
+            got = _extend([[chart._coordinate_rows[i]]], k, chart)
         elif type(factor) is list:
             got = factor
         elif isinstance(factor, GradedSeries):
@@ -860,15 +849,12 @@ def _free_of(f: GradedSeries, name: str) -> GradedSeries:
 
 
 def _reciprocal(f: GradedSeries) -> GradedSeries:
-    """``1/f`` for ``f = c + n`` with c a nonzero constant and n vanishing
-    at the origin: ``1/c`` times the sum of one chain of the powers
-    ``(-n/c)^k``, each of total degree at least k; with ``f``'s loss."""
-    chart = f.chart
-    inv = _canonical(Fraction(1) / f.constant_term)
-    chain = [_accumulate(chart, ((1, chart.one()), (-inv, f)))._term_rows()]
-    _extend(chain, chart.j_order + chart.base_order, chart)
-    return _accumulate(chart, [(inv, chart.one()), *(
-        (inv, rows) for rows in chain)], f._loss)
+    """``1/f = (1/c) sum_k (-n/c)^k`` for ``f = c + n``, c a nonzero
+    constant and n centered, as one `_power_sum`; with ``f``'s loss."""
+    chart, inv = f.chart, _canonical(Fraction(1) / f.constant_term)
+    centered = _accumulate(chart, ((1, chart.one()), (-inv, f)))._term_rows()
+    return _power_sum(chart, centered, chart.j_order + chart.base_order,
+                      lambda k: inv, f._loss)
 
 
 def _sharing_loss(rows: list[list[GradedSeries]],

@@ -373,6 +373,43 @@ def test_then_and_pushforward_match_one_compose_per_series(chart):
         assert pushed == {v: s for v, s in expected.items() if not s.is_zero}
 
 
+def test_apply_reads_a_coordinate_off_the_field(monkeypatch):
+    # X(v) is X's coefficient on v, taking no derivative, with the terms,
+    # term order and loss of the sum over d/du v; a zero field gives zero
+    # with no loss, as the sum does
+    from znfrob.fields import _applied
+    from znfrob.series import _accumulate
+    chart = standard_chart(j_order=3, base_order=4, extra_base=True)
+    rng = random.Random(41)
+    x, e = chart.coordinate("x"), chart.coordinate("e")
+    lossy = [antiderivative(x ** 4, "x"), antiderivative(e ** 3, "e")]
+    cases = []
+    for trial in range(30):
+        X = random_field(rng, chart, terms=2) if trial % 5 else VectorField(
+            chart, chart.zero_degree, {})
+        X = VectorField(chart, X.degree, {
+            n: a + rng.choice(lossy) if rng.random() < 0.3 else a
+            for n, a in X.coefficients.items()})
+        for v in chart.names:
+            f = chart.coordinate(v) + (rng.choice(lossy)
+                                       if rng.random() < 0.5 else 0)
+            cases.append((X, f, _accumulate(chart, _applied(X, f, 1))))
+
+    def refuse(*args):
+        raise AssertionError("a coordinate was differentiated")
+
+    monkeypatch.setattr(znfrob.fields, "derive", refuse)
+    flagged = 0
+    for X, f, want in cases:
+        got = X.apply(f)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert (got.base_loss, got.j_loss) == (want.base_loss, want.j_loss)
+        flagged += got.base_loss or got.j_loss
+    assert flagged >= 20
+    assert not VectorField(chart, chart.zero_degree, {}).apply(
+        x + lossy[0]).base_loss
+
+
 def test_pushforward_reads_a_kept_coordinate_off_the_field():
     # on a coordinate the change keeps, the chain rule's X(image) is X's
     # coefficient there, carrying the loss of every coefficient of X and

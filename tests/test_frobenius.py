@@ -498,6 +498,23 @@ def test_j_linear_step_matches_the_matrix_reference():
     assert compared >= 200
 
 
+def test_j_linear_step_refuses_a_flow_that_does_not_settle(monkeypatch):
+    # an antiderivative that grows on every call leaves no pass stable: the
+    # step raises, as an inversion that does not stabilise does, instead of
+    # building a change from the last pass
+    import itertools
+    import znfrob.frobenius
+    chart = standard_chart(j_order=3, base_order=4)
+    X = field_of(chart, (0, 0), {"x": "1", "t1": "x*t1", "e": "x*e"})
+    assert _j_linear_step(X, "x") is not None
+    calls = itertools.count(1)
+    monkeypatch.setattr(znfrob.frobenius, "antiderivative",
+                        lambda f, name: f * next(calls))
+    with pytest.raises(InternalInconsistency, match="did not stabilise"):
+        _j_linear_step(X, "x")
+    assert next(calls) > chart.base_order + 2
+
+
 def count_picard_passes(monkeypatch):
     """Per caller label, the Picard passes of the inversions in ``make``:
     one substitution each, counted inside `_invert_map`, labelled with the

@@ -303,6 +303,39 @@ def test_row_multiplication_is_caught():
         "line 6: _multiply_rows", "line 9: series._multiply_rows"]
 
 
+# the row caches: a coordinate's row and a series' rows are worked out from
+# terms once, where they are cached; every other row, a coordinate power
+# included, is a product of cached rows
+ROW_BUILDERS = {("ChartSpec", "_coordinate_rows"),
+                ("GradedSeries", "_term_rows")}
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py")))
+def test_rows_are_built_only_by_the_row_caches(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    allowed = ROW_BUILDERS if module == "series.py" else frozenset()
+    assert image_checks(source, allowed, "_rows_of") == []
+
+
+def test_row_building_is_caught():
+    source = ("class ChartSpec:\n"
+              "    def _coordinate_rows(self):\n"
+              "        return tuple(_rows_of(self, units))\n"
+              "class GradedSeries:\n"
+              "    def _term_rows(self):\n"
+              "        self._rows = _rows_of(self.chart, self.terms.items())\n"
+              "    def __pow__(self, k):\n"
+              "        rows = _rows_of(self.chart, ((mon, 1),))\n"
+              "def _fold(chart, factors):\n"
+              "    got = series._rows_of(chart, ((Monomial(exps), 1),))\n")
+    assert image_checks(source, ROW_BUILDERS, "_rows_of") == [
+        "line 8: _rows_of", "line 10: series._rows_of"]
+    assert image_checks(source, name="_rows_of") == [
+        "line 3: _rows_of", "line 6: _rows_of", "line 8: _rows_of",
+        "line 10: series._rows_of"]
+
+
 # the builder keeps the coefficient map its producer made, since every
 # producer leaves out zeros and makes its coefficients canonical: a loop or
 # comprehension in the builder would copy every kernel result once more

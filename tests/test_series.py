@@ -470,6 +470,32 @@ def test_centered_power_matches_chained_products(chart, k, drops, terms):
     assert (len(power_drops), len(powered.terms)) == (drops, terms)
 
 
+def test_reciprocal_inverts_series_of_any_constant_term():
+    # constants other than 1 scale every power of the chain; the centered
+    # parts have odd and J terms, and some a lossy factor whose flags the
+    # reciprocal keeps
+    from znfrob.series import _reciprocal
+    chart = standard_chart(j_order=3, base_order=4, extra_base=True)
+    lossy = [antiderivative(series_of(chart, "x + x^4"), "x"),
+             antiderivative(series_of(chart, "e + e^3"), "e")]
+    assert lossy[0].base_loss and lossy[1].j_loss
+    rng = random.Random(37)
+    odd = flagged = 0
+    for _ in range(40):
+        n = random_series(rng, chart, degree=chart.zero_degree,
+                          terms=rng.randint(1, 4), allow_constant=False)
+        if rng.random() < 0.4:
+            n = multiply(n, rng.choice(lossy))
+        f = n + rng.choice([-1, 2, Fraction(1, 3), Fraction(-5, 2)])
+        r = _reciprocal(f)
+        assert multiply(r, f).terms == chart.one().terms
+        assert multiply(f, r).terms == chart.one().terms
+        assert (r.base_loss, r.j_loss) == (f.base_loss, f.j_loss)
+        odd += any(m[i] for m in f.terms for i in (2, 3))  # t1, t2
+        flagged += f.base_loss or f.j_loss
+    assert odd >= 5 and flagged >= 5
+
+
 def interleaved_chart():
     # n=3, odd and even degrees interleaved in the coordinate order, so
     # that sign-mask bits sit between base and odd coordinates
